@@ -2,9 +2,11 @@
 
 Two formats:
 
-* **JSON** — human-readable, complete (clusters, core mask, meta);
-* **NPZ** — compact, for large results; reconstructs clusters from the
-  labels plus the multi-membership overflow table.
+* **JSON** — ``repro.clustering/v2``: labels, core mask (0/1), the
+  multi-membership overflow pairs, the cluster count and meta.  The older
+  ``repro.clustering/v1`` payloads (sorted member lists per cluster) are
+  still read;
+* **NPZ** — the same arrays, compressed.
 
 Round-trips preserve cluster-set equality, core masks, and metadata
 (numpy values in ``meta`` are converted to plain Python on save).
@@ -14,12 +16,16 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
-from repro.core.result import Clustering
+from repro.core.result import NOISE, Clustering
 from repro.errors import DataError
+
+FORMAT = "repro.clustering/v2"
+FORMAT_V1 = "repro.clustering/v1"
+_FIELDS = ("labels", "core_mask", "overflow_points", "overflow_clusters")
 
 
 def _jsonable(value):
@@ -36,27 +42,63 @@ def _jsonable(value):
     return value
 
 
-def to_dict(result: Clustering) -> Dict:
-    """Plain-dict representation (the JSON schema)."""
+def _arrays(result: Clustering) -> Dict[str, np.ndarray]:
+    """The v2 arrays: JSON lists them, NPZ stores them as they are."""
     return {
-        "format": "repro.clustering/v1",
-        "n": result.n,
-        "clusters": [sorted(c) for c in result.clusters],
-        "core_mask": result.core_mask.tolist(),
-        "meta": _jsonable(result.meta),
+        "labels": result.labels,
+        "core_mask": result.core_mask.astype(np.uint8),
+        "overflow_points": np.repeat(result.overflow_points, np.diff(result.overflow_indptr)),
+        "overflow_clusters": result.overflow_clusters,
+    }
+
+
+def _from_arrays(fields, meta) -> Clustering:
+    """Inverse of :func:`_arrays`, validated by the result's canonicaliser."""
+    missing = [name for name in _FIELDS if name not in fields]
+    if missing:
+        raise DataError(f"clustering payload lacks {', '.join(missing)}")
+    labels = np.asarray(fields["labels"], dtype=np.int64)
+    n = int(fields.get("n", labels.size))
+    if labels.shape != (n,):
+        raise DataError(f"labels must have shape ({n},); got {labels.shape}")
+    points = np.asarray(fields["overflow_points"], dtype=np.int64)
+    cids = np.asarray(fields["overflow_clusters"], dtype=np.int64)
+    if points.ndim != 1 or points.shape != cids.shape:
+        raise DataError("overflow_points and overflow_clusters must be equal-length vectors")
+    clustered = np.flatnonzero(labels != NOISE)
+    return Clustering._from_pairs(
+        n,
+        np.concatenate((clustered, points)),
+        np.concatenate((labels[clustered], cids)),
+        # Canonical ids are dense, each one a label or an overflow entry.
+        int(max(labels.max(initial=NOISE), cids.max(initial=NOISE))) + 1,
+        np.asarray(fields["core_mask"], dtype=bool),
+        meta,
+    )
+
+
+def to_dict(result: Clustering) -> Dict:
+    """Plain-dict representation (the JSON schema, ``repro.clustering/v2``)."""
+    fields = {name: arr.tolist() for name, arr in _arrays(result).items()}
+    return {
+        "format": FORMAT, "n": result.n, "n_clusters": result.n_clusters,
+        **fields, "meta": _jsonable(result.meta),
     }
 
 
 def from_dict(payload: Dict) -> Clustering:
-    """Inverse of :func:`to_dict`."""
-    if payload.get("format") != "repro.clustering/v1":
-        raise DataError(f"unrecognised payload format: {payload.get('format')!r}")
-    return Clustering(
-        payload["n"],
-        [set(c) for c in payload["clusters"]],
-        np.asarray(payload["core_mask"], dtype=bool),
-        meta=payload.get("meta", {}),
-    )
+    """Inverse of :func:`to_dict`; also reads ``repro.clustering/v1`` payloads."""
+    fmt = payload.get("format")
+    if fmt == FORMAT:
+        return _from_arrays(payload, payload.get("meta", {}))
+    if fmt == FORMAT_V1:
+        return Clustering(
+            payload["n"],
+            payload["clusters"],
+            np.asarray(payload["core_mask"], dtype=bool),
+            meta=payload.get("meta", {}),
+        )
+    raise DataError(f"unrecognised payload format: {fmt!r}")
 
 
 def save_clustering(result: Clustering, path: str) -> None:
@@ -67,23 +109,9 @@ def save_clustering(result: Clustering, path: str) -> None:
             json.dump(to_dict(result), fh)
         return
     if ext == ".npz":
-        # Labels carry single memberships; the overflow arrays carry the
-        # extra (point, cluster) pairs of multi-membership border points.
-        overflow_pts: List[int] = []
-        overflow_cids: List[int] = []
-        for i in range(result.n):
-            for cid in result.memberships_of(i)[1:]:
-                overflow_pts.append(i)
-                overflow_cids.append(cid)
+        meta = json.dumps(_jsonable(result.meta)).encode()
         np.savez_compressed(
-            path,
-            labels=result.labels,
-            core_mask=result.core_mask,
-            overflow_points=np.asarray(overflow_pts, dtype=np.int64),
-            overflow_clusters=np.asarray(overflow_cids, dtype=np.int64),
-            meta=np.frombuffer(
-                json.dumps(_jsonable(result.meta)).encode(), dtype=np.uint8
-            ),
+            path, meta=np.frombuffer(meta, dtype=np.uint8), **_arrays(result)
         )
         return
     raise DataError(f"unsupported extension {ext!r}; use .json or .npz")
@@ -99,15 +127,7 @@ def load_clustering(path: str) -> Clustering:
             return from_dict(json.load(fh))
     if ext == ".npz":
         with np.load(path) as data:
-            labels = data["labels"]
-            core_mask = data["core_mask"].astype(bool)
-            meta = json.loads(bytes(data["meta"]).decode()) if len(data["meta"]) else {}
-            n_clusters = int(labels.max()) + 1 if (labels >= 0).any() else 0
-            clusters = [set() for _ in range(n_clusters)]
-            for i, label in enumerate(labels):
-                if label >= 0:
-                    clusters[int(label)].add(int(i))
-            for i, cid in zip(data["overflow_points"], data["overflow_clusters"]):
-                clusters[int(cid)].add(int(i))
-            return Clustering(len(labels), clusters, core_mask, meta=meta)
+            fields = {name: data[name] for name in data.files}
+        meta = json.loads(bytes(fields.pop("meta")).decode() or "{}")
+        return _from_arrays(fields, meta)
     raise DataError(f"unsupported extension {ext!r}; use .json or .npz")

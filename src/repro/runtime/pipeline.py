@@ -128,7 +128,7 @@ def run_grid_pipeline(
     ``meta`` must already contain the algorithm identity and parameters;
     the pipeline adds ``grid_cells``, ``workers`` (the *effective* worker
     count — 1 when the serial fallback applied), ``phase_seconds`` (the
-    wall-clock spent per phase) and (when a resume happened)
+    wall-clock spent per phase, result assembly included as ``result``) and (when a resume happened)
     ``resumed_from_phase``.
 
     ``parallel`` fans the cores / components / borders phases out over a
@@ -281,7 +281,12 @@ def run_grid_pipeline(
     meta["workers"] = effective_workers(parallel, len(pts), len(grid))
     if state is not None:
         meta["resumed_from_phase"] = str(state["phase"])
-    return build_clustering(len(pts), core_mask, core_labels, borders, meta=meta)
+    # ``meta`` holds this very ``phase_seconds`` dict, so the assembly time
+    # recorded after the build still lands in the result's meta.
+    mark = perf_counter()
+    result = build_clustering(len(pts), core_mask, core_labels, borders, meta=meta)
+    phase_seconds["result"] = perf_counter() - mark
+    return result
 
 
 def _adopt_grid(grid: Grid, pts: np.ndarray, eps: float) -> Grid:

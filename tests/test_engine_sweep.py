@@ -393,5 +393,5 @@ class TestHooksDirect:
     def test_phase_seconds_in_meta(self, blob_points):
         result = dbscan(blob_points, 30.0, 10, algorithm="grid")
         phases = result.meta["phase_seconds"]
-        assert set(phases) == {"grid", "cores", "components", "borders"}
+        assert set(phases) == {"grid", "cores", "components", "borders", "result"}
         assert all(v >= 0 for v in phases.values())

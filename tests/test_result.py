@@ -90,6 +90,30 @@ class TestComparison:
         assert a.same_clusters(b)
         assert a != b
 
+    def test_shared_smallest_member_is_canonical(self):
+        # Two clusters share their smallest member 0, a border point; the
+        # input order must not decide the ids (eq/hash contract).
+        a = make(5, [{0, 1}, {0, 3}], cores={1, 3})
+        b = make(5, [{0, 3}, {0, 1}], cores={1, 3})
+        assert a == b and hash(a) == hash(b)
+        assert a.labels.tolist() == b.labels.tolist() == [0, 0, NOISE, 1, NOISE]
+        assert a.clusters == b.clusters == (frozenset({0, 1}), frozenset({0, 3}))
+
+    def test_shared_smallest_member_orders_by_smallest_core(self):
+        # By sorted members {0, 1, 4} would come first; the smaller core
+        # member (2 < 4) puts {0, 2} first.
+        c = make(5, [{0, 1, 4}, {0, 2}], cores={2, 4})
+        assert c.clusters == (frozenset({0, 2}), frozenset({0, 1, 4}))
+        assert c.labels.tolist() == [0, 1, 0, NOISE, 1]
+
+    def test_same_clusters_across_core_masks(self):
+        # Canonical ids depend on the core points; the cluster sets do not.
+        a = make(5, [{0, 1}, {0, 3}], cores={1, 3})
+        b = make(5, [{0, 1}, {0, 3}], cores={3})
+        assert a.labels.tolist() != b.labels.tolist()
+        assert a.same_clusters(b) and b.same_clusters(a)
+        assert a != b
+
     def test_hashable(self):
         a = make(4, [{0, 1}], cores={0})
         b = make(4, [{0, 1}], cores={0})

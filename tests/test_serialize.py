@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.exact_grid import exact_grid_dbscan
-from repro.core.result import Clustering
+from repro.core.result import NOISE, Clustering
 from repro.core.serialize import from_dict, load_clustering, save_clustering, to_dict
 from repro.errors import DataError
 
@@ -24,6 +24,51 @@ class TestDictRoundTrip:
         assert restored == original
         assert restored.meta["algorithm"] == "handmade"
         assert restored.memberships_of(2) == (0, 1)
+
+    def test_v1_payload_still_read(self):
+        payload = {
+            "format": "repro.clustering/v1",
+            "n": 4,
+            "clusters": [[2, 3], [0, 2]],
+            "core_mask": [True, False, False, True],
+            "meta": {"algorithm": "handmade"},
+        }
+        assert from_dict(payload) == multi_membership_result()
+
+    def test_v2_payload_shape(self):
+        payload = to_dict(multi_membership_result())
+        assert payload["format"] == "repro.clustering/v2"
+        assert payload["labels"] == [0, NOISE, 0, 1]
+        assert payload["core_mask"] == [1, 0, 0, 1]
+        assert payload["overflow_points"] == [2]
+        assert payload["overflow_clusters"] == [1]
+        assert payload["n_clusters"] == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"overflow_clusters": []},
+            {"overflow_points": [[2]]},
+            {"labels": [0, NOISE, 0]},
+            {"labels": None},
+            {"core_mask": None},
+        ],
+        ids=["overflow-lengths", "overflow-2d", "labels-short", "no-labels", "no-core-mask"],
+    )
+    def test_malformed_v2_rejected(self, edit):
+        payload = to_dict(multi_membership_result())
+        for key, value in edit.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        with pytest.raises(DataError):
+            from_dict(payload)
+
+    def test_v2_cluster_count_recomputed(self):
+        payload = to_dict(multi_membership_result())
+        del payload["n_clusters"]
+        assert from_dict(payload) == multi_membership_result()
 
     def test_bad_format_rejected(self):
         with pytest.raises(DataError):
@@ -58,6 +103,17 @@ class TestFileRoundTrip:
         assert (restored.core_mask == original.core_mask).all()
         assert restored.meta["algorithm"] == "exact_grid"
 
+    def test_cluster_only_in_overflow(self, tmp_path, ext):
+        # Cluster {1} has no point whose primary label is its id, so the
+        # labels alone under-count the clusters.
+        original = Clustering(3, [{0, 1}, {1}], np.zeros(3, dtype=bool))
+        path = str(tmp_path / f"overflow{ext}")
+        save_clustering(original, path)
+        restored = load_clustering(path)
+        assert restored == original
+        assert restored.n_clusters == 2
+        assert restored.memberships_of(1) == (0, 1)
+
     def test_all_noise(self, tmp_path, ext):
         original = Clustering(3, [], np.zeros(3, dtype=bool))
         path = str(tmp_path / f"noise{ext}")
@@ -65,6 +121,23 @@ class TestFileRoundTrip:
         restored = load_clustering(path)
         assert restored.n_clusters == 0
         assert restored.n == 3
+
+
+class TestOlderFiles:
+    def test_npz_from_set_based_model(self, tmp_path):
+        # A file as the set-based result model wrote it (bool core mask).
+        path = str(tmp_path / "old.npz")
+        np.savez_compressed(
+            path,
+            labels=np.array([0, -1, 0, 1]),
+            core_mask=np.array([True, False, False, True]),
+            overflow_points=np.array([2]),
+            overflow_clusters=np.array([1]),
+            meta=np.frombuffer(b'{"algorithm": "handmade"}', dtype=np.uint8),
+        )
+        restored = load_clustering(path)
+        assert restored == multi_membership_result()
+        assert restored.meta == {"algorithm": "handmade"}
 
 
 class TestErrors:

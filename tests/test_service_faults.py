@@ -277,9 +277,11 @@ class TestCoalescedWaitersUnderFailure:
         responses = [f.result(timeout=120) for f in [leader] + waiters]
         blob = None
         for response in responses:
-            labels = response["clustering"]["clusters"]
-            blob = labels if blob is None else blob
-            assert labels == blob
+            clustering = response["clustering"]
+            members = (clustering["labels"], clustering["overflow_points"],
+                       clustering["overflow_clusters"], clustering["core_mask"])
+            blob = members if blob is None else blob
+            assert members == blob
         assert client.service.registry.get("blobs").engine.runs_executed == 1
 
     def test_service_errors_are_one_family(self):

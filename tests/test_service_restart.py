@@ -93,7 +93,10 @@ def spawn_server(store_dir, *extra, env_extra=None, datasets=()):
 def essence(raw_response):
     """The replay-stable part of a cluster response (no timings/counters)."""
     clustering = raw_response["clustering"]
-    return (clustering["n"], clustering["clusters"], clustering["core_mask"])
+    return tuple(
+        clustering[field]
+        for field in ("n", "labels", "overflow_points", "overflow_clusters", "core_mask")
+    )
 
 
 def stop(proc, client=None):

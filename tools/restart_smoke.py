@@ -118,7 +118,8 @@ def main() -> int:
         replay = request(port, {"id": 11, **run})
         assert replay["ok"], replay
         recovered = replay["result"]["clustering"]
-        for field in ("n", "clusters", "core_mask"):
+        for field in ("n", "labels", "overflow_points", "overflow_clusters",
+                      "core_mask"):
             assert recovered[field] == baseline[field], \
                 f"replay diverged after restart ({field})"
 

@@ -87,9 +87,11 @@ def main() -> int:
             t.join(timeout=180)
         assert all(r is not None for r in responses), "a request hung"
         assert all(r["ok"] for r in responses), responses
-        clusters = responses[0]["result"]["clustering"]["clusters"]
+        fields = ("labels", "overflow_points", "overflow_clusters", "core_mask")
+        first = responses[0]["result"]["clustering"]
         for r in responses[1:]:
-            assert r["result"]["clustering"]["clusters"] == clusters, \
+            clustering = r["result"]["clustering"]
+            assert all(clustering[f] == first[f] for f in fields), \
                 "coalesced responses differ"
         coalesced = sum(bool(r["result"]["coalesced"]) for r in responses)
 
