@@ -3,10 +3,11 @@
 The first and last hot phases of the Section 2.2 grid pipeline — core
 labeling (``|B(p, eps)| >= MinPts``) and border assignment (every cluster
 with a core point within ``eps``) — pay one Python iteration plus several
-small numpy calls per cell in the reference loops, which dominates
+small numpy calls per cell in the reference loops
+(``tests/oracles/loops.py``), which dominates
 wall-clock on seed-spreader-style grids with tens of thousands of
 near-singleton cells.  The staged kernels
-(:mod:`repro.core.corekernel`) settle both phases with vectorised,
+(:mod:`repro.core.labeling`, :mod:`repro.core.border`) settle both phases with vectorised,
 size-classed tiles.  This bench measures both kernels' wall-clock for the
 two phases on an identical workload — clustered seed-spreader points
 blended with uniform background noise, so the grid mixes dense
@@ -50,6 +51,8 @@ from repro.parallel.executor import (
     parallel_assign_borders,
     parallel_label_cores,
 )
+
+from tests.oracles import loops
 
 from . import config as cfg
 
@@ -100,31 +103,31 @@ def measure(config, report=print):
     # Untimed warm-up of both kernels: charges one-time costs (BLAS
     # initialisation, the grid's SoA cache, allocator growth) to neither
     # side, so the timings compare steady-state kernel work.
-    label_cores(grid, min_pts, kernel="staged")
-    label_cores(grid, min_pts, kernel="loop")
+    label_cores(grid, min_pts)
+    loops.label_cores(grid, min_pts)
 
     before = counters.snapshot()
     core_staged, t_core_staged = _timed(
-        lambda: label_cores(grid, min_pts, kernel="staged")
+        lambda: label_cores(grid, min_pts)
     )
     core_funnel = {
         k: v for k, v in counters.delta_since(before).items()
         if k.startswith("core_")
     }
     core_loop, t_core_loop = _timed(
-        lambda: label_cores(grid, min_pts, kernel="loop")
+        lambda: loops.label_cores(grid, min_pts)
     )
     labels, n_clusters = cg.exact_components(grid, core_loop)
     before = counters.snapshot()
     b_staged, t_border_staged = _timed(
-        lambda: assign_borders(grid, core_loop, labels, kernel="staged")
+        lambda: assign_borders(grid, core_loop, labels)
     )
     border_funnel = {
         k: v for k, v in counters.delta_since(before).items()
         if k.startswith("border_")
     }
     b_loop, t_border_loop = _timed(
-        lambda: assign_borders(grid, core_loop, labels, kernel="loop")
+        lambda: loops.assign_borders(grid, core_loop, labels)
     )
 
     t_staged = t_core_staged + t_border_staged
@@ -175,8 +178,8 @@ def measure(config, report=print):
         assert dict(par_b) == dict(b_loop), f"parallel borders drifted (shm={shm})"
     # ...and on a known_core-carried run (the sweep's monotone hint).
     small = Grid(grid.points, eps * 0.6)
-    hint = label_cores(small, min_pts, kernel="staged")
-    carried = label_cores(grid, min_pts, kernel="staged", known_core=hint)
+    hint = label_cores(small, min_pts)
+    carried = label_cores(grid, min_pts, known_core=hint)
     assert np.array_equal(carried, core_loop), "known_core-carried mask drifted"
     report("  oracle: serial / parallel (pickled+shm) / carry byte-identical")
 
@@ -212,7 +215,7 @@ def test_core_phase_staged_vs_loop(report, benchmark):
     )
     grid = _workload(*SMOKE_CONFIG[1:5])
     min_pts = SMOKE_CONFIG[5]
-    benchmark(lambda: label_cores(grid, min_pts, kernel="staged"))
+    benchmark(lambda: label_cores(grid, min_pts))
 
 
 def main(argv=None):

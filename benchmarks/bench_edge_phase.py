@@ -5,7 +5,7 @@ must settle every eps-neighbouring pair of core cells.  The staged kernel
 (:mod:`repro.core.edgekernel`) resolves most pairs with vectorised
 quick-accept / quick-reject certificates and schedules the few survivors
 cheapest-first under a spanning-forest early exit; the reference loop
-(``kernel="loop"``) pays a full per-pair decision.  This bench measures
+(``tests/oracles/loops.py``) pays a full per-pair decision.  This bench measures
 the edge-phase wall-clock of both kernels on an identical workload —
 clustered seed-spreader points blended with uniform background noise, so
 the candidate pairs span dense accepts, far rejects and borderline
@@ -43,6 +43,8 @@ from repro.grid import counters
 from repro.grid.cells import Grid
 from repro.parallel import unpublish_grid
 from repro.parallel.executor import ParallelConfig, parallel_exact_components
+
+from tests.oracles import loops
 
 from . import config as cfg
 
@@ -97,20 +99,20 @@ def measure(config, report=print):
 
     before = counters.snapshot()
     exact_staged, t_exact_staged = _timed_components(
-        lambda: cg.exact_components(grid, core, kernel="staged")
+        lambda: cg.exact_components(grid, core)
     )
     funnel = {
         k: v for k, v in counters.delta_since(before).items()
         if k.startswith("edge_")
     }
     approx_staged, t_approx_staged = _timed_components(
-        lambda: cg.approx_components(grid, core, rho, kernel="staged")
+        lambda: cg.approx_components(grid, core, rho)
     )
     exact_loop, t_exact_loop = _timed_components(
-        lambda: cg.exact_components(grid, core, kernel="loop")
+        lambda: loops.exact_components(grid, core)
     )
     approx_loop, t_approx_loop = _timed_components(
-        lambda: cg.approx_components(grid, core, rho, kernel="loop")
+        lambda: loops.approx_components(grid, core, rho)
     )
 
     exact_speedup = t_exact_loop / t_exact_staged if t_exact_staged > 0 else float("inf")
@@ -148,9 +150,9 @@ def measure(config, report=print):
         unpublish_grid(grid)
     assert np.array_equal(par[0], exact_loop[0]), "parallel labels drifted"
     # ...and on a preunion-seeded run (the sweep's carry).
-    seed = cg.edge_list_exact(grid, core)[::2]
+    seed = loops.edge_list_exact(grid, core)[::2]
     seeded, _ = _timed_components(
-        lambda: cg.exact_components(grid, core, kernel="staged", preunion=seed)
+        lambda: cg.exact_components(grid, core, preunion=seed)
     )
     assert np.array_equal(seeded[0], exact_loop[0]), "preunion-seeded labels drifted"
     report("  oracle: serial / parallel / preunion labels byte-identical")
@@ -187,7 +189,7 @@ def test_edge_phase_staged_vs_loop(report, benchmark):
         f"(target {TARGET_SPEEDUP}x)"
     )
     grid, core = _workload(*SMOKE_CONFIG[1:6])
-    benchmark(lambda: cg.exact_components(grid, core, kernel="staged"))
+    benchmark(lambda: cg.exact_components(grid, core))
 
 
 def main(argv=None):

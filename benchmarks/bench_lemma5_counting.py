@@ -2,7 +2,8 @@
 
 Two claims are measured here:
 
-* **Lemma 5 complexity** (reference structure): O(n) expected construction
+* **Lemma 5 complexity** (reference structure,
+  ``tests/oracles/counting.py``): O(n) expected construction
   and O(1) expected query for fixed eps, rho, d — build time grows
   ~linearly over a doubling-n sweep, per-query time stays flat, and the
   counting contract is re-verified on every sampled query.
@@ -35,7 +36,8 @@ from repro.data import seed_spreader
 from repro.evaluation import format_table
 from repro.evaluation.timing import timed
 from repro.geometry import distance as dm
-from repro.grid.hierarchy import CountingHierarchy, FlatHierarchy
+from repro.grid.hierarchy import FlatHierarchy
+from tests.oracles.counting import CountingHierarchy
 
 from . import config as cfg
 

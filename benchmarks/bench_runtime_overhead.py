@@ -11,7 +11,9 @@ along in the budgeted timing.
 
 A second measurement holds the parallel *supervisor* to the same budget:
 on a fault-free run, tracked ``apply_async`` submission plus the hang /
-death sweeps must cost <5% over the bare ``imap_unordered`` fan-out.
+death sweeps must cost <5% over a bare ``imap_unordered`` fan-out.  The
+library only ships the supervised fan-out, so the bare baseline lives
+here (:func:`_bare_fan_out`) and is patched in for the baseline timing.
 
 Run standalone with ``python -m benchmarks.bench_runtime_overhead`` or via
 pytest like the other benches.
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import statistics
 import time
+from unittest import mock
 
 from repro import dbscan
 from repro.data import seed_spreader
@@ -94,6 +97,22 @@ def measure_overhead(report=print):
     return overhead
 
 
+def _bare_fan_out(cfg, n_workers, payload, kind, items, consume, *,
+                  deadline, memory):
+    """Unsupervised stand-in for ``executor._fan_out``: one plain pool,
+    ``imap_unordered`` over the worker task functions, budget guards polled
+    between results — and any worker failure fatal to the run."""
+    from repro.parallel import executor, worker
+
+    phase = str(payload.get("phase", kind))
+    with executor._pool(cfg, n_workers, payload) as pool:
+        for result in pool.imap_unordered(worker._TASKS[kind], items):
+            consume(result)
+            executor._check_guards(deadline, memory, phase)
+        pool.close()
+        pool.join()
+
+
 def measure_supervisor_overhead(report=print, repeats=7):
     """Fault-free supervision cost versus the bare ``imap_unordered`` pool.
 
@@ -104,20 +123,21 @@ def measure_supervisor_overhead(report=print, repeats=7):
     variants equally and is inside both timings, so it cancels in the
     ratio).
     """
-    from repro.parallel import ParallelConfig
+    from repro.parallel import ParallelConfig, executor
 
     n = 4000
     d = 3
     points = seed_spreader(n, d, seed=cfg.SEED + d).points
-    common = dict(workers=2, min_points=0)
+    workers = ParallelConfig(workers=2, min_points=0)
 
     def bare():
-        dbscan(points, cfg.DEFAULT_EPS, cfg.MINPTS, algorithm="grid",
-               workers=ParallelConfig(supervise=False, **common))
+        with mock.patch.object(executor, "_fan_out", _bare_fan_out):
+            dbscan(points, cfg.DEFAULT_EPS, cfg.MINPTS, algorithm="grid",
+                   workers=workers)
 
     def supervised():
         dbscan(points, cfg.DEFAULT_EPS, cfg.MINPTS, algorithm="grid",
-               workers=ParallelConfig(supervise=True, **common))
+               workers=workers)
 
     bare()  # warm caches (and fork state) outside the timed region
     supervised()

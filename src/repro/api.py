@@ -104,7 +104,7 @@ def dbscan(
         backoff, then quarantined serial re-execution) — pass a
         :class:`~repro.parallel.ParallelConfig` to tune
         ``max_shard_retries``, ``shard_timeout``, ``quarantine`` and
-        ``max_pool_respawns``, or ``supervise=False`` for the bare pool.
+        ``max_pool_respawns``.
         Recovery actions are recorded in ``result.meta["supervisor"]``.
     shm:
         Transport for parallel runs: ``True`` ships the grid and the

@@ -74,8 +74,6 @@ def _parallel_workers(args):
         overrides["quarantine"] = False
     if getattr(args, "shm", None) is not None:
         overrides["shm"] = args.shm
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
     if not overrides:
         return args.workers
     from repro.parallel import ParallelConfig
@@ -414,11 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "and result slabs through shared memory (zero "
                           "copy), 'off' pickles, 'auto' tries shared memory "
                           "and falls back (default $REPRO_SHM or off)")
-    clu.add_argument("--backend", choices=("process", "thread"), default=None,
-                     help="parallel pool backend: forked worker processes "
-                          "(supervised; the default) or threads (zero-copy "
-                          "by construction, no crash isolation; default "
-                          "$REPRO_BACKEND or process)")
     clu.add_argument("--on-bad-rows", dest="on_bad_rows",
                      choices=data_io.BAD_ROW_MODES, default="raise",
                      help="policy for invalid input rows (non-numeric, "

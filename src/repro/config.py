@@ -168,26 +168,6 @@ def default_shm():
     )
 
 
-def default_backend() -> str:
-    """Fan-out backend default from ``REPRO_BACKEND``.
-
-    ``process`` (the multiprocessing pool) when unset; ``thread`` runs the
-    phase tasks on an in-process thread pool — zero-copy by construction
-    and the right choice when the GIL-releasing numpy kernels dominate and
-    pickling was the only parallelism cost.  Anything else raises
-    :class:`~repro.errors.ConfigError`.
-    """
-    raw = os.environ.get("REPRO_BACKEND")
-    if raw is None or raw.strip() == "":
-        return "process"
-    value = raw.strip().lower()
-    if value in ("process", "thread"):
-        return value
-    raise ConfigError(
-        f"invalid REPRO_BACKEND={raw!r}: expected 'process' or 'thread'"
-    )
-
-
 def chunk_budget() -> int:
     """Pairwise-kernel chunk budget from ``REPRO_CHUNK_BUDGET``.
 

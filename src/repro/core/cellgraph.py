@@ -18,18 +18,17 @@ restricted to core points, so both builders return per-core-point component
 labels directly.
 
 Both builders resolve the edge phase through the staged, batched kernel of
-:mod:`repro.core.edgekernel` by default (``kernel="staged"``): vectorised
-quick-accept / quick-reject passes over dense cell ids settle most pairs
-without a per-pair decision, and only the survivors run BCP /
-:meth:`FlatHierarchy.any_contains`, cheapest-first with a spanning-forest
-early exit.  ``kernel="loop"`` keeps the classic per-pair loop — the
-reference implementation benchmarks and differential tests compare
-against.  Both kernels produce byte-identical labels.
+:mod:`repro.core.edgekernel`: vectorised quick-accept / quick-reject passes
+over dense cell ids settle most pairs without a per-pair decision, and
+only the survivors run BCP / :meth:`FlatHierarchy.any_contains`,
+cheapest-first with a spanning-forest early exit.  The classic per-pair
+loop this replaced is kept as the differential oracle in
+``tests/oracles/loops.py``; the labels are byte-identical to it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from repro.geometry.bcp import bcp_within
 from repro.grid.cells import CellCoord, Grid
 from repro.grid.hierarchy import FlatHierarchy
 from repro.index.kdtree import KDTree
-from repro.utils.unionfind import DenseUnionFind, KeyedUnionFind
+from repro.utils.unionfind import DenseUnionFind
 
 
 def core_cells(grid: Grid, core_mask: np.ndarray) -> Dict[CellCoord, np.ndarray]:
@@ -169,59 +168,7 @@ def approx_edge_predicate(
     return edge
 
 
-def apply_preunion(
-    uf: KeyedUnionFind,
-    preunion: Optional[List[Tuple[CellCoord, CellCoord]]],
-) -> None:
-    """Seed a union-find with pairs already known to be connected in ``G``.
-
-    Each ``preunion`` pair must lie in the same connected component of the
-    graph being built (e.g. carried forward from a smaller ``eps`` in a
-    monotone sweep — Theorem 3: clusters only merge as ``eps`` grows, so
-    same-component pairs stay same-component).  Pairs naming cells absent
-    from the forest are skipped: ``KeyedUnionFind.union`` would otherwise
-    register them and shift every later component label.  Pre-unioning
-    same-component pairs never changes the final partition or its labels,
-    because ``component_labels`` orders components by key insertion order,
-    which is fixed at construction.
-    """
-    if not preunion:
-        return
-    for c1, c2 in preunion:
-        if c1 in uf and c2 in uf:
-            uf.union(c1, c2)
-
-
-def candidate_cell_pairs(
-    grid: Grid,
-    cells: Dict[CellCoord, np.ndarray],
-    uf: KeyedUnionFind,
-    *,
-    seeded: bool,
-) -> Iterator[Tuple[CellCoord, CellCoord]]:
-    """Neighbour core-cell pairs still worth an edge test.
-
-    Unseeded, this is exactly ``grid.neighbor_cell_pairs`` over the core
-    cells.  Seeded (a pre-union carry was applied to ``uf``), pairs whose
-    endpoints already share a root are dropped up front by one vectorised
-    comparison over a static root snapshot — instead of two
-    path-compressing finds and a BCP test per pair.  Dropping them is
-    sound: a union between same-component cells is a no-op, so the final
-    partition (the transitive closure of the deterministic edge set) is
-    unchanged.
-    """
-    keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
-    if seeded and len(ii):
-        root = np.fromiter(
-            (uf.find(c) for c in keys), dtype=np.int64, count=len(keys)
-        )
-        keep = root[ii] != root[jj]
-        ii, jj = ii[keep], jj[keep]
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        yield keys[i], keys[j]
-
-
-def _staged_components(
+def _connected_components(
     grid: Grid,
     cells: Dict[CellCoord, np.ndarray],
     edge,
@@ -233,11 +180,10 @@ def _staged_components(
     """Run the staged edge kernel over ``cells`` and scatter labels.
 
     The shared back half of :func:`exact_components` /
-    :func:`approx_components` under ``kernel="staged"``: dense per-cell
-    arrays, a :class:`DenseUnionFind` seeded with the pre-union carry, one
+    :func:`approx_components`: dense per-cell arrays, a
+    :class:`DenseUnionFind` seeded with the pre-union carry, one
     :func:`resolve_edges` pass over all candidate pairs, and a single
-    vectorised label scatter.  Labels are byte-identical to the per-pair
-    loop (see :mod:`repro.core.edgekernel`).
+    vectorised label scatter (see :mod:`repro.core.edgekernel`).
     """
     arrays = cell_arrays(grid.points, cells)
     uf = DenseUnionFind(len(arrays))
@@ -259,15 +205,7 @@ def _staged_components(
         reject_eps=reject_eps,
         deadline=deadline,
     )
-    labels = np.full(len(grid.points), -1, dtype=np.int64)
-    if len(arrays):
-        labels[arrays.cat] = np.repeat(uf.component_labels(), arrays.sizes)
-    return labels, uf.n_components
-
-
-def _validate_kernel(kernel: str) -> None:
-    if kernel not in ("staged", "loop"):
-        raise ParameterError(f"unknown edge kernel {kernel!r}; use 'staged' or 'loop'")
+    return labels_from_dense(grid, cells, uf)
 
 
 def exact_components(
@@ -278,38 +216,23 @@ def exact_components(
     deadline: Optional["Deadline"] = None,
     preunion: Optional[List[Tuple[CellCoord, CellCoord]]] = None,
     structures: Optional[Dict[CellCoord, object]] = None,
-    kernel: str = "staged",
 ) -> Tuple[np.ndarray, int]:
     """Connected components of the exact graph ``G``.
 
     Returns ``(labels, k)``: a dense component id per point (valid only at
     core positions; ``-1`` elsewhere) and the number of components ``k``.
-    ``deadline`` is polled before each per-pair BCP computation, the
-    dominant cost of the phase.  ``preunion`` optionally seeds the
-    union-find with known-true edges (see :func:`apply_preunion`); seeded
-    pairs short-circuit their BCP tests without changing the result.
-    ``structures`` seeds the per-cell search-structure cache
-    (:func:`exact_edge_predicate`).  ``kernel`` selects the staged batched
-    kernel (default) or the reference per-pair loop; both produce
-    byte-identical labels.
+    ``deadline`` is polled between the kernel's batched stages and before
+    each surviving per-pair BCP computation.  ``preunion`` optionally
+    seeds the union-find with known-true edges — pairs already known to
+    lie in one component of ``G`` (e.g. carried from a smaller ``eps`` in
+    a monotone sweep: Theorem 3, clusters only merge as ``eps`` grows);
+    seeded pairs short-circuit their BCP tests without changing the
+    result.  ``structures`` seeds the per-cell search-structure cache
+    (:func:`exact_edge_predicate`).
     """
-    _validate_kernel(kernel)
     cells = core_cells(grid, core_mask)
     edge = exact_edge_predicate(grid, cells, bcp_strategy, structures=structures)
-    if kernel == "staged":
-        return _staged_components(
-            grid, cells, edge, deadline=deadline, preunion=preunion
-        )
-    uf = KeyedUnionFind(cells.keys())
-    apply_preunion(uf, preunion)
-    for c1, c2 in candidate_cell_pairs(grid, cells, uf, seeded=bool(preunion)):
-        if deadline is not None:
-            deadline.tick()
-        if uf.connected(c1, c2):
-            continue
-        if edge(c1, c2):
-            uf.union(c1, c2)
-    return _labels_from_components(grid, cells, uf)
+    return _connected_components(grid, cells, edge, deadline=deadline, preunion=preunion)
 
 
 def approx_components(
@@ -321,7 +244,6 @@ def approx_components(
     deadline: Optional["Deadline"] = None,
     preunion: Optional[List[Tuple[CellCoord, CellCoord]]] = None,
     structures: Optional[Dict[CellCoord, FlatHierarchy]] = None,
-    kernel: str = "staged",
 ) -> Tuple[np.ndarray, int]:
     """Connected components of the rho-approximate graph ``G``.
 
@@ -330,50 +252,26 @@ def approx_components(
     batched call; a yes adds the edge.  The resulting components satisfy
     Definition 5 (see the correctness argument in Section 4.4).
 
-    ``preunion`` seeds known-true edges (:func:`apply_preunion`);
+    ``preunion`` seeds known-true edges (as in :func:`exact_components`);
     ``structures`` seeds the per-cell Lemma 5 structure map — cells already
     present are not rebuilt, and the map is updated in place so a caller
-    (the clustering engine) can keep it warm across runs.  ``kernel``
-    selects the staged batched kernel (default) or the reference per-pair
-    loop; both produce byte-identical labels.  The staged kernel builds
-    Lemma 5 structures *lazily* — only for cells that actually reach a
+    (the clustering engine) can keep it warm across runs.  Lemma 5
+    structures are built *lazily* — only for cells that actually reach a
     per-pair probe — so cells settled entirely by the vectorised stages
     never pay for a structure build.
     """
-    _validate_kernel(kernel)
     cells = core_cells(grid, core_mask)
-    points = grid.points
-    kwargs = {} if exact_leaf_size is None else {"exact_leaf_size": exact_leaf_size}
-    if structures is None:
-        structures = {}
     edge = approx_edge_predicate(
         grid, cells, rho, exact_leaf_size, structures=structures, deadline=deadline
     )
-    if kernel == "staged":
-        return _staged_components(
-            grid,
-            cells,
-            edge,
-            reject_eps=grid.eps * (1.0 + rho),
-            deadline=deadline,
-            preunion=preunion,
-        )
-    uf = KeyedUnionFind(cells.keys())
-    apply_preunion(uf, preunion)
-    for cell, idx in cells.items():
-        if cell in structures:
-            continue
-        if deadline is not None:
-            deadline.tick()
-        structures[cell] = FlatHierarchy(points[idx], grid.eps, rho, **kwargs)
-    for c1, c2 in candidate_cell_pairs(grid, cells, uf, seeded=bool(preunion)):
-        if deadline is not None:
-            deadline.tick()
-        if uf.connected(c1, c2):
-            continue
-        if edge(c1, c2):
-            uf.union(c1, c2)
-    return _labels_from_components(grid, cells, uf)
+    return _connected_components(
+        grid,
+        cells,
+        edge,
+        reject_eps=grid.eps * (1.0 + rho),
+        deadline=deadline,
+        preunion=preunion,
+    )
 
 
 def labels_from_dense(
@@ -384,56 +282,17 @@ def labels_from_dense(
     """Per-point labels from a dense forest over ``cells`` in id order.
 
     ``uf``'s element ``t`` must be the ``t``-th cell of ``cells`` in
-    insertion order — then the labels (first appearance in id order) are
-    byte-identical to the keyed path's (first appearance in key insertion
-    order).  Used by the parallel stitching pass.
+    insertion order; labels are assigned by first appearance in id order,
+    so the serial kernel and the parallel stitching pass (both of which
+    end here) label identically.  One ``np.repeat`` + fancy-index
+    assignment, no per-cell Python loop.
     """
     labels = np.full(len(grid.points), -1, dtype=np.int64)
     if cells:
-        cell_label = uf.component_labels()
         sizes = np.fromiter(
             (len(idx) for idx in cells.values()), dtype=np.int64, count=len(cells)
         )
-        labels[np.concatenate(list(cells.values()))] = np.repeat(cell_label, sizes)
-    return labels, uf.n_components
-
-
-def _labels_from_components(
-    grid: Grid,
-    cells: Dict[CellCoord, np.ndarray],
-    uf: KeyedUnionFind,
-) -> Tuple[np.ndarray, int]:
-    """Scatter per-cell component labels onto the point array, vectorised.
-
-    One ``np.repeat`` + fancy-index assignment instead of a Python loop
-    over cells — the keyed twin of the dense scatter in
-    :func:`_staged_components`.
-    """
-    labels = np.full(len(grid.points), -1, dtype=np.int64)
-    if cells:
-        cell_label = uf.component_labels()
-        per_cell = np.fromiter(
-            (cell_label[c] for c in cells), dtype=np.int64, count=len(cells)
+        labels[np.concatenate(list(cells.values()))] = np.repeat(
+            uf.component_labels(), sizes
         )
-        sizes = np.fromiter(
-            (len(idx) for idx in cells.values()), dtype=np.int64, count=len(cells)
-        )
-        labels[np.concatenate(list(cells.values()))] = np.repeat(per_cell, sizes)
     return labels, uf.n_components
-
-
-def edge_list_exact(
-    grid: Grid, core_mask: np.ndarray, bcp_strategy: str = "auto"
-) -> List[Tuple[CellCoord, CellCoord]]:
-    """All edges of the exact graph ``G`` (diagnostic / test helper).
-
-    Unlike :func:`exact_components`, no union-find short-circuiting is
-    applied, so the full edge set is materialised.
-    """
-    cells = core_cells(grid, core_mask)
-    points = grid.points
-    edges = []
-    for c1, c2 in grid.neighbor_cell_pairs(subset=cells.keys()):
-        if bcp_within(points[cells[c1]], points[cells[c2]], grid.eps, strategy=bcp_strategy):
-            edges.append((c1, c2))
-    return edges

@@ -37,7 +37,7 @@ settles the bulk of the pairs with three staged, vectorised passes:
 Every stage only skips work whose outcome is already determined, so the
 resolved component structure — and therefore the final labels, which are
 assigned by cell insertion order — is byte-identical to the per-pair
-loop's.  The kernel reports its funnel through :mod:`repro.grid.counters`
+loop's (kept as the differential oracle in ``tests/oracles/loops.py``).  The kernel reports its funnel through :mod:`repro.grid.counters`
 (``edge_*``), which the pipeline publishes under
 ``meta["kernel_counters"]``.
 """
@@ -82,9 +82,6 @@ class CellArrays:
     the deterministic per-cell index order), ``lo`` / ``hi`` the
     coordinate-wise bounding box of each cell's *core* points — tighter
     than the grid cell itself wherever the cell is sparsely occupied.
-    ``cat`` is the concatenation of all cells' point-index arrays in key
-    order (cell ``t`` owns ``cat[offsets[t] : offsets[t] + sizes[t]]``) —
-    reused by the vectorised label scatter.
     """
 
     keys: List[CellCoord]
@@ -93,7 +90,6 @@ class CellArrays:
     reps: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    cat: np.ndarray
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -113,9 +109,7 @@ def cell_arrays(points: np.ndarray, cells: Dict[CellCoord, np.ndarray]) -> CellA
     if m == 0:
         empty = np.empty(0, dtype=np.int64)
         box = np.empty((0, d), dtype=np.float64)
-        return CellArrays(
-            keys, index, empty, empty.copy(), box, box.copy(), empty.copy()
-        )
+        return CellArrays(keys, index, empty, empty.copy(), box, box.copy())
     sizes = np.fromiter((len(cells[c]) for c in keys), dtype=np.int64, count=m)
     cat = np.concatenate([cells[c] for c in keys])
     offsets = np.zeros(m, dtype=np.int64)
@@ -124,7 +118,7 @@ def cell_arrays(points: np.ndarray, cells: Dict[CellCoord, np.ndarray]) -> CellA
     lo = np.minimum.reduceat(block, offsets, axis=0)
     hi = np.maximum.reduceat(block, offsets, axis=0)
     reps = cat[offsets]
-    return CellArrays(keys, index, sizes, reps, lo, hi, cat)
+    return CellArrays(keys, index, sizes, reps, lo, hi)
 
 
 def classify_pairs(
@@ -271,8 +265,10 @@ def apply_preunion_dense(
 ) -> None:
     """Seed a dense forest with known same-component cell pairs.
 
-    The dense-id analogue of :func:`repro.core.cellgraph.apply_preunion`:
-    pairs naming cells outside ``index`` are skipped, and seeding
+    Each ``preunion`` pair must lie in one connected component of the
+    graph being built (e.g. carried forward from a smaller ``eps`` in a
+    monotone sweep — Theorem 3: clusters only merge as ``eps`` grows).
+    Pairs naming cells outside ``index`` are skipped, and seeding
     same-component pairs never changes the final partition or its labels
     (labels come from id order, fixed at construction).
     """

@@ -14,8 +14,8 @@ by the monotonicity underlying the Sandwich Theorem (Theorem 3):
   ``eps_2 >= eps_1`` (density-reachability only gains witnesses).  The
   cells holding them therefore lie in the same component of the core-cell
   graph at ``eps_2``, so the previous step's per-cluster cell chains can be
-  pre-unioned (:func:`repro.core.cellgraph.apply_preunion`) and skip their
-  BCP tests.
+  pre-unioned (:func:`repro.core.edgekernel.apply_preunion_dense`) and skip
+  their BCP tests.
 
 * **approximate connectivity** — a rho-approximate cluster at ``eps_1``
   is contained in an *exact* cluster at ``eps_1 (1 + rho)`` (Theorem 3),

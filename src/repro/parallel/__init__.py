@@ -14,8 +14,7 @@ Public entry points accept ``workers=`` (an int or a
 command line, and the ``REPRO_WORKERS`` environment variable sets the
 fleet-wide default.  ``ParallelConfig(shm=...)`` (CLI ``--shm``, env
 ``REPRO_SHM``) selects the zero-copy shared-memory transport of
-:mod:`repro.parallel.shm`; ``backend="thread"`` (CLI ``--backend``, env
-``REPRO_BACKEND``) swaps the process pool for threads.
+:mod:`repro.parallel.shm`.
 """
 
 from repro.parallel.executor import (

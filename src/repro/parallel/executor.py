@@ -1,8 +1,8 @@
 """Parent-process orchestration of the parallel grid pipeline.
 
 The three data-parallel phases of the shared pipeline (core labeling,
-core-cell graph connectivity, border assignment) fan out over a
-``multiprocessing.Pool`` via chunked ``imap_unordered``:
+core-cell graph connectivity, border assignment) fan out as chunked
+shard tasks over a supervised ``multiprocessing.Pool``:
 
 * **cores / borders** — per-cell work with read-only inputs; shards of
   spatially contiguous cells are processed independently and the results
@@ -22,14 +22,11 @@ worker count is 1, the input is below :attr:`ParallelConfig.min_points`,
 or there are fewer cells than workers.  Workers poll the remaining time
 budget and the memory limit cooperatively (see ``repro.parallel.worker``).
 
-By default every fan-out runs under the fault-tolerant supervisor
+Every fan-out runs under the fault-tolerant supervisor
 (:mod:`repro.parallel.supervisor`): dead workers and hung shards are
 detected, the pool is respawned, failed shards are retried with backoff
 and ultimately quarantined to serial parent-side execution — while budget
-errors raised *inside* workers still re-raise promptly.  Set
-``ParallelConfig(supervise=False)`` for the bare ``imap_unordered``
-fan-out, where the parent re-raises the first worker error and any
-worker crash is fatal.
+errors raised *inside* workers still re-raise promptly.
 
 **Transport.** With ``ParallelConfig(shm=True)`` (or ``"auto"``, or
 ``REPRO_SHM``) the phases switch to the zero-copy shared-memory transport
@@ -41,10 +38,7 @@ idempotent, so every rung of the supervisor's recovery ladder (retry,
 respawn, quarantine, serial requeue) works unchanged — a retried shard
 simply rewrites the same slots.  The parent owns every segment and
 unlinks it in ``finally`` blocks (plus an atexit net), so no error path
-can leak ``/dev/shm`` entries.  ``ParallelConfig(backend="thread")``
-instead runs the task functions on an in-process thread pool — shared
-memory by construction (the ``shm`` flag is moot there), profitable when
-the GIL-releasing numpy kernels dominate.
+can leak ``/dev/shm`` entries.
 """
 
 from __future__ import annotations
@@ -81,8 +75,8 @@ from repro.utils.unionfind import DenseUnionFind
 
 _log = get_logger("parallel.executor")
 
-#: Shards per worker for the per-cell phases: mild over-sharding lets
-#: ``imap_unordered`` rebalance skewed cell occupancy across the pool.
+#: Shards per worker for the per-cell phases: mild over-sharding lets the
+#: pool rebalance skewed cell occupancy across its workers.
 OVERSHARD = 4
 
 
@@ -105,13 +99,6 @@ class ParallelConfig:
         Explicit multiprocessing start method; ``None`` picks ``fork``
         where available (cheap, copy-on-write payloads) and the platform
         default elsewhere.
-    supervise:
-        Run phases through the fault-tolerant supervisor
-        (:mod:`repro.parallel.supervisor`) — crash/hang detection, pool
-        respawn, shard retry, quarantine.  ``False`` restores the bare
-        ``imap_unordered`` fan-out, where any worker failure is fatal
-        (kept for overhead comparison; see
-        ``benchmarks/bench_runtime_overhead.py``).
     max_shard_retries:
         How many times a failed (or crash-lost) shard is resubmitted to
         the pool before quarantine.  Defaults to ``REPRO_MAX_SHARD_RETRIES``
@@ -140,36 +127,21 @@ class ParallelConfig:
         :class:`~repro.errors.WorkerPoolError` if publication is
         impossible; ``"auto"`` tries shared memory and falls back to
         pickling.  String forms (``"on"``/``"off"``/``"auto"``) are
-        accepted for CLI/env symmetry.  Ignored by the thread backend,
-        which shares memory by construction.
-    backend:
-        ``"process"`` (default, honours ``REPRO_BACKEND``) fans out over a
-        multiprocessing pool; ``"thread"`` over an in-process thread pool.
-        Threads cannot crash and share the address space, so the
-        supervisor's crash/respawn machinery does not apply — thread
-        fan-outs run unsupervised (budget errors still propagate).
+        accepted for CLI/env symmetry.
     """
 
     workers: int = 1
     min_points: int = field(default_factory=config.parallel_min_points)
     chunk_pairs: int = 256
     start_method: Optional[str] = None
-    supervise: bool = True
     max_shard_retries: int = field(default_factory=config.max_shard_retries)
     shard_timeout: Optional[float] = field(default_factory=config.shard_timeout)
     quarantine: bool = True
     max_pool_respawns: int = 2
     shm: object = field(default_factory=config.default_shm)
-    backend: str = field(default_factory=config.default_backend)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shm", _normalize_shm(self.shm))
-        backend = str(self.backend).strip().lower()
-        if backend not in ("process", "thread"):
-            raise ParameterError(
-                f"backend must be 'process' or 'thread'; got {self.backend!r}"
-            )
-        object.__setattr__(self, "backend", backend)
         if int(self.workers) < 1:
             raise ParameterError(f"workers must be >= 1; got {self.workers}")
         if int(self.chunk_pairs) < 1:
@@ -208,28 +180,19 @@ WorkersLike = Union[None, int, ParallelConfig]
 
 
 def with_transport(
-    cfg: Optional[ParallelConfig],
-    *,
-    shm: object = None,
-    backend: Optional[str] = None,
+    cfg: Optional[ParallelConfig], *, shm: object = None
 ) -> Optional[ParallelConfig]:
-    """Apply per-call transport overrides to a resolved config.
+    """Apply a per-call ``shm=`` override to a resolved config.
 
-    The public entry points take ``shm=`` / a backend via the config; this
-    folds an explicit override into the config produced by
-    :func:`as_parallel_config` (a no-op on ``None`` — serial runs have no
-    transport to configure, and an explicit ``shm=True`` with one worker
-    is simply moot, matching how ``workers=1`` already ignores the rest of
-    the config).
+    Folds the public entry points' ``shm=`` argument into the config
+    produced by :func:`as_parallel_config` (a no-op on ``None`` — serial
+    runs have no transport to configure, and an explicit ``shm=True`` with
+    one worker is simply moot, matching how ``workers=1`` already ignores
+    the rest of the config).
     """
-    if cfg is None:
-        return None
-    updates: Dict[str, object] = {}
-    if shm is not None:
-        updates["shm"] = shm
-    if backend is not None:
-        updates["backend"] = backend
-    return replace(cfg, **updates) if updates else cfg
+    if cfg is None or shm is None:
+        return cfg
+    return replace(cfg, shm=shm)
 
 
 def as_parallel_config(workers: WorkersLike) -> Optional[ParallelConfig]:
@@ -390,14 +353,14 @@ def _open_shm_session(
 ) -> Optional[_ShmSession]:
     """Publish the grid + the phase IO block, honouring the ``shm`` knob.
 
-    Returns ``None`` for the pickled transport (knob off, thread backend,
-    or ``"auto"`` hitting an infrastructure failure).  ``shm=True`` turns
+    Returns ``None`` for the pickled transport (knob off, or ``"auto"``
+    hitting an infrastructure failure).  ``shm=True`` turns
     infrastructure failures into :class:`~repro.errors.WorkerPoolError`
     (degradable by ``run_resilient``); a memory-budget verdict always
     propagates as itself — refusing publication over budget is the budget
     working, not the transport failing.
     """
-    if cfg is None or not cfg.shm or cfg.backend == "thread":
+    if cfg is None or not cfg.shm:
         return None
     fields = {"in_" + name: arr for name, arr in inputs.items()}
     fields.update({"out_" + name: arr for name, arr in outputs.items()})
@@ -452,7 +415,7 @@ def _fan_out(
     deadline: Optional[Deadline],
     memory: Optional[MemoryBudget],
 ) -> None:
-    """Distribute one phase's tasks over the pool and merge the results.
+    """Distribute one phase's tasks over the supervised pool and merge.
 
     ``consume`` must be order-independent and idempotent (all four phase
     merges are: index writes, dict updates, union-find unions, and in shm
@@ -460,70 +423,19 @@ def _fan_out(
     keep completed work across pool respawns and tolerate a duplicate
     result from a torn-down pool.
     """
-    phase = str(payload.get("phase", kind))
-    if cfg.backend == "thread":
-        _fan_out_threads(cfg, n_workers, payload, kind, items, consume,
-                         deadline=deadline, memory=memory)
-        return
     items, consume = _count_copies(items, consume)
-    if cfg.supervise:
-        run_supervised(
-            pool_factory=lambda: _pool(cfg, n_workers, payload),
-            task=worker.supervised_task,
-            kind=kind,
-            phase=phase,
-            items=items,
-            consume=consume,
-            cfg=cfg,
-            deadline=deadline,
-            memory=memory,
-            local_runner=worker.make_local_runner(payload),
-        )
-        return
-    # Unsupervised fan-out: the PR-2 fast path, kept for overhead
-    # comparison.  Any worker failure here is fatal to the run.
-    with _pool(cfg, n_workers, payload) as pool:
-        for result in pool.imap_unordered(worker._TASKS[kind], items):
-            consume(result)
-            _check_guards(deadline, memory, phase)
-        pool.close()
-        pool.join()
-
-
-def _fan_out_threads(
-    cfg: ParallelConfig,
-    n_workers: int,
-    payload: Dict[str, object],
-    kind: str,
-    items,
-    consume,
-    *,
-    deadline: Optional[Deadline],
-    memory: Optional[MemoryBudget],
-) -> None:
-    """Thread-pool fan-out: zero-copy by construction, nothing pickled.
-
-    Threads share the parent's address space, so the payload is adopted
-    directly (``in_worker=False`` — injected *process* faults like
-    ``os._exit`` must not fire inside the parent) and the supervisor's
-    crash/respawn ladder does not apply: a thread cannot die of SIGKILL,
-    and an exception propagates like any serial error.  Budget guards are
-    polled between completions exactly as on the process path.
-    """
-    from multiprocessing.pool import ThreadPool
-
-    ctx = worker.build_context(payload, in_worker=False)
-    prev = worker._CTX
-    worker._CTX = ctx
-    try:
-        with ThreadPool(processes=n_workers) as pool:
-            for result in pool.imap_unordered(worker._TASKS[kind], items):
-                consume(result)
-                _check_guards(deadline, memory, str(payload.get("phase", kind)))
-            pool.close()
-            pool.join()
-    finally:
-        worker._CTX = prev
+    run_supervised(
+        pool_factory=lambda: _pool(cfg, n_workers, payload),
+        task=worker.supervised_task,
+        kind=kind,
+        phase=str(payload.get("phase", kind)),
+        items=items,
+        consume=consume,
+        cfg=cfg,
+        deadline=deadline,
+        memory=memory,
+        local_runner=worker.make_local_runner(payload),
+    )
 
 
 def parallel_warm_neighbors(
@@ -660,7 +572,7 @@ def parallel_exact_components(
     """Phase-3 exact connectivity: per-shard forests + boundary stitching.
 
     ``preunion`` seeds known same-component cell pairs
-    (:func:`repro.core.cellgraph.apply_preunion`) into both the parent's
+    (:func:`repro.core.edgekernel.apply_preunion_dense`) into both the parent's
     stitching forest and every worker's chunk-local forest, so seeded
     connectivity short-circuits BCP tests everywhere.  ``structures``
     seeds the per-cell search-structure cache of
@@ -759,7 +671,7 @@ def _parallel_components(
 
     # Pairs already connected by the pre-union seed never need an edge
     # test anywhere — drop them before sharding so neither the payload nor
-    # any worker carries them (see cellgraph.candidate_cell_pairs).
+    # any worker carries them (a union inside one component is a no-op).
     keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
     if deadline is not None:
         deadline.tick()
@@ -786,7 +698,7 @@ def _parallel_components(
     apply_preunion_dense(uf, index, preunion)
 
     session = None
-    if cfg.shm and cfg.backend == "process":
+    if cfg.shm:
         # Task-ordered index form of the split_pairs layout: per-shard
         # intra blocks first, then boundary chunks, each a contiguous
         # range of the reordered (pair_i, pair_j) arrays — the same pairs

@@ -83,9 +83,9 @@ class PipelineHooks:
         when ``core_mask`` is given.
     preunion:
         Cell pairs already known to be in the same component of the
-        core-cell graph (see :func:`repro.core.cellgraph.apply_preunion`).
-        The pipeline only carries this — the algorithm's connect closure
-        consumes it.
+        core-cell graph (see
+        :func:`repro.core.edgekernel.apply_preunion_dense`).  The pipeline
+        only carries this — the algorithm's connect closure consumes it.
     structures:
         Warm per-cell search structures for the connect closure — Lemma 5
         hierarchies for the approximate rule, kd-trees / Voronoi diagrams
@@ -274,7 +274,7 @@ def run_grid_pipeline(
     kernel_counters = counters.delta_since(counters_before)
     if kernel_counters:
         meta["kernel_counters"] = kernel_counters
-    if parallel is not None and parallel.supervise:
+    if parallel is not None:
         meta["supervisor"] = sup_stats.as_dict()
     # Record the *effective* worker count: 1 when the serial fallback
     # kicked in (small n, or fewer cells than workers), else the pool size.

@@ -4,19 +4,17 @@ Used to compute the connected components of the core-cell graph ``G``
 (Lemma 1 of the paper): each core cell is an element, each graph edge a
 ``union``, and the final components are the clusters' core-point groups.
 
-Three implementations share the same semantics:
+Two implementations share the same semantics:
 
 * :class:`UnionFind` — dense integer elements backed by Python lists, the
   original general-purpose structure;
-* :class:`KeyedUnionFind` — arbitrary hashable keys (grid-cell
-  coordinates) layered over :class:`UnionFind`; the compatibility shim the
-  parallel stitching layer and the legacy per-pair edge loop use;
 * :class:`DenseUnionFind` — numpy parent/rank arrays over dense ids with
   *batched* operations (``union_many``, ``roots``) for the staged edge
-  kernel (:mod:`repro.core.edgekernel`), where whole stages of candidate
-  pairs are settled with a handful of array passes.
+  kernel (:mod:`repro.core.edgekernel`) and the parallel stitching pass,
+  where whole stages of candidate pairs are settled with a handful of
+  array passes.
 
-All implement union by rank with full path compression, giving the usual
+Both implement union by rank with full path compression, giving the usual
 near-constant amortised cost per operation.  Component labels are always
 assigned by first appearance in element/insertion order, which is what
 makes every consumer's output deterministic.
@@ -24,7 +22,7 @@ makes every consumer's output deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List
+from typing import Dict, List
 
 import numpy as np
 
@@ -90,61 +88,6 @@ class UnionFind:
         return sorted(groups.values(), key=lambda members: members[0])
 
 
-class KeyedUnionFind:
-    """Union-find over arbitrary hashable keys (e.g. grid-cell coordinates)."""
-
-    def __init__(self, keys: Iterable[Hashable] = ()) -> None:
-        self._ids: Dict[Hashable, int] = {}
-        self._uf = UnionFind(0)
-        for key in keys:
-            self.add(key)
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._ids
-
-    @property
-    def n_components(self) -> int:
-        return self._uf.n_components
-
-    def add(self, key: Hashable) -> int:
-        """Register ``key`` (idempotent) and return its dense id."""
-        idx = self._ids.get(key)
-        if idx is None:
-            idx = self._ids[key] = self._uf.add()
-        return idx
-
-    def find(self, key: Hashable) -> int:
-        """Root id of the set containing ``key`` (must be registered)."""
-        return self._uf.find(self._ids[key])
-
-    def union(self, a: Hashable, b: Hashable) -> bool:
-        """Merge the sets of keys ``a`` and ``b`` (registering them if new)."""
-        return self._uf.union(self.add(a), self.add(b))
-
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        if a not in self._ids or b not in self._ids:
-            return False
-        return self._uf.connected(self._ids[a], self._ids[b])
-
-    def component_labels(self) -> Dict[Hashable, int]:
-        """Map every key to a dense component label in ``0..k-1``.
-
-        Labels are assigned in order of first appearance of each component's
-        earliest-added key, making the output deterministic.
-        """
-        labels: Dict[Hashable, int] = {}
-        root_label: Dict[int, int] = {}
-        for key, idx in self._ids.items():
-            root = self._uf.find(idx)
-            if root not in root_label:
-                root_label[root] = len(root_label)
-            labels[key] = root_label[root]
-        return labels
-
-
 class DenseUnionFind:
     """Array-backed union-find over dense ids ``0..n-1`` with batched ops.
 
@@ -153,9 +96,8 @@ class DenseUnionFind:
     :meth:`union_many`, and :meth:`roots` resolves every element's
     representative in a few vectorised pointer-jumping passes — the
     operation behind the kernel's "drop pairs an earlier stage already
-    connected" filters.  Component labels come out identical to
-    :class:`KeyedUnionFind` over keys registered in id order: both assign
-    labels by first appearance.
+    connected" filters.  Component labels are assigned by first
+    appearance in id order.
     """
 
     __slots__ = ("_parent", "_rank", "_count")
@@ -239,9 +181,7 @@ class DenseUnionFind:
     def component_labels(self) -> np.ndarray:
         """Dense component label per element, ``0..k-1``.
 
-        Labels are assigned by first appearance in element order — exactly
-        the order :meth:`KeyedUnionFind.component_labels` produces for
-        keys registered in id order.
+        Labels are assigned by first appearance in element order.
         """
         roots = self.roots()
         if len(roots) == 0:

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.border import assign_borders
-from repro.core.cellgraph import (
-    approx_components,
-    core_cells,
-    edge_list_exact,
-    exact_components,
-)
+from repro.core.cellgraph import approx_components, core_cells, exact_components
 from repro.core.labeling import label_cores
 from repro.grid.cells import Grid
 
 from .conftest import make_blobs
+from .oracles.loops import edge_list_exact
 
 
 def setup_grid(pts, eps, min_pts):

@@ -2,13 +2,13 @@
 
 The contract under test (see ``repro/core/corekernel.py``): the staged,
 batched core-labeling and border-assignment kernels must produce results
-**byte-identical** to the reference per-cell loops (``kernel="loop"``) on
-every path that consumes them — serial across dims and ``MinPts``,
-``known_core`` sweep carry, shard restriction (``cells=``), parallel
-workers on both transports (pickled and shared-memory slabs), and the
-degenerate empty/singleton grids.  ``neighbor_counts`` stays the brute
-oracle grounding both kernels in the raw ``|B(p, eps)| >= MinPts``
-predicate.  On top of the end-to-end oracle: the ``core_*``/``border_*``
+**byte-identical** to the reference per-cell loops
+(``tests/oracles/loops.py``) on every path that consumes them — serial
+across dims and ``MinPts``, ``known_core`` sweep carry, shard restriction
+(``cells=``), parallel workers on both transports (pickled and
+shared-memory slabs), and the degenerate empty/singleton grids.
+``loops.neighbor_counts`` stays the brute oracle grounding both in the
+raw ``|B(p, eps)| >= MinPts`` predicate.  On top of the end-to-end oracle: the ``core_*``/``border_*``
 counter funnels must partition cleanly, and a deadline must abort the
 staged batched loops promptly under an injected clock skip.
 """
@@ -21,14 +21,9 @@ import pytest
 
 from repro.core import cellgraph as cg
 from repro.core.border import assign_borders
-from repro.core.corekernel import (
-    BorderAssignments,
-    assign_borders_staged,
-    grid_soa,
-    label_cores_staged,
-)
-from repro.core.labeling import label_cores, neighbor_counts
-from repro.errors import ParameterError, TimeoutExceeded
+from repro.core.corekernel import BorderAssignments, grid_soa
+from repro.core.labeling import label_cores
+from repro.errors import TimeoutExceeded
 from repro.grid import counters
 from repro.grid.cells import Grid
 from repro.parallel import unpublish_grid
@@ -38,6 +33,8 @@ from repro.parallel.executor import (
     parallel_label_cores,
 )
 from repro.runtime import Deadline, inject_faults
+
+from .oracles import loops
 
 
 def _dataset(seed: int, n: int, d: int, eps: float):
@@ -53,7 +50,7 @@ def _dataset(seed: int, n: int, d: int, eps: float):
 
 def _labeled(seed: int, n: int, d: int, eps: float, min_pts: int):
     grid = _dataset(seed, n, d, eps)
-    core = label_cores(grid, min_pts, kernel="loop")
+    core = loops.label_cores(grid, min_pts)
     labels, _ = cg.exact_components(grid, core)
     return grid, core, labels
 
@@ -63,15 +60,15 @@ class TestCoreOracle:
     @pytest.mark.parametrize("min_pts", [2, 5, 12])
     def test_staged_matches_loop_and_brute(self, d, min_pts):
         grid = _dataset(d * 10 + min_pts, 800, d, 7.0)
-        loop = label_cores(grid, min_pts, kernel="loop")
-        staged = label_cores(grid, min_pts, kernel="staged")
+        loop = loops.label_cores(grid, min_pts)
+        staged = label_cores(grid, min_pts)
         assert np.array_equal(staged, loop)
         # neighbor_counts stays the brute oracle grounding both kernels.
-        assert np.array_equal(loop, neighbor_counts(grid) >= min_pts)
+        assert np.array_equal(loop, loops.neighbor_counts(grid) >= min_pts)
 
     def test_min_pts_one_accepts_every_occupied_cell(self):
         grid = _dataset(3, 200, 2, 4.0)
-        assert label_cores(grid, 1, kernel="staged").all()
+        assert label_cores(grid, 1).all()
 
     def test_allpairs_adjacency_regime(self):
         # d=5 pushes the grid into the all-pairs dict adjacency fallback,
@@ -79,64 +76,52 @@ class TestCoreOracle:
         grid = _dataset(4, 300, 5, 40.0)
         assert grid.uses_allpairs_adjacency
         assert np.array_equal(
-            label_cores(grid, 4, kernel="staged"),
-            label_cores(grid, 4, kernel="loop"),
+            label_cores(grid, 4),
+            loops.label_cores(grid, 4),
         )
 
     def test_known_core_carry(self):
         grid_small = _dataset(5, 700, 2, 5.0)
-        known = label_cores(grid_small, 5, kernel="loop")
+        known = loops.label_cores(grid_small, 5)
         assert known.any() and not known.all()
         grid = Grid(grid_small.points, 8.0)
-        plain = label_cores(grid, 5, kernel="loop")
-        for kernel in ("staged", "loop"):
-            carried = label_cores(grid, 5, kernel=kernel, known_core=known)
-            assert np.array_equal(carried, plain), kernel
+        plain = loops.label_cores(grid, 5)
+        for kernel in (label_cores, loops.label_cores):
+            carried = kernel(grid, 5, known_core=known)
+            assert np.array_equal(carried, plain), kernel.__module__
 
     def test_all_known_short_circuits(self):
         grid = _dataset(6, 300, 2, 6.0)
         known = np.ones(len(grid.points), dtype=bool)
-        assert label_cores(grid, 3, kernel="staged", known_core=known).all()
+        assert label_cores(grid, 3, known_core=known).all()
 
     def test_shard_restriction(self):
         grid = _dataset(7, 600, 2, 6.0)
         keys = list(grid.cells.keys())
         for shard in (keys[: len(keys) // 2], keys[::3], []):
             assert np.array_equal(
-                label_cores(grid, 5, kernel="staged", cells=shard),
-                label_cores(grid, 5, kernel="loop", cells=shard),
+                label_cores(grid, 5, cells=shard),
+                loops.label_cores(grid, 5, cells=shard),
             )
 
     def test_shard_with_known_core_stays_inside_shard(self):
         # The loop leaves known points outside the shard's cells False;
         # the staged kernel must not mark them either.
         grid = _dataset(8, 500, 2, 6.0)
-        known = label_cores(grid, 5, kernel="loop")
+        known = loops.label_cores(grid, 5)
         keys = list(grid.cells.keys())
         half = keys[: len(keys) // 2]
         assert np.array_equal(
-            label_cores(grid, 5, kernel="staged", cells=half, known_core=known),
-            label_cores(grid, 5, kernel="loop", cells=half, known_core=known),
+            label_cores(grid, 5, cells=half, known_core=known),
+            loops.label_cores(grid, 5, cells=half, known_core=known),
         )
 
     def test_empty_and_singleton_grids(self):
         empty = Grid(np.empty((0, 2)), 1.0)
-        assert len(label_cores(empty, 3, kernel="staged")) == 0
+        assert len(label_cores(empty, 3)) == 0
         single = Grid(np.zeros((1, 2)), 1.0)
-        assert np.array_equal(
-            label_cores(single, 1, kernel="staged"), np.array([True])
-        )
-        assert np.array_equal(
-            label_cores(single, 2, kernel="staged"), np.array([False])
-        )
-
-    def test_unknown_kernel_rejected(self):
-        grid = _dataset(9, 60, 2, 6.0)
-        with pytest.raises(ParameterError):
-            label_cores(grid, 3, kernel="vectorised")
-        with pytest.raises(ParameterError):
-            assign_borders(grid, np.zeros(60, bool), np.zeros(60, int),
-                           kernel="vectorised")
+        assert np.array_equal(label_cores(single, 1), np.array([True]))
+        assert np.array_equal(label_cores(single, 2), np.array([False]))
 
 
 class TestBorderOracle:
@@ -144,8 +129,8 @@ class TestBorderOracle:
     @pytest.mark.parametrize("min_pts", [3, 6])
     def test_staged_matches_loop(self, d, min_pts):
         grid, core, labels = _labeled(d * 7 + min_pts, 800, d, 7.0, min_pts)
-        loop = assign_borders(grid, core, labels, kernel="loop")
-        staged = assign_borders(grid, core, labels, kernel="staged")
+        loop = loops.assign_borders(grid, core, labels)
+        staged = assign_borders(grid, core, labels)
         assert staged == loop
         assert dict(staged.items()) == loop
 
@@ -153,22 +138,18 @@ class TestBorderOracle:
         grid, core, labels = _labeled(20, 600, 2, 6.0, 5)
         keys = list(grid.cells.keys())
         for shard in (keys[: len(keys) // 2], keys[::3], []):
-            staged = assign_borders(grid, core, labels, kernel="staged", cells=shard)
-            loop = assign_borders(grid, core, labels, kernel="loop", cells=shard)
+            staged = assign_borders(grid, core, labels, cells=shard)
+            loop = loops.assign_borders(grid, core, labels, cells=shard)
             assert staged == loop
 
     def test_no_cores_anywhere(self):
         grid = _dataset(21, 100, 2, 1.0)
-        out = assign_borders(
-            grid, np.zeros(100, bool), np.zeros(100, int), kernel="staged"
-        )
+        out = assign_borders(grid, np.zeros(100, bool), np.zeros(100, int))
         assert len(out) == 0 and out == {}
 
     def test_empty_grid(self):
         grid = Grid(np.empty((0, 2)), 1.0)
-        out = assign_borders(
-            grid, np.empty(0, bool), np.empty(0, int), kernel="staged"
-        )
+        out = assign_borders(grid, np.empty(0, bool), np.empty(0, int))
         assert len(out) == 0
 
 
@@ -176,7 +157,7 @@ class TestParallelOracle:
     @pytest.mark.parametrize("shm", [False, True])
     def test_workers_match_serial_loop(self, shm):
         grid, core, labels = _labeled(30, 1200, 2, 6.0, 5)
-        ref_b = assign_borders(grid, core, labels, kernel="loop")
+        ref_b = loops.assign_borders(grid, core, labels)
         cfg = ParallelConfig(workers=3, min_points=0, shm=shm)
         try:
             par_core = parallel_label_cores(grid, 5, cfg)
@@ -190,9 +171,9 @@ class TestParallelOracle:
 
     def test_workers_with_known_core_carry(self):
         grid_small = _dataset(31, 1000, 2, 4.0)
-        known = label_cores(grid_small, 5, kernel="loop")
+        known = loops.label_cores(grid_small, 5)
         grid = Grid(grid_small.points, 6.0)
-        plain = label_cores(grid, 5, kernel="loop")
+        plain = loops.label_cores(grid, 5)
         cfg = ParallelConfig(workers=2, min_points=0)
         try:
             par = parallel_label_cores(grid, 5, cfg, known_core=known)
@@ -204,7 +185,7 @@ class TestParallelOracle:
 class TestBorderAssignments:
     def _sample(self):
         grid, core, labels = _labeled(40, 500, 2, 6.0, 5)
-        return assign_borders_staged(grid, core, labels)
+        return assign_borders(grid, core, labels)
 
     def test_mapping_protocol(self):
         ba = self._sample()
@@ -249,7 +230,7 @@ class TestKernelInternals:
     def test_core_funnel_partitions(self):
         grid = _dataset(50, 900, 2, 6.0)
         before = counters.snapshot()
-        label_cores(grid, 5, kernel="staged")
+        label_cores(grid, 5)
         delta = counters.delta_since(before)
         assert delta["core_cells_total"] == len(grid.cells)
         assert delta["core_cells_total"] == (
@@ -268,7 +249,7 @@ class TestKernelInternals:
     def test_border_funnel_partitions_with_explicit_noise(self):
         grid, core, labels = _labeled(51, 900, 2, 6.0, 5)
         before = counters.snapshot()
-        out = assign_borders(grid, core, labels, kernel="staged")
+        out = assign_borders(grid, core, labels)
         delta = counters.delta_since(before)
         # The funnel partitions cleanly: every non-core point is either
         # assigned or an explicit noise verdict — including the points in
@@ -287,15 +268,15 @@ class TestKernelInternals:
         blob = rng.normal(50, 0.5, size=(30, 2))
         lonely = np.array([[0.0, 0.0], [100.0, 100.0]])
         grid = Grid(np.vstack([blob, lonely]), 3.0)
-        core = label_cores(grid, 5, kernel="loop")
+        core = loops.label_cores(grid, 5)
         assert core[:30].all() and not core[30:].any()
         labels, _ = cg.exact_components(grid, core)
         before = counters.snapshot()
-        out = assign_borders(grid, core, labels, kernel="staged")
+        out = assign_borders(grid, core, labels)
         delta = counters.delta_since(before)
         assert delta.get("border_no_candidates", 0) == 2
         assert delta["border_noise"] == 2
-        assert out == assign_borders(grid, core, labels, kernel="loop")
+        assert out == loops.assign_borders(grid, core, labels)
 
     def test_grid_soa_is_cached_and_consistent(self):
         grid = _dataset(53, 400, 2, 6.0)
@@ -322,7 +303,7 @@ class TestDeadline:
         start = time.perf_counter()
         with inject_faults(clock_skew=self.SKEW, skew_after=1):
             with pytest.raises(TimeoutExceeded):
-                label_cores_staged(grid, 8, deadline=Deadline(5.0))
+                label_cores(grid, 8, deadline=Deadline(5.0))
         assert time.perf_counter() - start < self.TOLERANCE
 
     def test_staged_borders_abort_promptly(self):
@@ -330,7 +311,7 @@ class TestDeadline:
         start = time.perf_counter()
         with inject_faults(clock_skew=self.SKEW, skew_after=1):
             with pytest.raises(TimeoutExceeded):
-                assign_borders_staged(grid, core, labels, deadline=Deadline(5.0))
+                assign_borders(grid, core, labels, deadline=Deadline(5.0))
         assert time.perf_counter() - start < self.TOLERANCE
 
     def test_tile_level_polls_fire_mid_stage(self):
@@ -339,5 +320,5 @@ class TestDeadline:
         grid = _dataset(62, 3000, 2, 2.0)
         with inject_faults(clock_skew=self.SKEW, skew_after=3) as plan:
             with pytest.raises(TimeoutExceeded):
-                label_cores_staged(grid, 8, deadline=Deadline(5.0))
+                label_cores(grid, 8, deadline=Deadline(5.0))
         assert plan.clock_reads > 3

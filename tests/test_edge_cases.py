@@ -7,8 +7,10 @@ from repro import approx_dbscan, dbscan
 from repro.data.seed_spreader import seed_spreader
 from repro.errors import DataError, ParameterError
 from repro.grid.cells import Grid
-from repro.grid.hierarchy import CountingHierarchy
+from repro.grid.hierarchy import FlatHierarchy
 from repro.index.kdtree import KDTree
+
+from .oracles.counting import CountingHierarchy
 
 
 class TestOneDimensional:
@@ -27,11 +29,11 @@ class TestOneDimensional:
 
     def test_hierarchy_1d(self):
         pts = np.linspace(0, 10, 50).reshape(-1, 1)
-        structure = CountingHierarchy(pts, 1.0, 0.01)
-        ans = structure.count(np.array([5.0]))
         exact = int((np.abs(pts[:, 0] - 5.0) <= 1.0).sum())
         outer = int((np.abs(pts[:, 0] - 5.0) <= 1.01).sum())
-        assert exact <= ans <= outer
+        for structure_cls in (FlatHierarchy, CountingHierarchy):
+            ans = structure_cls(pts, 1.0, 0.01).count(np.array([5.0]))
+            assert exact <= ans <= outer, structure_cls.__name__
 
 
 class TestHighDimensional:

@@ -2,7 +2,7 @@
 
 The contract under test (see ``repro/core/edgekernel.py``): the staged,
 batched edge-resolution kernel must produce labels **byte-identical** to
-the reference per-pair loop (``kernel="loop"``) on every path that
+the reference per-pair loop (``tests/oracles/loops.py``) on every path that
 consumes it — serial exact/approx across bcp strategies and rho values,
 parallel shards (pickled and shared-memory transports), and
 preunion-seeded sweep steps.  On top of the end-to-end oracle, the stage
@@ -17,7 +17,6 @@ from repro.core import cellgraph as cg
 from repro.core.edgekernel import cell_arrays, classify_pairs, resolve_edges
 from repro.core.labeling import label_cores
 from repro.engine import ClusteringEngine, StructureCache
-from repro.errors import ParameterError
 from repro.grid.cells import Grid
 from repro.parallel import unpublish_grid
 from repro.parallel.executor import (
@@ -26,6 +25,8 @@ from repro.parallel.executor import (
     parallel_exact_components,
 )
 from repro.utils.unionfind import DenseUnionFind
+
+from .oracles import loops
 
 
 def _dataset(seed: int, n: int, d: int, eps: float, min_pts: int):
@@ -47,39 +48,34 @@ class TestSerialOracle:
     @pytest.mark.parametrize("strategy", ["auto", "kdtree", "voronoi"])
     def test_exact_staged_matches_loop(self, strategy):
         grid, core = _dataset(1, 900, 2, 7.0, 5)
-        staged = cg.exact_components(grid, core, strategy, kernel="staged")
-        loop = cg.exact_components(grid, core, strategy, kernel="loop")
+        staged = cg.exact_components(grid, core, strategy)
+        loop = loops.exact_components(grid, core, strategy)
         assert np.array_equal(staged[0], loop[0])
         assert staged[1] == loop[1]
 
     def test_exact_staged_matches_loop_3d(self):
         grid, core = _dataset(2, 700, 3, 9.0, 4)
-        staged = cg.exact_components(grid, core, kernel="staged")
-        loop = cg.exact_components(grid, core, kernel="loop")
+        staged = cg.exact_components(grid, core)
+        loop = loops.exact_components(grid, core)
         assert np.array_equal(staged[0], loop[0])
 
     @pytest.mark.parametrize("rho", [0.001, 0.1, 0.5])
     def test_approx_staged_matches_loop(self, rho):
         grid, core = _dataset(3, 900, 2, 7.0, 5)
-        staged = cg.approx_components(grid, core, rho, kernel="staged")
-        loop = cg.approx_components(grid, core, rho, kernel="loop")
+        staged = cg.approx_components(grid, core, rho)
+        loop = loops.approx_components(grid, core, rho)
         assert np.array_equal(staged[0], loop[0])
         assert staged[1] == loop[1]
-
-    def test_unknown_kernel_rejected(self):
-        grid, core = _dataset(4, 60, 2, 7.0, 3)
-        with pytest.raises(ParameterError):
-            cg.exact_components(grid, core, kernel="vectorised")
 
 
 class TestPreunionOracle:
     def test_seeded_staged_matches_unseeded(self):
         grid, core = _dataset(5, 800, 2, 7.0, 5)
-        base = cg.exact_components(grid, core, kernel="loop")
-        seed = cg.edge_list_exact(grid, core)[::3]
-        for kernel in ("staged", "loop"):
-            seeded = cg.exact_components(grid, core, kernel=kernel, preunion=seed)
-            assert np.array_equal(seeded[0], base[0]), kernel
+        base = loops.exact_components(grid, core)
+        seed = loops.edge_list_exact(grid, core)[::3]
+        for components in (cg.exact_components, loops.exact_components):
+            seeded = components(grid, core, preunion=seed)
+            assert np.array_equal(seeded[0], base[0]), components.__module__
             assert seeded[1] == base[1]
 
     def test_sweep_carry_byte_identical(self):
@@ -102,8 +98,8 @@ class TestParallelOracle:
     def test_workers_match_serial_loop(self, shm):
         grid, core = _dataset(7, 1200, 2, 6.0, 5)
         cfg = ParallelConfig(workers=3, min_points=0, shm=shm)
-        ref_e = cg.exact_components(grid, core, kernel="loop")
-        ref_a = cg.approx_components(grid, core, 0.1, kernel="loop")
+        ref_e = loops.exact_components(grid, core)
+        ref_a = loops.approx_components(grid, core, 0.1)
         try:
             par_e = parallel_exact_components(grid, core, cfg)
             par_a = parallel_approx_components(grid, core, cfg, 0.1)
@@ -116,8 +112,8 @@ class TestParallelOracle:
 
     def test_workers_preunion_match(self):
         grid, core = _dataset(8, 1000, 2, 6.0, 5)
-        seed = cg.edge_list_exact(grid, core)[::2]
-        ref = cg.exact_components(grid, core, kernel="loop")
+        seed = loops.edge_list_exact(grid, core)[::2]
+        ref = loops.exact_components(grid, core)
         cfg = ParallelConfig(workers=2, min_points=0)
         try:
             par = parallel_exact_components(grid, core, cfg, preunion=seed)
@@ -136,7 +132,7 @@ class TestStageCertificates:
         arrays = cell_arrays(grid.points, cells)
         keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
         true_edges = set()
-        for c1, c2 in cg.edge_list_exact(grid, core):
+        for c1, c2 in loops.edge_list_exact(grid, core):
             true_edges.add((c1, c2))
             true_edges.add((c2, c1))
         accept, reject = classify_pairs(grid.points, grid.eps, arrays, ii, jj)
@@ -210,7 +206,7 @@ class TestKernelInternals:
 
         grid, core = _dataset(16, 800, 2, 7.0, 5)
         before = counters.snapshot()
-        cg.exact_components(grid, core, kernel="staged")
+        cg.exact_components(grid, core)
         delta = counters.delta_since(before)
         assert delta["edge_pairs_total"] > 0
         settled = (
@@ -230,6 +226,6 @@ class TestKernelInternals:
         points = rng.uniform(0, 100, size=(50, 2))
         grid = Grid(points, 1.0)
         core = np.zeros(len(points), dtype=bool)
-        labels, k = cg.exact_components(grid, core, kernel="staged")
+        labels, k = cg.exact_components(grid, core)
         assert k == 0
         assert np.all(labels == -1)

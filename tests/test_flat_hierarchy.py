@@ -1,8 +1,8 @@
 """Differential and property tests for the flat batched Lemma 5 kernel.
 
 :class:`~repro.grid.FlatHierarchy` must be the *same structure* as the
-reference :class:`~repro.grid.CountingHierarchy` — identical node set,
-identical Lemma 5 contract — with batched answers equal to its own looped
+reference :class:`~tests.oracles.counting.CountingHierarchy` — identical
+node set, identical Lemma 5 contract — with batched answers equal to its own looped
 answers everywhere, equal to the reference's answers wherever the contract
 is exact (the don't-care band may round differently between the two
 traversals), and inside the brute-force sandwich always.  The suite also
@@ -19,7 +19,9 @@ from repro import ClusteringEngine, StructureCache, approx_dbscan
 from repro.errors import DataError
 from repro.geometry import distance as dm
 from repro.grid import counters
-from repro.grid.hierarchy import CountingHierarchy, FlatHierarchy
+from repro.grid.hierarchy import FlatHierarchy
+
+from .oracles.counting import CountingHierarchy
 
 DIMS = (2, 3, 4, 5)
 RHOS = (0.001, 0.5, 1.0)

@@ -1,6 +1,9 @@
-"""Tests for the Lemma 5 approximate range-counting hierarchy.
+"""Tests for the pointer-based Lemma 5 reference hierarchy.
 
-The central contract: every answer lies in
+:class:`~tests.oracles.counting.CountingHierarchy` is the oracle the
+production :class:`~repro.grid.hierarchy.FlatHierarchy` is checked
+against (``test_flat_hierarchy.py``), so it must honour the central
+contract itself: every answer lies in
 ``[|B(q, eps) ∩ P|, |B(q, eps(1+rho)) ∩ P|]``.
 """
 
@@ -11,7 +14,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import DataError, ParameterError
-from repro.grid.hierarchy import CountingHierarchy
+
+from .oracles.counting import CountingHierarchy
 
 
 def exact_counts(points, q, radius):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.labeling import label_cores, neighbor_counts
+from repro.core.labeling import label_cores
 from repro.errors import AlgorithmError
 from repro.grid.cells import Grid
 
 from .conftest import brute_neighbor_counts, make_blobs
+from .oracles.loops import neighbor_counts
 
 
 class TestLabelCores:
@@ -71,6 +72,8 @@ class TestLabelCores:
 
 
 class TestNeighborCounts:
+    """The brute oracle behind every core-labeling differential."""
+
     def test_matches_brute(self):
         pts = make_blobs(250, 2, 2, spread=1.0, domain=40.0, seed=4)
         grid = Grid(pts, eps=3.0)

@@ -10,8 +10,9 @@ import importlib
 # The package re-exports the bcp *function* under the same name as the
 # module, so resolve the module explicitly.
 bcp_mod = importlib.import_module("repro.geometry.bcp")
-from repro.grid.hierarchy import CountingHierarchy
 from repro.utils.rng import make_rng, spawn
+
+from .oracles.counting import CountingHierarchy
 
 
 class TestGeometricGrowth:

@@ -122,11 +122,11 @@ class TestTheorem4LinearBehaviour:
     while the number of Lemma 5 cells stays O(n)."""
 
     def test_structure_size_linear(self):
-        from repro.grid.hierarchy import CountingHierarchy
+        from repro.grid.hierarchy import FlatHierarchy
 
         sizes = []
         for n in (1000, 2000, 4000):
             pts = make_blobs(n, 3, 5, spread=1.0, domain=60.0, seed=3)
-            sizes.append(CountingHierarchy(pts, 2.0, 0.001).node_count())
+            sizes.append(FlatHierarchy(pts, 2.0, 0.001).node_count())
         # Doubling n must not more than ~double the structure (plus slack).
         assert sizes[2] <= sizes[0] * 4 * 1.5

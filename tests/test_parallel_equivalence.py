@@ -12,6 +12,9 @@ brute-force oracle, border-point tie-breaking included.
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,7 @@ from repro.api import dbscan
 from repro.data.seed_spreader import seed_spreader
 from repro.data.shapes import rings, two_moons
 from repro.errors import ParameterError, TimeoutExceeded
-from repro.parallel import ParallelConfig, shard_cells, split_pairs
+from repro.parallel import ParallelConfig, leaked_segments, shard_cells, split_pairs
 from repro.parallel import worker as worker_mod
 from repro.parallel.executor import as_parallel_config, effective_workers
 from repro.runtime.deadline import Deadline
@@ -120,6 +123,50 @@ class TestApproxDifferentialOracle:
         for workers in (2, 4):
             par = approx_dbscan(pts, eps, 10, rho=rho, workers=forced(workers))
             assert_identical(serial, par, f"approx {name} rho={rho} w={workers}")
+
+
+class TestConcurrentRuns:
+    """Parallel runs issued concurrently from several threads.
+
+    The service's shape: its executor threads each drive their own
+    ``workers=2`` run at the same time, so any per-run state kept in a
+    module global (rather than in the run's own payload and pool) shows up
+    here as crashes or cross-talk between the runs.
+    """
+
+    THREADS = 4
+    RUNS_PER_THREAD = 6
+
+    def test_concurrent_pooled_runs_match_serial(self):
+        points = seed_spreader(20_000, 3, noise_fraction=0.05, seed=41).points
+        eps, min_pts = 200.0, 20
+        serial = dbscan(points, eps, min_pts, workers=1)
+        cfg = ParallelConfig(workers=2, min_points=0)
+
+        def run(_):
+            return dbscan(points, eps, min_pts, workers=cfg)
+
+        n_runs = self.THREADS * self.RUNS_PER_THREAD
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # switch threads often to expose races
+        try:
+            with ThreadPoolExecutor(max_workers=self.THREADS) as pool:
+                results = list(pool.map(run, range(n_runs), timeout=600))
+        finally:
+            sys.setswitchinterval(switch)
+        assert len(results) == n_runs
+        for i, got in enumerate(results):
+            name = f"concurrent run {i}"
+            assert got.meta["workers"] == 2, f"{name}: fell back to serial"
+            assert np.array_equal(got.labels, serial.labels), f"{name}: labels differ"
+            assert np.array_equal(got.core_mask, serial.core_mask), (
+                f"{name}: core mask differs"
+            )
+            for field in ("overflow_points", "overflow_indptr", "overflow_clusters"):
+                assert np.array_equal(getattr(got, field), getattr(serial, field)), (
+                    f"{name}: {field} differs"
+                )
+        assert leaked_segments() == []
 
 
 class TestSerialFallback:

@@ -6,7 +6,7 @@ two things and this suite enforces both:
 * **Byte identity** — ``shm=True`` produces the same labels, core mask
   and border memberships as the pickled transport *and* the serial run,
   across dataset shapes, parameters, worker counts, the approximate
-  algorithm, the thread backend, and every supervisor recovery rung
+  algorithm, and every supervisor recovery rung
   (kill / hang / poison / serial-requeue), including under randomized
   fault schedules.
 * **No leaked segments** — the parent owns every ``/dev/shm`` entry and
@@ -24,7 +24,7 @@ import pytest
 
 from repro.api import dbscan
 from repro.algorithms.approx import approx_dbscan
-from repro.config import ConfigError, default_backend, default_shm
+from repro.config import ConfigError, default_shm
 from repro.errors import MemoryBudgetExceeded, ParameterError, WorkerPoolError
 from repro.grid.cells import Grid
 from repro.parallel import ParallelConfig, leaked_segments, publish_grid, unpublish_grid
@@ -125,17 +125,6 @@ class TestDifferentialOracle:
         )
         assert_identical(serial, via_kwarg, "dbscan(shm=True)")
         assert_no_leaks("dbscan(shm=True)")
-
-    def test_thread_backend(self, points, serial):
-        threaded = dbscan(
-            points, EPS, MIN_PTS, workers=cfg(backend="thread", shm=False)
-        )
-        assert_identical(serial, threaded, "thread backend")
-        # shm is zero-copy by construction under threads: the knob is
-        # accepted and ignored, and no segment is ever published.
-        both = dbscan(points, EPS, MIN_PTS, workers=cfg(backend="thread"))
-        assert_identical(serial, both, "thread backend + shm")
-        assert_no_leaks("thread backend")
 
 
 # ------------------------------------------------------- segment lifecycle
@@ -404,16 +393,9 @@ class TestTransportKnobs:
         with pytest.raises(ParameterError):
             ParallelConfig(workers=2, shm="maybe")
 
-    def test_backend_validation(self):
-        assert ParallelConfig(workers=2, backend="thread").backend == "thread"
-        with pytest.raises(ParameterError):
-            ParallelConfig(workers=2, backend="greenlet")
-
     def test_env_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_SHM", raising=False)
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         assert default_shm() is False
-        assert default_backend() == "process"
         monkeypatch.setenv("REPRO_SHM", "auto")
         assert default_shm() == "auto"
         monkeypatch.setenv("REPRO_SHM", "on")
@@ -421,11 +403,6 @@ class TestTransportKnobs:
         monkeypatch.setenv("REPRO_SHM", "sideways")
         with pytest.raises(ConfigError):
             default_shm()
-        monkeypatch.setenv("REPRO_BACKEND", "thread")
-        assert default_backend() == "thread"
-        monkeypatch.setenv("REPRO_BACKEND", "fibers")
-        with pytest.raises(ConfigError):
-            default_backend()
 
     def test_with_transport(self):
         assert executor.with_transport(None) is None

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.unionfind import DenseUnionFind, KeyedUnionFind, UnionFind
+from repro.utils.unionfind import DenseUnionFind, UnionFind
+
+from .oracles.unionfind import KeyedUnionFind
 
 
 class TestUnionFind:
