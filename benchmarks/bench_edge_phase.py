@@ -41,7 +41,6 @@ from repro.core.labeling import label_cores
 from repro.data import seed_spreader
 from repro.grid import counters
 from repro.grid.cells import Grid
-from repro.parallel import unpublish_grid
 from repro.parallel.executor import ParallelConfig, parallel_exact_components
 
 from tests.oracles import loops
@@ -140,14 +139,9 @@ def measure(config, report=print):
     assert np.array_equal(approx_staged[0], approx_loop[0]), "serial approx labels drifted"
     assert approx_staged[1] == approx_loop[1]
     # ...on the parallel path (workers > 1; staged kernel inside shards)...
-    try:
-        par = parallel_exact_components(
-            grid, core, ParallelConfig(workers=2, min_points=0)
-        )
-    finally:
-        # Calling the executor directly makes us the grid's owner: drop
-        # any published shm segment before returning.
-        unpublish_grid(grid)
+    par = parallel_exact_components(
+        grid, core, ParallelConfig(workers=2, min_points=0)
+    )
     assert np.array_equal(par[0], exact_loop[0]), "parallel labels drifted"
     # ...and on a preunion-seeded run (the sweep's carry).
     seed = loops.edge_list_exact(grid, core)[::2]

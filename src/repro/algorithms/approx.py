@@ -29,7 +29,6 @@ from repro.parallel.executor import (
     WorkersLike,
     as_parallel_config,
     parallel_approx_components,
-    with_transport,
 )
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.deadline import Deadline, as_deadline
@@ -54,7 +53,6 @@ def approx_dbscan(
     memory: Optional[MemoryBudget] = None,
     checkpoint: Optional[str] = None,
     workers: WorkersLike = None,
-    shm: object = None,
     hooks: Optional[PipelineHooks] = None,
     engine=None,
 ) -> Clustering:
@@ -85,12 +83,6 @@ def approx_dbscan(
         Optional worker-process count (or a
         :class:`~repro.parallel.ParallelConfig`) for the sharded parallel
         pipeline; the labeling is identical to the serial run.
-    shm:
-        Parallel transport override: ``True`` / ``False`` / ``"auto"``
-        select the zero-copy shared-memory path of
-        :mod:`repro.parallel.shm` (``None`` keeps the config's setting,
-        i.e. the ``REPRO_SHM`` default).  Output is byte-identical either
-        way.
     hooks:
         Warm phase products and monotone-sweep seeds
         (:class:`~repro.runtime.pipeline.PipelineHooks`) — the reuse seam
@@ -134,10 +126,10 @@ def approx_dbscan(
         return engine.approx_dbscan(
             params.eps, params.min_pts, params.rho, exact_leaf_size,
             time_budget=time_budget, deadline=deadline,
-            memory_budget_mb=memory_budget_mb, workers=workers, shm=shm,
+            memory_budget_mb=memory_budget_mb, workers=workers,
         )
 
-    cfg = with_transport(as_parallel_config(workers), shm=shm)
+    cfg = as_parallel_config(workers)
     guard = as_memory_budget(memory_budget_mb, memory)
     preunion = None if hooks is None else hooks.preunion
     structures = None if hooks is None else hooks.structures

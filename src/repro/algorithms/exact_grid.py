@@ -30,7 +30,6 @@ from repro.parallel.executor import (
     WorkersLike,
     as_parallel_config,
     parallel_exact_components,
-    with_transport,
 )
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.deadline import Deadline, as_deadline
@@ -54,7 +53,6 @@ def exact_grid_dbscan(
     memory: Optional[MemoryBudget] = None,
     checkpoint: Optional[str] = None,
     workers: WorkersLike = None,
-    shm: object = None,
     hooks: Optional[PipelineHooks] = None,
 ) -> Clustering:
     """Exact DBSCAN via the grid + BCP algorithm of Theorem 2.
@@ -66,10 +64,7 @@ def exact_grid_dbscan(
     to, from which an identical invocation resumes.  ``workers`` (an int
     or a :class:`~repro.parallel.ParallelConfig`) fans the cores /
     components / borders phases out over a process pool; the labeling is
-    identical to the serial run (see ``docs/PARALLEL.md``); ``shm``
-    overrides the parallel transport (``True`` / ``False`` / ``"auto"``
-    for the zero-copy shared-memory path of :mod:`repro.parallel.shm`;
-    ``None`` keeps the config's ``REPRO_SHM`` default).  ``hooks``
+    identical to the serial run (see ``docs/PARALLEL.md``).  ``hooks``
     donates warm phase products and monotone-sweep seeds
     (:class:`~repro.runtime.pipeline.PipelineHooks`) — the reuse seam of
     :class:`repro.engine.ClusteringEngine`; the output is identical with
@@ -77,7 +72,7 @@ def exact_grid_dbscan(
     """
     params = DBSCANParams(eps, min_pts)
     pts = as_points(points)
-    cfg = with_transport(as_parallel_config(workers), shm=shm)
+    cfg = as_parallel_config(workers)
     guard = as_memory_budget(memory_budget_mb, memory)
     preunion = None if hooks is None else hooks.preunion
     structures = None if hooks is None else hooks.structures
@@ -119,7 +114,6 @@ def gunawan_2d_dbscan(
     memory_budget_mb: Optional[float] = None,
     checkpoint: Optional[str] = None,
     workers: WorkersLike = None,
-    shm: object = None,
     hooks: Optional[PipelineHooks] = None,
 ) -> Clustering:
     """Gunawan's 2D O(n log n) algorithm (d = 2 only).
@@ -146,7 +140,6 @@ def gunawan_2d_dbscan(
         memory_budget_mb=memory_budget_mb,
         checkpoint=checkpoint,
         workers=workers,
-        shm=shm,
         hooks=hooks,
     )
     result.meta["algorithm"] = "gunawan2d"

@@ -27,12 +27,7 @@ from repro.algorithms.exact_grid import exact_grid_dbscan, gunawan_2d_dbscan
 from repro.algorithms.kdd96 import kdd96_dbscan
 from repro.core.result import Clustering, empty_clustering
 from repro.errors import ParameterError
-from repro.parallel.executor import (
-    ParallelConfig,
-    WorkersLike,
-    as_parallel_config,
-    with_transport,
-)
+from repro.parallel.executor import ParallelConfig, WorkersLike, as_parallel_config
 from repro.runtime.deadline import as_deadline
 from repro.runtime.memory import as_memory_budget
 from repro.runtime.resilient import ResiliencePolicy, run_resilient, sampled_dbscan
@@ -52,7 +47,6 @@ def dbscan(
     memory_budget_mb: Optional[float] = None,
     checkpoint: Optional[str] = None,
     workers: WorkersLike = None,
-    shm: object = None,
     engine=None,
 ) -> Clustering:
     """Exact DBSCAN (Problem 1) with a selectable algorithm.
@@ -106,13 +100,6 @@ def dbscan(
         ``max_shard_retries``, ``shard_timeout``, ``quarantine`` and
         ``max_pool_respawns``.
         Recovery actions are recorded in ``result.meta["supervisor"]``.
-    shm:
-        Transport for parallel runs: ``True`` ships the grid and the
-        result slabs through ``multiprocessing.shared_memory`` (zero-copy;
-        see :mod:`repro.parallel.shm`), ``False`` pickles, ``"auto"``
-        tries shared memory and falls back.  ``None`` (default) keeps the
-        config's own setting (the ``REPRO_SHM`` environment default).
-        Meaningless — and ignored — for serial runs.
     engine:
         Optional :class:`~repro.engine.ClusteringEngine` built over these
         same points.  The call is answered through the engine's structure
@@ -139,7 +126,7 @@ def dbscan(
         )
     deadline = as_deadline(time_budget)
     memory = as_memory_budget(memory_budget_mb)
-    cfg = with_transport(as_parallel_config(workers), shm=shm)
+    cfg = as_parallel_config(workers)
     if cfg is not None and algorithm not in ("grid", "gunawan2d"):
         if workers is None:
             # The multi-worker request came from the REPRO_WORKERS

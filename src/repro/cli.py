@@ -72,8 +72,6 @@ def _parallel_workers(args):
         overrides["shard_timeout"] = args.shard_timeout
     if getattr(args, "no_quarantine", False):
         overrides["quarantine"] = False
-    if getattr(args, "shm", None) is not None:
-        overrides["shm"] = args.shm
     if not overrides:
         return args.workers
     from repro.parallel import ParallelConfig
@@ -407,11 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="worker processes for the grid-pipeline "
                           "algorithms (grid/gunawan2d/approx); default "
                           "$REPRO_WORKERS or 1")
-    clu.add_argument("--shm", choices=("on", "off", "auto"), default=None,
-                     help="transport for parallel runs: 'on' ships the grid "
-                          "and result slabs through shared memory (zero "
-                          "copy), 'off' pickles, 'auto' tries shared memory "
-                          "and falls back (default $REPRO_SHM or off)")
     clu.add_argument("--on-bad-rows", dest="on_bad_rows",
                      choices=data_io.BAD_ROW_MODES, default="raise",
                      help="policy for invalid input rows (non-numeric, "

@@ -143,31 +143,6 @@ def shard_timeout() -> Optional[float]:
     return _env_float("REPRO_SHARD_TIMEOUT", None, 0.0)
 
 
-def default_shm():
-    """Shared-memory transport default from ``REPRO_SHM``.
-
-    ``False`` when unset (pickled transport, the pre-PR-7 behaviour);
-    ``on``/``true``/``1``/``yes`` force the zero-copy path, ``off``/
-    ``false``/``0``/``no`` force pickling, and ``auto`` tries shared
-    memory but falls back to pickling if publication fails (no
-    ``/dev/shm``, segment quota).  Anything else raises
-    :class:`~repro.errors.ConfigError` naming the variable.
-    """
-    raw = os.environ.get("REPRO_SHM")
-    if raw is None or raw.strip() == "":
-        return False
-    value = raw.strip().lower()
-    if value in ("on", "true", "1", "yes"):
-        return True
-    if value in ("off", "false", "0", "no"):
-        return False
-    if value == "auto":
-        return "auto"
-    raise ConfigError(
-        f"invalid REPRO_SHM={raw!r}: expected on/off/auto (or true/false/1/0/yes/no)"
-    )
-
-
 def chunk_budget() -> int:
     """Pairwise-kernel chunk budget from ``REPRO_CHUNK_BUDGET``.
 

@@ -65,11 +65,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: it is short-circuiting.
 _REJECT_SLACK = 1e-9
 
-#: ``(position, i, j)`` for a union that merged two components:
-#: ``position`` indexes into the candidate-pair arrays the kernel was
-#: given (what shm workers need for position-stable slab writes), ``i`` /
-#: ``j`` are the dense cell ids.
-Union = Tuple[int, int, int]
+#: ``(i, j)`` dense cell ids of a union that merged two components.
+Union = Tuple[int, int]
 
 
 @dataclass
@@ -185,10 +182,9 @@ def resolve_edges(
     whose endpoints ``uf`` already connects (a pre-union carry, or earlier
     batches) are dropped up front by one vectorised root comparison.
 
-    Returns the unions that merged two components, as ``(position, i, j)``
-    triples (``position`` indexes the given pair arrays) — the spanning
-    subset parallel workers report to the stitching pass; serial callers
-    ignore it.  The per-pair orientation handed to ``edge`` is exactly the
+    Returns the unions that merged two components, as ``(i, j)`` pairs —
+    the spanning subset parallel workers report to the stitching pass;
+    serial callers ignore it.  The per-pair orientation handed to ``edge`` is exactly the
     caller's, so deterministic oriented predicates (the Lemma 5 probe)
     answer as they would in the plain loop.
     """
@@ -200,12 +196,11 @@ def resolve_edges(
     if deadline is not None:
         deadline.check()
 
-    pos = np.arange(n_pairs, dtype=np.int64)
     roots = uf.roots()
     keep = roots[ii] != roots[jj]
     if not keep.all():
         counters.add("edge_connected_skip", int(n_pairs - int(keep.sum())))
-        ii, jj, pos = ii[keep], jj[keep], pos[keep]
+        ii, jj = ii[keep], jj[keep]
 
     accept, reject = classify_pairs(
         points, eps, arrays, ii, jj, reject_eps=reject_eps
@@ -213,35 +208,27 @@ def resolve_edges(
     counters.add("edge_quick_accept", int(accept.sum()))
     counters.add("edge_quick_reject", int(reject.sum()))
     if accept.any():
-        acc_i, acc_j, acc_pos = ii[accept], jj[accept], pos[accept]
+        acc_i, acc_j = ii[accept], jj[accept]
         merged = uf.union_many(acc_i, acc_j)
-        unions.extend(
-            zip(
-                acc_pos[merged].tolist(),
-                acc_i[merged].tolist(),
-                acc_j[merged].tolist(),
-            )
-        )
+        unions.extend(zip(acc_i[merged].tolist(), acc_j[merged].tolist()))
 
     survive = ~(accept | reject)
     n_survivors = int(survive.sum())
     counters.add("edge_survivors", n_survivors)
     if not n_survivors:
         return unions
-    si, sj, spos = ii[survive], jj[survive], pos[survive]
+    si, sj = ii[survive], jj[survive]
     # Cheapest-first: ascending |c1| * |c2|, the cost proxy of both BCP
     # and the batched Lemma 5 probe.  Stable, so equal-cost pairs keep
     # their candidate order and the schedule is deterministic.
     order = np.argsort(arrays.sizes[si] * arrays.sizes[sj], kind="stable")
-    si, sj, spos = (
-        si[order].tolist(), sj[order].tolist(), spos[order].tolist()
-    )
+    si, sj = si[order].tolist(), sj[order].tolist()
     keys = arrays.keys
     # Funnel accounting: edge_quick_accept + edge_quick_reject +
     # edge_survivors + edge_connected_skip == edge_pairs_total, and
     # edge_survivors == edge_scheduled_skip + edge_predicate_tests.
     tests = hits = skipped = 0
-    for a, b, p in zip(si, sj, spos):
+    for a, b in zip(si, sj):
         if deadline is not None:
             deadline.tick()
         if uf.connected(a, b):
@@ -251,7 +238,7 @@ def resolve_edges(
         if edge(keys[a], keys[b]):
             hits += 1
             uf.union(a, b)
-            unions.append((p, a, b))
+            unions.append((a, b))
     counters.add("edge_scheduled_skip", skipped)
     counters.add("edge_predicate_tests", tests)
     counters.add("edge_predicate_hits", hits)

@@ -40,24 +40,6 @@ _BUDGET_SHARE = 0.5
 _RSS_HIGH_WATER = 0.9
 
 
-def _release_shared(value: object) -> None:
-    """Unlink a cached structure's shared-memory publication, if any.
-
-    Engine-donated grids can carry a live ``repro.parallel.shm`` segment
-    (published once, reused by every run that hits the cache entry).  The
-    cache is that grid's owner of record, so eviction — and
-    :meth:`StructureCache.clear` — must unlink the segment or it would
-    survive until interpreter exit.  Duck-typed on purpose: the cache must
-    not import the parallel layer for a cleanup hook.
-    """
-    publication = getattr(value, "_shm_publication", None)
-    if publication is not None:
-        try:
-            publication.close()
-        except Exception:  # pragma: no cover - cleanup must never raise
-            pass
-
-
 def estimate_structure_bytes(value: object) -> int:
     """Best-effort footprint estimate for a cached structure.
 
@@ -237,10 +219,9 @@ class StructureCache:
                 self._evict_one()
 
     def _evict_one(self) -> None:
-        _key, (value, cost) = self._entries.popitem(last=False)
+        _key, (_value, cost) = self._entries.popitem(last=False)
         self._bytes -= cost
         self.evictions += 1
-        _release_shared(value)
 
     def set_budget(self, max_mb: Optional[float]) -> None:
         """Re-cap the byte budget at runtime, evicting down if needed.
@@ -257,8 +238,6 @@ class StructureCache:
 
     def clear(self) -> None:
         with self._lock:
-            for value, _cost in self._entries.values():
-                _release_shared(value)
             self._entries.clear()
             self._bytes = 0
 

@@ -152,7 +152,6 @@ class ClusteringEngine:
         deadline: Optional[Deadline] = None,
         memory_budget_mb: Optional[float] = None,
         workers=None,
-        shm: object = None,
         bcp_strategy: str = "auto",
         index: str = "rtree",
     ) -> Clustering:
@@ -172,7 +171,7 @@ class ClusteringEngine:
             return self._run_grid(
                 eps, min_pts, algorithm=algorithm, bcp_strategy=bcp_strategy,
                 time_budget=time_budget, deadline=deadline,
-                memory_budget_mb=memory_budget_mb, workers=workers, shm=shm,
+                memory_budget_mb=memory_budget_mb, workers=workers,
             )
         if algorithm == "kdd96":
             from repro.algorithms.kdd96 import kdd96_dbscan
@@ -216,7 +215,6 @@ class ClusteringEngine:
         deadline: Optional[Deadline] = None,
         memory_budget_mb: Optional[float] = None,
         workers=None,
-        shm: object = None,
     ) -> Clustering:
         """rho-approximate DBSCAN through the engine's structure cache.
 
@@ -236,7 +234,7 @@ class ClusteringEngine:
             eps, min_pts, algorithm="approx", rho=rho,
             exact_leaf_size=exact_leaf_size, time_budget=time_budget,
             deadline=deadline, memory_budget_mb=memory_budget_mb,
-            workers=workers, shm=shm,
+            workers=workers,
         )
 
     def sweep(
@@ -250,7 +248,6 @@ class ClusteringEngine:
         time_budget: Optional[float] = None,
         memory_budget_mb: Optional[float] = None,
         workers=None,
-        shm: object = None,
     ) -> List[Clustering]:
         """Cluster the dataset at every ``eps`` of ``eps_list`` incrementally.
 
@@ -295,7 +292,7 @@ class ClusteringEngine:
                 algorithm="approx" if algorithm == "approx" else "grid",
                 rho=rho, exact_leaf_size=exact_leaf_size,
                 deadline=deadline, memory_budget_mb=memory_budget_mb,
-                workers=self.workers if workers is None else workers, shm=shm,
+                workers=self.workers if workers is None else workers,
                 known_core=known_core, preunion=preunion,
             )
             results[pos] = result
@@ -317,7 +314,6 @@ class ClusteringEngine:
         deadline: Optional[Deadline] = None,
         memory_budget_mb: Optional[float] = None,
         workers=None,
-        shm: object = None,
         known_core: Optional[np.ndarray] = None,
         preunion=None,
     ) -> Clustering:
@@ -372,7 +368,7 @@ class ClusteringEngine:
             result = approx_dbscan(
                 self.points, eps, min_pts, rho, exact_leaf_size,
                 time_budget=time_budget, deadline=deadline,
-                memory_budget_mb=memory_budget_mb, workers=workers, shm=shm,
+                memory_budget_mb=memory_budget_mb, workers=workers,
                 hooks=hooks,
             )
         elif algorithm == "gunawan2d":
@@ -383,7 +379,7 @@ class ClusteringEngine:
                     "kdtree" if bcp_strategy == "auto" else bcp_strategy
                 ),
                 time_budget=time_budget, deadline=deadline,
-                memory_budget_mb=memory_budget_mb, workers=workers, shm=shm,
+                memory_budget_mb=memory_budget_mb, workers=workers,
                 hooks=hooks,
             )
         else:
@@ -392,7 +388,7 @@ class ClusteringEngine:
             result = exact_grid_dbscan(
                 self.points, eps, min_pts, bcp_strategy=bcp_strategy,
                 time_budget=time_budget, deadline=deadline,
-                memory_budget_mb=memory_budget_mb, workers=workers, shm=shm,
+                memory_budget_mb=memory_budget_mb, workers=workers,
                 hooks=hooks,
             )
         # Harvest: the run's products are exactly what a later call (or the

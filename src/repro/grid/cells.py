@@ -103,58 +103,6 @@ class Grid:
         m = len(self._cells)
         self._use_allpairs = len(self._offsets) > 4 * max(m, 64)
 
-    @classmethod
-    def from_soa(
-        cls,
-        points: np.ndarray,
-        point_cells: np.ndarray,
-        cell_coords: np.ndarray,
-        cell_indptr: np.ndarray,
-        cell_order: np.ndarray,
-        adj_indptr: np.ndarray,
-        adj_indices: np.ndarray,
-        *,
-        eps: float,
-        side: float,
-    ) -> "Grid":
-        """Rebuild a grid from its structure-of-arrays export — zero copies.
-
-        The inverse of ``repro.parallel.shm.grid_soa``: every per-cell
-        index group and every adjacency row is a *view* into the given
-        arrays (typically shared-memory mappings), so attaching workers
-        reconstruct the parent's grid without materialising anything.
-        ``cell_coords`` must be in the insertion order of the original
-        ``cells`` dict (which :func:`_group_by_rows` makes lexicographic),
-        and the CSR rows must preserve the original per-row neighbour
-        order — both are what keeps parallel output byte-identical.
-        """
-        self = cls.__new__(cls)
-        points = np.asarray(points, dtype=np.float64)
-        self.points = points
-        self.eps = float(eps)
-        self.side = float(side)
-        self.dim = int(points.shape[1])
-        self.point_cells = np.asarray(point_cells, dtype=np.int64)
-        m = int(cell_coords.shape[0])
-        coord_rows = cell_coords.tolist()
-        cells: Dict[CellCoord, np.ndarray] = {}
-        indptr = cell_indptr.tolist()
-        for t in range(m):
-            cells[tuple(coord_rows[t])] = cell_order[indptr[t]:indptr[t + 1]]
-        self._cells = cells
-        self._offsets = neighbor_offsets(self.eps, self.side, self.dim)
-        keys = list(cells.keys())
-        index = {c: t for t, c in enumerate(keys)}
-        self._adjacency = _CSRAdjacency(
-            keys,
-            np.asarray(adj_indptr, dtype=np.int64),
-            np.asarray(adj_indices, dtype=np.int64),
-            index,
-        )
-        self._key_coords = None
-        self._use_allpairs = len(self._offsets) > 4 * max(m, 64)
-        return self
-
     # ------------------------------------------------------------- inspection
 
     def __len__(self) -> int:
@@ -452,7 +400,7 @@ class _CSRAdjacency:
 
     def __getitem__(self, cell: CellCoord) -> List[CellCoord]:
         """Dict-style row access, so CSR can stand in for the all-pairs
-        adjacency dict (e.g. on grids rebuilt via :meth:`Grid.from_soa`)."""
+        adjacency dict."""
         return list(self.row(cell))
 
 

@@ -12,30 +12,22 @@ and ``tests/test_parallel_equivalence.py`` for the differential oracle).
 Public entry points accept ``workers=`` (an int or a
 :class:`ParallelConfig`); ``repro-dbscan --workers N`` exposes it on the
 command line, and the ``REPRO_WORKERS`` environment variable sets the
-fleet-wide default.  ``ParallelConfig(shm=...)`` (CLI ``--shm``, env
-``REPRO_SHM``) selects the zero-copy shared-memory transport of
-:mod:`repro.parallel.shm`.
+fleet-wide default.  Workers inherit the grid under ``fork`` and return
+their shard results pickled (see ``docs/PARALLEL.md``, "Transport").
 """
 
 from repro.parallel.executor import (
-    BORDER_SLAB_WIDTH,
     OVERSHARD,
     ParallelConfig,
     as_parallel_config,
     effective_workers,
+    leaked_segments,
     parallel_approx_components,
     parallel_assign_borders,
     parallel_exact_components,
     parallel_label_cores,
     parallel_warm_neighbors,
     track_copy_bytes,
-    with_transport,
-)
-from repro.parallel.shm import (
-    SharedBlock,
-    attach_grid,
-    leaked_segments,
-    publish_grid,
     unpublish_grid,
 )
 from repro.parallel.shard import assign_shards, chunked, shard_cells, split_pairs
@@ -61,13 +53,8 @@ __all__ = [
     "split_pairs",
     "chunked",
     "OVERSHARD",
-    "BORDER_SLAB_WIDTH",
-    "with_transport",
     "track_copy_bytes",
-    "SharedBlock",
-    "publish_grid",
     "unpublish_grid",
-    "attach_grid",
     "leaked_segments",
     "SupervisorStats",
     "collect_stats",

@@ -28,25 +28,19 @@ detected, the pool is respawned, failed shards are retried with backoff
 and ultimately quarantined to serial parent-side execution — while budget
 errors raised *inside* workers still re-raise promptly.
 
-**Transport.** With ``ParallelConfig(shm=True)`` (or ``"auto"``, or
-``REPRO_SHM``) the phases switch to the zero-copy shared-memory transport
-of :mod:`repro.parallel.shm`: the grid's SoA state is published once into
-named segments, task items shrink to ``(start, stop)`` ranges over the
-shard layout, and workers write results into preallocated shared output
-slabs instead of pickling them back.  Slab writes are position-stable and
-idempotent, so every rung of the supervisor's recovery ladder (retry,
-respawn, quarantine, serial requeue) works unchanged — a retried shard
-simply rewrites the same slots.  The parent owns every segment and
-unlinks it in ``finally`` blocks (plus an atexit net), so no error path
-can leak ``/dev/shm`` entries.
+**Transport.** Pools start with ``fork`` where the platform has it, so
+workers inherit the parent's warm :class:`~repro.grid.cells.Grid`
+copy-on-write; task items (cell lists, pair chunks) and shard results
+travel pickled, and the parent merges the results.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -61,9 +55,8 @@ from repro.core.cellgraph import (
 )
 from repro.core.edgekernel import apply_preunion_dense
 from repro.core.labeling import label_cores
-from repro.errors import MemoryBudgetExceeded, ParameterError, WorkerPoolError
+from repro.errors import ParameterError
 from repro.grid.cells import Grid
-from repro.parallel import shm as shm_transport
 from repro.parallel import worker
 from repro.parallel.shard import assign_shards, chunked, shard_cells, split_pairs
 from repro.parallel.supervisor import run_supervised
@@ -79,6 +72,13 @@ _log = get_logger("parallel.executor")
 #: pool rebalance skewed cell occupancy across its workers.
 OVERSHARD = 4
 
+#: Boundary-edge chunk size for the component phase.
+CHUNK_PAIRS = 256
+
+#: Pool start method: ``fork`` where available (workers inherit the grid
+#: copy-on-write), else the platform default.
+_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else None
+
 
 @dataclass(frozen=True)
 class ParallelConfig:
@@ -93,12 +93,6 @@ class ParallelConfig:
         pool (startup + payload transfer dominate the work there).  The
         default follows ``REPRO_PARALLEL_MIN_POINTS`` (see
         :func:`repro.config.parallel_min_points`).
-    chunk_pairs:
-        Boundary-edge chunk size for the component phase.
-    start_method:
-        Explicit multiprocessing start method; ``None`` picks ``fork``
-        where available (cheap, copy-on-write payloads) and the platform
-        default elsewhere.
     max_shard_retries:
         How many times a failed (or crash-lost) shard is resubmitted to
         the pool before quarantine.  Defaults to ``REPRO_MAX_SHARD_RETRIES``
@@ -119,33 +113,18 @@ class ParallelConfig:
         How many times a broken pool (dead worker / hung shard) is
         rebuilt before the supervisor abandons it and serially requeues
         the remaining shards in the parent.
-    shm:
-        Transport selector: ``False`` (default, honours ``REPRO_SHM``)
-        pickles payloads and results; ``True`` publishes the grid and the
-        result slabs into ``multiprocessing.shared_memory`` segments (see
-        :mod:`repro.parallel.shm`) and fails the run with
-        :class:`~repro.errors.WorkerPoolError` if publication is
-        impossible; ``"auto"`` tries shared memory and falls back to
-        pickling.  String forms (``"on"``/``"off"``/``"auto"``) are
-        accepted for CLI/env symmetry.
     """
 
     workers: int = 1
     min_points: int = field(default_factory=config.parallel_min_points)
-    chunk_pairs: int = 256
-    start_method: Optional[str] = None
     max_shard_retries: int = field(default_factory=config.max_shard_retries)
     shard_timeout: Optional[float] = field(default_factory=config.shard_timeout)
     quarantine: bool = True
     max_pool_respawns: int = 2
-    shm: object = field(default_factory=config.default_shm)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shm", _normalize_shm(self.shm))
         if int(self.workers) < 1:
             raise ParameterError(f"workers must be >= 1; got {self.workers}")
-        if int(self.chunk_pairs) < 1:
-            raise ParameterError(f"chunk_pairs must be >= 1; got {self.chunk_pairs}")
         if int(self.max_shard_retries) < 0:
             raise ParameterError(
                 f"max_shard_retries must be >= 0; got {self.max_shard_retries}"
@@ -160,39 +139,7 @@ class ParallelConfig:
             )
 
 
-def _normalize_shm(value: object) -> object:
-    """Canonicalise the ``shm`` knob to ``True`` / ``False`` / ``"auto"``."""
-    if value is True or value is False:
-        return value
-    if value is None:
-        return False
-    text = str(value).strip().lower()
-    if text in ("on", "true", "1", "yes"):
-        return True
-    if text in ("off", "false", "0", "no"):
-        return False
-    if text == "auto":
-        return "auto"
-    raise ParameterError(f"shm must be True/False/'auto'; got {value!r}")
-
-
 WorkersLike = Union[None, int, ParallelConfig]
-
-
-def with_transport(
-    cfg: Optional[ParallelConfig], *, shm: object = None
-) -> Optional[ParallelConfig]:
-    """Apply a per-call ``shm=`` override to a resolved config.
-
-    Folds the public entry points' ``shm=`` argument into the config
-    produced by :func:`as_parallel_config` (a no-op on ``None`` — serial
-    runs have no transport to configure, and an explicit ``shm=True`` with
-    one worker is simply moot, matching how ``workers=1`` already ignores
-    the rest of the config).
-    """
-    if cfg is None or shm is None:
-        return cfg
-    return replace(cfg, shm=shm)
 
 
 def as_parallel_config(workers: WorkersLike) -> Optional[ParallelConfig]:
@@ -265,9 +212,9 @@ def track_copy_bytes():
     """Measure pickled transport bytes for every fan-out in the block.
 
     Yields a dict updated in place: ``task_bytes`` / ``result_bytes`` /
-    ``tasks``.  The scaling bench uses it to demonstrate the shm
-    transport's ~zero steady-state copy traffic; not thread-safe (one
-    measurement at a time, which is what a bench does).
+    ``tasks``.  The scaling bench and the benchmark's sweep workload report
+    it; not thread-safe (one measurement at a time, which is what a bench
+    does).
     """
     global _COPY_LEDGER
     ledger = {"task_bytes": 0, "result_bytes": 0, "tasks": 0}
@@ -299,111 +246,6 @@ def _count_copies(items, consume):
     return items, counting_consume
 
 
-# -------------------------------------------------------------- shm phases
-
-
-#: Columns of the border-assignment output slab: border points touching
-#: more than this many clusters (possible but vanishingly rare — it needs
-#: >4 distinct clusters inside one point's eps-ball) overflow to a tiny
-#: pickled result instead (see ``worker.borders_task``).
-BORDER_SLAB_WIDTH = 4
-
-
-class _ShmSession:
-    """One phase's shared-memory wiring: the grid publication + an IO block.
-
-    The IO block packs the phase's read-only inputs (fields prefixed
-    ``in_``) and its preallocated output slabs (``out_``) into one
-    segment.  The session owns only the IO block — the grid publication is
-    cached on the grid and outlives the phase (unlinked by the pipeline /
-    structure cache / atexit, whoever owns the grid).
-    """
-
-    def __init__(self, grid_block: shm_transport.SharedBlock,
-                 io_block: shm_transport.SharedBlock) -> None:
-        self.grid_block = grid_block
-        self.io_block = io_block
-
-    @property
-    def shared_nbytes(self) -> int:
-        return self.grid_block.nbytes + self.io_block.nbytes
-
-    def out(self, name: str) -> np.ndarray:
-        """A private copy of an output slab (safe to use after close)."""
-        return np.array(self.io_block.arrays["out_" + name])
-
-    def install(self, payload: Dict[str, object]) -> None:
-        """Swap the pickled grid out of ``payload`` for segment headers."""
-        payload.pop("grid", None)
-        payload["grid_header"] = self.grid_block.header
-        payload["shm_io"] = self.io_block.header
-        payload["shm_shared_bytes"] = self.shared_nbytes
-
-    def close(self) -> None:
-        self.io_block.close()
-
-
-def _open_shm_session(
-    cfg: Optional[ParallelConfig],
-    grid: Grid,
-    phase: str,
-    memory: Optional[MemoryBudget],
-    inputs: Dict[str, np.ndarray],
-    outputs: Dict[str, np.ndarray],
-) -> Optional[_ShmSession]:
-    """Publish the grid + the phase IO block, honouring the ``shm`` knob.
-
-    Returns ``None`` for the pickled transport (knob off, or ``"auto"``
-    hitting an infrastructure failure).  ``shm=True`` turns
-    infrastructure failures into :class:`~repro.errors.WorkerPoolError`
-    (degradable by ``run_resilient``); a memory-budget verdict always
-    propagates as itself — refusing publication over budget is the budget
-    working, not the transport failing.
-    """
-    if cfg is None or not cfg.shm:
-        return None
-    fields = {"in_" + name: arr for name, arr in inputs.items()}
-    fields.update({"out_" + name: arr for name, arr in outputs.items()})
-    try:
-        grid_block = shm_transport.publish_grid(grid, memory=memory)
-        io_block = shm_transport.SharedBlock.create(
-            fields, meta={"phase": phase}, memory=memory, phase=f"shm-{phase}"
-        )
-    except MemoryBudgetExceeded:
-        raise
-    except Exception as exc:
-        if cfg.shm == "auto":
-            _log.warning(
-                "shared-memory transport unavailable for phase %r (%s: %s); "
-                "falling back to pickled transport",
-                phase, type(exc).__name__, exc,
-            )
-            return None
-        raise WorkerPoolError(
-            f"shared-memory publication failed for phase {phase!r}: "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
-    return _ShmSession(grid_block, io_block)
-
-
-def _shard_ranges(shards: List[list]) -> List[Tuple[str, int, int]]:
-    """Range-marker items for contiguous shards of the grid's cell order.
-
-    ``shard_cells`` cuts the *sorted* cell list, and ``_group_by_rows``
-    inserts cells in exactly that order — so every shard is a contiguous
-    run of ``grid.cells.keys()`` and ships as ``(start, stop)`` instead of
-    a pickled key list.  Workers resolve the range against their attached
-    grid (``worker._resolve_item``).
-    """
-    out: List[Tuple[str, int, int]] = []
-    start = 0
-    for shard in shards:
-        stop = start + len(shard)
-        out.append((worker.SHM_RANGE, start, stop))
-        start = stop
-    return out
-
-
 def _fan_out(
     cfg: ParallelConfig,
     n_workers: int,
@@ -418,10 +260,9 @@ def _fan_out(
     """Distribute one phase's tasks over the supervised pool and merge.
 
     ``consume`` must be order-independent and idempotent (all four phase
-    merges are: index writes, dict updates, union-find unions, and in shm
-    mode position-stable slab writes), which is what lets the supervisor
-    keep completed work across pool respawns and tolerate a duplicate
-    result from a torn-down pool.
+    merges are: index writes, dict updates and union-find unions), which
+    is what lets the supervisor keep completed work across pool respawns
+    and tolerate a duplicate result from a torn-down pool.
     """
     items, consume = _count_copies(items, consume)
     run_supervised(
@@ -480,10 +321,7 @@ def parallel_warm_neighbors(
 
 
 def _pool(cfg: ParallelConfig, n_workers: int, payload: Dict[str, object]):
-    method = cfg.start_method
-    if method is None and "fork" in mp.get_all_start_methods():
-        method = "fork"
-    ctx = mp.get_context(method)
+    ctx = mp.get_context(_START_METHOD)
     return ctx.Pool(
         processes=n_workers, initializer=worker.init_worker, initargs=(payload,)
     )
@@ -521,40 +359,18 @@ def parallel_label_cores(
     shards = shard_cells(grid.cells.keys(), n_workers * OVERSHARD, weights)
     payload = _base_payload(grid, "cores", deadline, memory)
     payload["min_pts"] = int(min_pts)
-    n = len(grid.points)
-    inputs: Dict[str, np.ndarray] = {}
-    if known_core is not None:
-        inputs["known_core"] = np.asarray(known_core, dtype=bool)
-    session = _open_shm_session(
-        cfg, grid, "cores", memory, inputs, {"core": np.zeros(n, dtype=bool)}
-    )
-    if session is None:
-        if known_core is not None:
-            payload["known_core"] = known_core
-        items = shards
-    else:
-        session.install(payload)
-        items = _shard_ranges(shards)
-    core = np.zeros(n, dtype=bool)
-    _log.debug("cores phase: %d shards over %d workers (shm=%s)",
-               len(shards), n_workers, session is not None)
+    payload["known_core"] = known_core
+    core = np.zeros(len(grid.points), dtype=bool)
+    _log.debug("cores phase: %d shards over %d workers", len(shards), n_workers)
 
     def merge_cores(result) -> None:
-        if session is not None:
-            return  # flags landed in the shared slab; the ack is just a count
         idx, flags = result
         core[idx] = flags
 
-    try:
-        _fan_out(
-            cfg, n_workers, payload, "cores", items, merge_cores,
-            deadline=deadline, memory=memory,
-        )
-        if session is not None:
-            core = session.out("core")
-    finally:
-        if session is not None:
-            session.close()
+    _fan_out(
+        cfg, n_workers, payload, "cores", shards, merge_cores,
+        deadline=deadline, memory=memory,
+    )
     return core
 
 
@@ -675,8 +491,8 @@ def _parallel_components(
     keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
     if deadline is not None:
         deadline.tick()
-    key_id = np.fromiter((index[c] for c in keys), dtype=np.int64, count=len(keys))
     if preunion and len(ii):
+        key_id = np.fromiter((index[c] for c in keys), dtype=np.int64, count=len(keys))
         seed_forest = DenseUnionFind(len(index))
         apply_preunion_dense(seed_forest, index, preunion)
         seed_root = seed_forest.roots()[key_id]
@@ -688,6 +504,7 @@ def _parallel_components(
 
     payload = _base_payload(grid, "components", deadline, memory)
     payload.update(edge_payload)
+    payload["core_mask"] = core_mask
     if preunion:
         payload["preunion"] = list(preunion)
 
@@ -697,94 +514,28 @@ def _parallel_components(
     uf = DenseUnionFind(len(index))
     apply_preunion_dense(uf, index, preunion)
 
-    session = None
-    if cfg.shm:
-        # Task-ordered index form of the split_pairs layout: per-shard
-        # intra blocks first, then boundary chunks, each a contiguous
-        # range of the reordered (pair_i, pair_j) arrays — the same pairs
-        # in the same orientation and emission order as the pickled path.
-        owner_of = np.fromiter(
-            (owner[c] for c in keys), dtype=np.int64, count=len(keys)
-        )
-        si, sj = owner_of[ii], owner_of[jj]
-        parts: List[np.ndarray] = []
-        ranges: List[Tuple[int, int]] = []
-        pos = 0
-        for s in range(len(shards)):
-            sel = np.nonzero((si == s) & (sj == s))[0]
-            if len(sel):
-                parts.append(sel)
-                ranges.append((pos, pos + len(sel)))
-                pos += len(sel)
-        boundary_sel = np.nonzero(si != sj)[0]
-        for start in range(0, len(boundary_sel), int(cfg.chunk_pairs)):
-            chunk = boundary_sel[start:start + int(cfg.chunk_pairs)]
-            parts.append(chunk)
-            ranges.append((pos, pos + len(chunk)))
-            pos += len(chunk)
-        order = (
-            np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-        )
-        n_pairs = len(order)
-        session = _open_shm_session(
-            cfg, grid, "components", memory,
-            {
-                "core_mask": np.asarray(core_mask, dtype=bool),
-                "pair_i": ii[order],
-                "pair_j": jj[order],
-            },
-            {
-                "edge_i": np.full(n_pairs, -1, dtype=np.int64),
-                "edge_j": np.full(n_pairs, -1, dtype=np.int64),
-            },
-        )
+    pairs = [(keys[i], keys[j]) for i, j in zip(ii.tolist(), jj.tolist())]
+    intra, boundary = split_pairs(pairs, owner, len(shards))
+    tasks = [block for block in intra if block]
+    tasks.extend(chunked(boundary, CHUNK_PAIRS))
+    _log.debug(
+        "components phase: %d intra lists + %d boundary pairs in %d tasks "
+        "over %d workers",
+        sum(len(b) for b in intra),
+        len(boundary),
+        len(tasks),
+        n_workers,
+    )
 
-    if session is not None:
-        session.install(payload)
-        tasks: List[object] = [
-            (worker.SHM_RANGE, start, stop) for start, stop in ranges
-        ]
-        _log.debug(
-            "components phase: %d pairs in %d shm tasks over %d workers",
-            n_pairs, len(tasks), n_workers,
-        )
-        consume = lambda acked: None  # noqa: E731 - unions land in the slab
-    else:
-        payload["core_mask"] = core_mask
-        pairs = [(keys[i], keys[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-        intra, boundary = split_pairs(pairs, owner, len(shards))
-        tasks = [block for block in intra if block]
-        tasks.extend(chunked(boundary, cfg.chunk_pairs))
-        _log.debug(
-            "components phase: %d intra lists + %d boundary pairs in %d tasks "
-            "over %d workers",
-            sum(len(b) for b in intra),
-            len(boundary),
-            len(tasks),
-            n_workers,
-        )
+    def consume(united) -> None:
+        for c1, c2 in united:
+            uf.union(index[c1], index[c2])
 
-        def consume(united) -> None:
-            for c1, c2 in united:
-                uf.union(index[c1], index[c2])
-
-    try:
-        if tasks:
-            _fan_out(
-                cfg, n_workers, payload, "edges", tasks, consume,
-                deadline=deadline, memory=memory,
-            )
-        if session is not None:
-            edge_i = session.out("edge_i")
-            edge_j = session.out("edge_j")
-            hit = np.nonzero(edge_i >= 0)[0]
-            for a, b in zip(
-                key_id[edge_i[hit]].tolist(), key_id[edge_j[hit]].tolist()
-            ):
-                uf.union(a, b)
-    finally:
-        if session is not None:
-            session.close()
+    if tasks:
+        _fan_out(
+            cfg, n_workers, payload, "edges", tasks, consume,
+            deadline=deadline, memory=memory,
+        )
     return labels_from_dense(grid, cells, uf)
 
 
@@ -806,43 +557,43 @@ def parallel_assign_borders(
     weights = {c: len(idx) for c, idx in grid.cells.items()}
     shards = shard_cells(grid.cells.keys(), n_workers * OVERSHARD, weights)
     payload = _base_payload(grid, "borders", deadline, memory)
-    n = len(grid.points)
-    session = _open_shm_session(
-        cfg, grid, "borders", memory,
-        {
-            "core_mask": np.asarray(core_mask, dtype=bool),
-            "core_labels": np.asarray(core_labels, dtype=np.int64),
-        },
-        {
-            "border_count": np.zeros(n, dtype=np.int64),
-            "border_labels": np.zeros((n, BORDER_SLAB_WIDTH), dtype=np.int64),
-        },
-    )
-    if session is None:
-        payload["core_mask"] = core_mask
-        payload["core_labels"] = core_labels
-        items = shards
-    else:
-        session.install(payload)
-        items = _shard_ranges(shards)
+    payload["core_mask"] = core_mask
+    payload["core_labels"] = core_labels
     out: Dict[int, Tuple[int, ...]] = {}
-    _log.debug("borders phase: %d shards over %d workers (shm=%s)",
-               len(shards), n_workers, session is not None)
-    try:
-        # In shm mode each result is only the rare slab-overflow remainder
-        # (a border point touching > BORDER_SLAB_WIDTH clusters); the dict
-        # update handles both modes.
-        _fan_out(
-            cfg, n_workers, payload, "borders", items,
-            lambda result: out.update(result),
-            deadline=deadline, memory=memory,
-        )
-        if session is not None:
-            counts = session.out("border_count")
-            labels = session.out("border_labels")
-            for point in np.nonzero(counts > 0)[0].tolist():
-                out[point] = tuple(labels[point, : counts[point]].tolist())
-    finally:
-        if session is not None:
-            session.close()
+    _log.debug("borders phase: %d shards over %d workers", len(shards), n_workers)
+    _fan_out(
+        cfg, n_workers, payload, "borders", shards,
+        lambda result: out.update(result),
+        deadline=deadline, memory=memory,
+    )
     return out
+
+
+# ------------------------------------------------------ shared-memory probes
+
+
+#: ``/dev/shm`` name prefix of the shared-memory segments earlier releases
+#: published; :func:`leaked_segments` keeps scanning for it.
+SEGMENT_PREFIX = "repro-shm"
+
+
+def leaked_segments() -> List[str]:
+    """Live ``/dev/shm`` entries carrying this library's segment prefix.
+
+    The parallel pipeline allocates no shared memory, so this is empty
+    unless something outside the current transport created such a
+    segment; leak checks in tests and the benchmark keep asserting that.
+    """
+    try:
+        entries = os.listdir("/dev/shm")
+    except OSError:  # pragma: no cover - non-Linux
+        return []
+    return sorted(e for e in entries if e.startswith(SEGMENT_PREFIX))
+
+
+def unpublish_grid(grid: Grid) -> None:
+    """No-op, kept for callers written against the shared-memory transport.
+
+    Grids are no longer published to shared memory (workers inherit them
+    under ``fork``), so there is nothing to release.
+    """

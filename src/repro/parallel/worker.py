@@ -16,17 +16,8 @@ are pickle-safe; see ``repro.errors``).
 Task functions reuse the *serial* implementations (`label_cores`,
 `assign_borders`, the cellgraph edge predicates) restricted to a shard's
 cells, so there is a single source of truth for the per-cell and per-pair
-decisions and serial/parallel drift is impossible by construction.
-
-Under the shared-memory transport (:mod:`repro.parallel.shm`) the payload
-carries segment *headers* instead of the grid: the worker attaches
-read-only, reconstructs the grid as views (:meth:`Grid.from_soa`), task
-items arrive as ``(SHM_RANGE, start, stop)`` ranges over the grid's cell
-(or candidate-pair) order, and results are written into the phase's
-shared output slabs — the pickled return value shrinks to an ack (or the
-rare border-slab overflow).  Slab writes are disjoint per shard and
-position-stable, so a retried or re-pooled shard rewrites exactly the
-same slots with exactly the same values.
+decisions and serial/parallel drift is impossible by construction.  Each
+task returns its shard's result pickled; the parent merges them.
 """
 
 from __future__ import annotations
@@ -50,19 +41,8 @@ from repro.utils.unionfind import DenseUnionFind
 
 Pair = Tuple[CellCoord, CellCoord]
 
-#: First element of a shared-memory range item: ``(SHM_RANGE, start, stop)``
-#: addresses a contiguous run of the phase's task-order (cell order for
-#: cores/borders, reordered candidate-pair order for edges).
-SHM_RANGE = "__shm_range__"
-
 #: Per-process context, set by :func:`init_worker` (pool initializer).
 _CTX: Optional[Dict[str, object]] = None
-
-
-def _is_range(item) -> bool:
-    return (
-        isinstance(item, tuple) and len(item) == 3 and item[0] == SHM_RANGE
-    )
 
 
 def build_context(payload: Dict[str, object], *, in_worker: bool = True) -> Dict[str, object]:
@@ -74,59 +54,25 @@ def build_context(payload: Dict[str, object], *, in_worker: bool = True) -> Dict
     poison shard is by definition one that crashes *workers* but computes
     fine serially.
     """
-    grid: Optional[Grid] = payload.get("grid")
-    shm_in: Dict[str, np.ndarray] = {}
-    shm_out: Dict[str, np.ndarray] = {}
-    io_block = None
-    if grid is None:
-        # Shared-memory transport: attach the published grid and the
-        # phase's IO block.  Attaching never copies and never takes
-        # ownership — the parent unlinks (see repro.parallel.shm).
-        from repro.parallel import shm as shm_transport
-
-        grid = shm_transport.attach_grid(payload["grid_header"])
-        io_block = shm_transport.SharedBlock.attach(
-            payload["shm_io"], writable=True
-        )
-        for name, arr in io_block.arrays.items():
-            if name.startswith("out_"):
-                shm_out[name[4:]] = arr
-            else:
-                arr.flags.writeable = False
-                shm_in[name[3:]] = arr
+    grid: Grid = payload["grid"]
     time_remaining = payload.get("time_remaining")
     memory_limit_mb = payload.get("memory_limit_mb")
-    # Attached segments appear in this process's RSS but were charged to
-    # the parent's budget once at publication — subtract them here so an
-    # N-worker fleet does not count the shared state N extra times.
-    shared_bytes = float(payload.get("shm_shared_bytes") or 0) if in_worker else 0.0
     ctx: Dict[str, object] = {
         "grid": grid,
         "deadline": None if time_remaining is None else Deadline(float(time_remaining)),
-        "memory": None if memory_limit_mb is None else MemoryBudget(
-            float(memory_limit_mb), shared_bytes=shared_bytes
-        ),
+        "memory": None if memory_limit_mb is None else MemoryBudget(float(memory_limit_mb)),
         "min_pts": payload.get("min_pts"),
         "phase": payload.get("phase", ""),
         "edge": None,
         "fault_spec": payload.get("fault_spec"),
         "in_worker": bool(in_worker),
         "known_core": payload.get("known_core"),
-        "shm_in": shm_in,
-        "shm_out": shm_out,
-        "shm_io_block": io_block,
     }
-    if ctx["known_core"] is None and "known_core" in shm_in:
-        ctx["known_core"] = shm_in["known_core"]
     core_mask = payload.get("core_mask")
-    if core_mask is None and "core_mask" in shm_in:
-        core_mask = shm_in["core_mask"]
     if core_mask is not None:
         ctx["core_mask"] = np.asarray(core_mask, dtype=bool)
         ctx["cells"] = core_cells(grid, ctx["core_mask"])
     core_labels = payload.get("core_labels")
-    if core_labels is None and "core_labels" in shm_in:
-        core_labels = shm_in["core_labels"]
     if core_labels is not None:
         ctx["core_labels"] = np.asarray(core_labels, dtype=np.int64)
     # Monotone-sweep connectivity seed, restricted (as on the parent side)
@@ -193,31 +139,11 @@ def adjacency_task(
     return list(rows.items())
 
 
-def _cell_range(ctx: Dict[str, object], start: int, stop: int) -> List[CellCoord]:
-    """Resolve a ``(SHM_RANGE, start, stop)`` item against the grid's cell
-    order (cached per context — the list is rebuilt once per phase)."""
-    keys = ctx.get("_cell_keys")
-    if keys is None:
-        keys = list(ctx["grid"].cells.keys())
-        ctx["_cell_keys"] = keys
-    return keys[start:stop]
-
-
-def cores_task(cell_block) -> object:
-    """Core determination for one shard.
-
-    Pickled transport: the shard's ``(point_indices, core_flags)``.
-    Shared-memory transport (``(SHM_RANGE, start, stop)`` item): flags are
-    written into the shared ``core`` slab — disjoint per shard, so writes
-    are idempotent across retries — and only a count is returned.
-    """
+def cores_task(cell_block: Sequence[CellCoord]) -> Tuple[np.ndarray, np.ndarray]:
+    """Core determination for one shard: its ``(point_indices, core_flags)``."""
     ctx = _ctx()
     deadline, memory, phase = _guards()
     grid: Grid = ctx["grid"]
-    slab = None
-    if _is_range(cell_block):
-        slab = ctx["shm_out"]["core"]
-        cell_block = _cell_range(ctx, int(cell_block[1]), int(cell_block[2]))
     mask = label_cores(
         grid,
         int(ctx["min_pts"]),
@@ -229,9 +155,6 @@ def cores_task(cell_block) -> object:
         memory.check(phase)
     blocks = [grid.points_in(c) for c in cell_block]
     idx = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    if slab is not None:
-        slab[idx] = mask[idx]
-        return int(len(idx))
     return idx, mask[idx]
 
 
@@ -245,7 +168,7 @@ def _edge_arrays(ctx: Dict[str, object]):
     return arrays
 
 
-def edges_task(pairs) -> object:
+def edges_task(pairs: Sequence[Pair]) -> List[Pair]:
     """Resolve a chunk of oriented candidate pairs; return the unions made.
 
     The chunk runs the staged edge kernel
@@ -263,71 +186,33 @@ def edges_task(pairs) -> object:
     chunk-local forest too: pairs its connectivity already covers skip
     their edge tests and are *not* emitted — sound because the parent
     seeds its stitching forest with the very same pairs.
-
-    Shared-memory transport: the item is a ``(SHM_RANGE, start, stop)``
-    range of the parent's task-ordered ``pair_i``/``pair_j`` index arrays
-    (indices into the core-cell key order), and every union made is
-    recorded at the position ``t`` of the pair that caused it in the
-    ``edge_i``/``edge_j`` slabs (``-1`` means "no union") —
-    position-stable and deterministic (a fresh chunk-local forest makes
-    the kernel's schedule a pure function of the chunk), so retries
-    rewrite the same slots and a partially written shard is
-    indistinguishable from a partially evaluated one.
     """
     ctx = _ctx()
     deadline, memory, phase = _guards()
-    edge = ctx["edge"]
     arrays = _edge_arrays(ctx)
     uf = DenseUnionFind(len(arrays))
     apply_preunion_dense(uf, arrays.index, ctx.get("preunion"))
     grid: Grid = ctx["grid"]
-    if _is_range(pairs):
-        start, stop = int(pairs[1]), int(pairs[2])
-        ii = np.asarray(ctx["shm_in"]["pair_i"][start:stop], dtype=np.int64)
-        jj = np.asarray(ctx["shm_in"]["pair_j"][start:stop], dtype=np.int64)
-        out_i = ctx["shm_out"]["edge_i"]
-        out_j = ctx["shm_out"]["edge_j"]
-        unions = resolve_edges(
-            grid.points, grid.eps, arrays, ii, jj, uf, edge,
-            reject_eps=ctx.get("reject_eps"), deadline=deadline,
-        )
-        for t, a, b in unions:
-            out_i[start + t] = a
-            out_j[start + t] = b
-        if memory is not None:
-            memory.check(phase)
-        return len(unions)
     index = arrays.index
     ii = np.fromiter((index[c1] for c1, _ in pairs), dtype=np.int64, count=len(pairs))
     jj = np.fromiter((index[c2] for _, c2 in pairs), dtype=np.int64, count=len(pairs))
     unions = resolve_edges(
-        grid.points, grid.eps, arrays, ii, jj, uf, edge,
+        grid.points, grid.eps, arrays, ii, jj, uf, ctx["edge"],
         reject_eps=ctx.get("reject_eps"), deadline=deadline,
     )
     keys = arrays.keys
-    out: List[Pair] = [(keys[a], keys[b]) for _, a, b in unions]
+    out: List[Pair] = [(keys[a], keys[b]) for a, b in unions]
     if memory is not None:
         memory.check(phase)
     return out
 
 
-def borders_task(cell_block) -> List[Tuple[int, Tuple[int, ...]]]:
-    """Border assignment for one shard, as ``(point, cluster-ids)`` items.
-
-    Shared-memory transport: each border point's cluster ids land in its
-    row of the ``border_labels`` slab and the id count in
-    ``border_count`` — the labels row is written *before* the count, so a
-    row is visible to the parent only once complete (a shard killed
-    mid-write leaves count 0 and the retry rewrites the row).  Points
-    touching more clusters than the slab is wide are returned as the
-    (tiny, pickled) overflow remainder.
-    """
+def borders_task(
+    cell_block: Sequence[CellCoord],
+) -> List[Tuple[int, Tuple[int, ...]]]:
+    """Border assignment for one shard, as ``(point, cluster-ids)`` items."""
     ctx = _ctx()
     deadline, memory, phase = _guards()
-    slab = None
-    if _is_range(cell_block):
-        slab = (ctx["shm_out"]["border_labels"], ctx["shm_out"]["border_count"])
-        cell_block = _cell_range(ctx, int(cell_block[1]), int(cell_block[2]))
     out = assign_borders(
         ctx["grid"],
         ctx["core_mask"],
@@ -337,18 +222,6 @@ def borders_task(cell_block) -> List[Tuple[int, Tuple[int, ...]]]:
     )
     if memory is not None:
         memory.check(phase)
-    if slab is not None:
-        labels, counts = slab
-        width = labels.shape[1]
-        overflow: List[Tuple[int, Tuple[int, ...]]] = []
-        for point, cluster_ids in out.items():
-            k = len(cluster_ids)
-            if k <= width:
-                labels[point, :k] = cluster_ids
-                counts[point] = k
-            else:
-                overflow.append((point, cluster_ids))
-        return overflow
     return list(out.items())
 
 

@@ -114,17 +114,9 @@ class MemoryBudget:
     limit_mb:
         Budget in megabytes.  ``None`` disables both guards (every call
         becomes a no-op), mirroring ``Deadline(None)``.
-    shared_bytes:
-        Bytes of shared-memory segments this process *attached* (did not
-        allocate).  Subtracted from every RSS reading: the segment owner
-        charged the budget once at publication, and a mapped segment shows
-        up in the RSS of every attacher even though the physical pages
-        exist once fleet-wide.  Without the correction each worker would
-        re-count every segment and an N-worker run would appear to cost
-        N copies of state that was shared precisely to avoid N copies.
     """
 
-    __slots__ = ("limit_bytes", "shared_bytes", "_last_poll")
+    __slots__ = ("limit_bytes", "_last_poll")
 
     #: Minimum seconds between RSS polls in :meth:`check`.  The polling
     #: guard exists to catch runaway growth on *long* runs; phases shorter
@@ -133,11 +125,8 @@ class MemoryBudget:
     #: (estimates via :meth:`charge_estimate` are never rate-limited).
     POLL_INTERVAL = 0.05
 
-    def __init__(
-        self, limit_mb: Optional[float], *, shared_bytes: float = 0
-    ) -> None:
+    def __init__(self, limit_mb: Optional[float]) -> None:
         self.limit_bytes = None if limit_mb is None else float(limit_mb) * 1e6
-        self.shared_bytes = max(0.0, float(shared_bytes or 0))
         self._last_poll = clock.now()
 
     @classmethod
@@ -153,7 +142,7 @@ class MemoryBudget:
         """
         if self.limit_bytes is None:
             return
-        projected = self._effective_rss() + n_bytes
+        projected = current_rss() + n_bytes
         if projected > self.limit_bytes:
             raise MemoryBudgetExceeded(projected, self.limit_bytes, phase or "estimate")
 
@@ -165,13 +154,9 @@ class MemoryBudget:
         if now - self._last_poll < self.POLL_INTERVAL:
             return
         self._last_poll = now
-        rss = self._effective_rss()
+        rss = current_rss()
         if rss > self.limit_bytes:
             raise MemoryBudgetExceeded(rss, self.limit_bytes, phase)
-
-    def _effective_rss(self) -> float:
-        """Process RSS minus attached shared segments (counted by their owner)."""
-        return max(0.0, current_rss() - self.shared_bytes)
 
     def __repr__(self) -> str:
         if self.limit_bytes is None:

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,7 +35,6 @@ from repro.core.result import Clustering, build_clustering
 from repro.errors import ParameterError
 from repro.grid import counters
 from repro.grid.cells import CellCoord, Grid
-from repro.parallel import shm as shm_transport
 from repro.parallel.executor import (
     ParallelConfig,
     effective_workers,
@@ -167,7 +165,7 @@ def run_grid_pipeline(
     # without widening the ConnectFn signature (see repro.parallel.supervisor).
     phase_seconds: Dict[str, float] = {}
     counters_before = counters.snapshot()
-    with ExitStack() as cleanup, collect_stats() as sup_stats:
+    with collect_stats() as sup_stats:
         # Phase 1: impose the grid T (deterministic; rebuilt unless a warm
         # grid is donated — it is the one phase cheaper to recompute than
         # to serialise, but free to adopt from a structure cache).
@@ -180,12 +178,6 @@ def run_grid_pipeline(
                 memory.charge_estimate(estimate_grid_bytes(len(pts), pts.shape[1]), "grid")
             grid = Grid(pts, eps)
             _log.debug("grid built: %d non-empty cells for %d points", len(grid), len(pts))
-            # This run owns the grid, so it owns any shared-memory
-            # publication the shm transport makes for it: unlink on every
-            # exit path (success, budget verdict, KeyboardInterrupt) so no
-            # /dev/shm entry can outlive the run.  Donated grids are the
-            # engine's — the structure cache unlinks those on eviction.
-            cleanup.callback(shm_transport.unpublish_grid, grid)
         # On all-pairs grids the adjacency build is the dominant serial cost
         # of a parallel run — shard it over the pool before the phases start
         # (a no-op on offset-probe grids, warm grids and serial fallback).

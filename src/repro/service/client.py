@@ -152,7 +152,6 @@ class ServiceClient:
         rho: Optional[float] = None,
         algorithm: Optional[str] = None,
         workers=None,
-        shm=None,
         time_budget: Optional[float] = None,
         tier: Optional[str] = None,
         tenant: Optional[str] = None,
@@ -175,7 +174,7 @@ class ServiceClient:
                 response = self._call(
                     self.service.cluster(
                         dataset, eps, min_pts, rho=rho, algorithm=algorithm,
-                        workers=workers, shm=shm, time_budget=time_budget,
+                        workers=workers, time_budget=time_budget,
                         tier=tier, tenant=tenant, priority=priority,
                     ),
                     timeout=timeout,
@@ -215,7 +214,6 @@ class ServiceClient:
                 rho=req.get("rho"),
                 algorithm=req.get("algorithm"),
                 workers=req.get("workers"),
-                shm=req.get("shm"),
                 time_budget=req.get("time_budget"),
                 tier=req.get("tier"),
                 tenant=req.get("tenant"),

@@ -49,7 +49,7 @@ class RequestKey:
     """What makes two cluster requests "the same computation".
 
     The coalescing key of the tentpole spec: ``(dataset, eps, min_pts,
-    rho, workers, shm)`` plus the algorithm family and the tier the caller
+    rho, workers)`` plus the algorithm family and the tier the caller
     *requested* — an explicit ``tier="sampled"`` request must not share a
     flight with an ``"approx"`` one, or the approx caller silently
     receives the low-quality sampled result.  Deliberately *excluded*:
@@ -66,7 +66,6 @@ class RequestKey:
     workers: object
     algorithm: str = "grid"
     requested: str = "exact"
-    shm: object = None
 
     @classmethod
     def build(
@@ -79,14 +78,11 @@ class RequestKey:
         workers=None,
         algorithm: str = "grid",
         requested: str = "exact",
-        shm=None,
     ) -> "RequestKey":
         # A ParallelConfig is not hashable; its repr is deterministic and
         # total, which is all a coalescing key needs.
         if workers is not None and not isinstance(workers, (int, str)):
             workers = repr(workers)
-        if shm is not None and not isinstance(shm, (bool, str)):
-            shm = repr(shm)
         return cls(
             dataset=str(dataset),
             eps=float(eps),
@@ -95,7 +91,6 @@ class RequestKey:
             workers=workers,
             algorithm=str(algorithm),
             requested=str(requested),
-            shm=shm,
         )
 
 

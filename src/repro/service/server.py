@@ -219,7 +219,6 @@ class ClusteringService:
         rho: Optional[float] = None,
         algorithm: Optional[str] = None,
         workers=None,
-        shm=None,
         time_budget: Optional[float] = None,
         tier: Optional[str] = None,
         tenant: Optional[str] = None,
@@ -272,7 +271,6 @@ class ClusteringService:
                     algorithm=algorithm
                     or ("approx" if requested != "exact" else "grid"),
                     requested=requested,
-                    shm=shm,
                 )
                 flight, leader = self.flights.acquire(key)
                 if not leader:
@@ -280,7 +278,7 @@ class ClusteringService:
                     return await self._await_flight(flight, deadline)
                 try:
                     response = await self._lead(
-                        entry, key, requested, deadline, workers, shm,
+                        entry, key, requested, deadline, workers,
                         tenant=tenant, priority=priority,
                     )
                 except BaseException as exc:
@@ -343,7 +341,6 @@ class ClusteringService:
         requested: str,
         deadline: Optional[Deadline],
         workers=None,
-        shm=None,
         *,
         tenant: str = "default",
         priority: int = 0,
@@ -359,7 +356,7 @@ class ClusteringService:
         if self.policy.fair:
             await self.scheduler().acquire(tenant, deadline, priority)
             try:
-                return await self._run_slot(entry, key, requested, deadline, workers, shm)
+                return await self._run_slot(entry, key, requested, deadline, workers)
             finally:
                 self.scheduler().release(tenant)
         async with self._gate_sem():
@@ -373,7 +370,7 @@ class ClusteringService:
                     queue_depth=self.admission.depth,
                     limit=self.policy.max_queue,
                 )
-            return await self._run_slot(entry, key, requested, deadline, workers, shm)
+            return await self._run_slot(entry, key, requested, deadline, workers)
 
     async def _run_slot(
         self,
@@ -382,7 +379,6 @@ class ClusteringService:
         requested: str,
         deadline: Optional[Deadline],
         workers=None,
-        shm=None,
     ) -> Dict[str, object]:
         """The slot-holding half of :meth:`_lead`: tier choice + execution."""
         loop = asyncio.get_running_loop()
@@ -395,7 +391,6 @@ class ClusteringService:
             # The original object, not the key's hash-safe repr — a
             # ParallelConfig must reach the engine intact.
             "workers": workers,
-            "shm": shm,
             "tier": tier,
             "deadline": deadline,
         }
@@ -498,7 +493,6 @@ class ClusteringService:
                 deadline=deadline,
                 memory_budget_mb=self.policy.memory_budget_mb,
                 workers=job["workers"],
-                shm=job["shm"],
             )
         return engine.dbscan(
             job["eps"],
@@ -507,7 +501,6 @@ class ClusteringService:
             deadline=deadline,
             memory_budget_mb=self.policy.memory_budget_mb,
             workers=job["workers"],
-            shm=job["shm"],
         )
 
     # --------------------------------------------------------------- wire
@@ -541,7 +534,6 @@ class ClusteringService:
                     rho=request.get("rho"),
                     algorithm=request.get("algorithm"),
                     workers=request.get("workers"),
-                    shm=request.get("shm"),
                     time_budget=request.get("time_budget"),
                     tier=request.get("tier"),
                     tenant=request.get("tenant"),

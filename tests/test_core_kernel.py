@@ -5,8 +5,8 @@ batched core-labeling and border-assignment kernels must produce results
 **byte-identical** to the reference per-cell loops
 (``tests/oracles/loops.py``) on every path that consumes them — serial
 across dims and ``MinPts``, ``known_core`` sweep carry, shard restriction
-(``cells=``), parallel workers on both transports (pickled and
-shared-memory slabs), and the degenerate empty/singleton grids.
+(``cells=``), parallel workers, and the degenerate empty/singleton
+grids.
 ``loops.neighbor_counts`` stays the brute oracle grounding both in the
 raw ``|B(p, eps)| >= MinPts`` predicate.  On top of the end-to-end oracle: the ``core_*``/``border_*``
 counter funnels must partition cleanly, and a deadline must abort the
@@ -26,7 +26,6 @@ from repro.core.labeling import label_cores
 from repro.errors import TimeoutExceeded
 from repro.grid import counters
 from repro.grid.cells import Grid
-from repro.parallel import unpublish_grid
 from repro.parallel.executor import (
     ParallelConfig,
     parallel_assign_borders,
@@ -154,18 +153,12 @@ class TestBorderOracle:
 
 
 class TestParallelOracle:
-    @pytest.mark.parametrize("shm", [False, True])
-    def test_workers_match_serial_loop(self, shm):
+    def test_workers_match_serial_loop(self):
         grid, core, labels = _labeled(30, 1200, 2, 6.0, 5)
         ref_b = loops.assign_borders(grid, core, labels)
-        cfg = ParallelConfig(workers=3, min_points=0, shm=shm)
-        try:
-            par_core = parallel_label_cores(grid, 5, cfg)
-            par_b = parallel_assign_borders(grid, core, labels, cfg)
-        finally:
-            # Calling the executor directly makes us the grid's owner:
-            # the published segment must not outlive the test.
-            unpublish_grid(grid)
+        cfg = ParallelConfig(workers=3, min_points=0)
+        par_core = parallel_label_cores(grid, 5, cfg)
+        par_b = parallel_assign_borders(grid, core, labels, cfg)
         assert np.array_equal(par_core, core)
         assert dict(par_b) == ref_b
 
@@ -175,10 +168,7 @@ class TestParallelOracle:
         grid = Grid(grid_small.points, 6.0)
         plain = loops.label_cores(grid, 5)
         cfg = ParallelConfig(workers=2, min_points=0)
-        try:
-            par = parallel_label_cores(grid, 5, cfg, known_core=known)
-        finally:
-            unpublish_grid(grid)
+        par = parallel_label_cores(grid, 5, cfg, known_core=known)
         assert np.array_equal(par, plain)
 
 

@@ -4,7 +4,7 @@ The contract under test (see ``repro/core/edgekernel.py``): the staged,
 batched edge-resolution kernel must produce labels **byte-identical** to
 the reference per-pair loop (``tests/oracles/loops.py``) on every path that
 consumes it — serial exact/approx across bcp strategies and rho values,
-parallel shards (pickled and shared-memory transports), and
+parallel shards, and
 preunion-seeded sweep steps.  On top of the end-to-end oracle, the stage
 certificates are validated directly against the exact edge list: stage A
 may accept only true edges, stage B may reject only non-edges.
@@ -18,7 +18,6 @@ from repro.core.edgekernel import cell_arrays, classify_pairs, resolve_edges
 from repro.core.labeling import label_cores
 from repro.engine import ClusteringEngine, StructureCache
 from repro.grid.cells import Grid
-from repro.parallel import unpublish_grid
 from repro.parallel.executor import (
     ParallelConfig,
     parallel_approx_components,
@@ -94,19 +93,13 @@ class TestPreunionOracle:
 
 
 class TestParallelOracle:
-    @pytest.mark.parametrize("shm", [False, True])
-    def test_workers_match_serial_loop(self, shm):
+    def test_workers_match_serial_loop(self):
         grid, core = _dataset(7, 1200, 2, 6.0, 5)
-        cfg = ParallelConfig(workers=3, min_points=0, shm=shm)
+        cfg = ParallelConfig(workers=3, min_points=0)
         ref_e = loops.exact_components(grid, core)
         ref_a = loops.approx_components(grid, core, 0.1)
-        try:
-            par_e = parallel_exact_components(grid, core, cfg)
-            par_a = parallel_approx_components(grid, core, cfg, 0.1)
-        finally:
-            # Calling the executor directly makes us the grid's owner:
-            # the published segment must not outlive the test.
-            unpublish_grid(grid)
+        par_e = parallel_exact_components(grid, core, cfg)
+        par_a = parallel_approx_components(grid, core, cfg, 0.1)
         assert np.array_equal(par_e[0], ref_e[0]) and par_e[1] == ref_e[1]
         assert np.array_equal(par_a[0], ref_a[0]) and par_a[1] == ref_a[1]
 
@@ -115,10 +108,7 @@ class TestParallelOracle:
         seed = loops.edge_list_exact(grid, core)[::2]
         ref = loops.exact_components(grid, core)
         cfg = ParallelConfig(workers=2, min_points=0)
-        try:
-            par = parallel_exact_components(grid, core, cfg, preunion=seed)
-        finally:
-            unpublish_grid(grid)
+        par = parallel_exact_components(grid, core, cfg, preunion=seed)
         assert np.array_equal(par[0], ref[0]) and par[1] == ref[1]
 
 
@@ -167,10 +157,9 @@ class TestKernelInternals:
         uf = DenseUnionFind(len(arrays))
         edge = cg.exact_edge_predicate(grid, cells)
         unions = resolve_edges(grid.points, grid.eps, arrays, ii, jj, uf, edge)
-        # Every reported union is a distinct candidate position, and the
+        # Every reported union is a distinct candidate pair, and the
         # union count is exactly the number of merges the forest saw.
-        positions = [t for t, _, _ in unions]
-        assert len(positions) == len(set(positions))
+        assert len(unions) == len(set(unions))
         assert len(unions) == len(arrays) - uf.n_components
         # Re-running against the now-connected forest yields nothing new.
         assert resolve_edges(grid.points, grid.eps, arrays, ii, jj, uf, edge) == []

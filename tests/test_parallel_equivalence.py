@@ -112,6 +112,20 @@ class TestExactDifferentialOracle:
         assert len(serial.memberships_of(bridge_idx)) == 2
         assert_identical(serial, par, "bridge")
 
+    def test_multi_membership_border_point(self):
+        # Two separated chains with one point on the border of both: the
+        # worker-computed border row carries two cluster ids.
+        xs_a = np.arange(-5.0, 0.01, 0.5)
+        xs_b = np.arange(10.0, 15.01, 0.5)
+        chain_a = np.stack([xs_a, np.zeros_like(xs_a)], axis=1)
+        chain_b = np.stack([xs_b, np.zeros_like(xs_b)], axis=1)
+        pts = np.concatenate([chain_a, [[5.0, 0.0]], chain_b])
+        mid = len(chain_a)
+        oracle = dbscan(pts, 5.5, 6, algorithm="grid")
+        assert len(oracle.memberships_of(mid)) == 2  # the scenario holds
+        result = dbscan(pts, 5.5, 6, workers=forced(2))
+        assert_identical(oracle, result, "multi-membership border")
+
 
 class TestApproxDifferentialOracle:
     @pytest.mark.parametrize("case", CASES[:6], ids=_ids)
@@ -170,7 +184,9 @@ class TestConcurrentRuns:
 
 
 class TestSerialFallback:
-    def test_small_input_falls_back(self):
+    def test_small_input_falls_back(self, monkeypatch):
+        # Assert the library default, not whatever the environment sets.
+        monkeypatch.delenv("REPRO_PARALLEL_MIN_POINTS", raising=False)
         pts, (eps, *_rest) = DATASETS["ss3d"]
         # Default min_points (4096) exceeds n=400: the pool must not spawn.
         result = dbscan(pts, eps, 10, workers=4)
@@ -188,7 +204,7 @@ class TestSerialFallback:
         assert as_parallel_config(1) is None
         assert as_parallel_config(ParallelConfig(workers=1)) is None
         assert as_parallel_config(3).workers == 3
-        cfg = ParallelConfig(workers=2, chunk_pairs=7)
+        cfg = ParallelConfig(workers=2, max_pool_respawns=7)
         assert as_parallel_config(cfg) is cfg
         with pytest.raises(ParameterError):
             as_parallel_config(0)

@@ -6,15 +6,16 @@ against the serial oracle: recovery is only correct if the output is
 Faults are injected via :mod:`repro.runtime.faultinject`, which addresses
 shards as ``(phase, shard_seq)`` and coordinates once-only kill/hang
 firings across processes, so the retry after recovery succeeds
-deterministically.
+deterministically.  :class:`TestRandomizedStress` adds seeded random
+datasets under random kill / hang / poison schedules.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import dbscan
-from repro.errors import WorkerPoolError
-from repro.parallel import ParallelConfig
+from repro.errors import MemoryBudgetExceeded, WorkerPoolError
+from repro.parallel import ParallelConfig, leaked_segments
 from repro.runtime.faultinject import inject_faults
 from repro.runtime.resilient import ResiliencePolicy, run_resilient
 
@@ -22,10 +23,14 @@ EPS = 5.0
 MIN_PTS = 4
 
 
+def dataset(n, d, seed=7, span=100.0):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, span, size=(n, d))
+
+
 @pytest.fixture(scope="module")
 def points():
-    rng = np.random.default_rng(7)
-    return rng.uniform(0.0, 100.0, size=(400, 2))
+    return dataset(400, 2)
 
 
 @pytest.fixture(scope="module")
@@ -141,3 +146,61 @@ class TestBudgetExhaustion:
         assert "supervisor" in res["attempts"][0]
         # The winning tier's own (clean) supervisor ledger is folded in too.
         assert "supervisor" in res
+
+
+class TestMemoryBudget:
+    def test_budget_verdict_propagates_through_run(self, points):
+        with pytest.raises(MemoryBudgetExceeded):
+            dbscan(points, EPS, MIN_PTS, workers=cfg(), memory_budget_mb=1)
+
+
+class TestRandomizedStress:
+    """Seeded random datasets + random fault schedules.
+
+    Reproducible by construction (one master seed drives everything); run
+    by the CI fault-injection job alongside the deterministic suite.
+    """
+
+    PHASES = ("cores", "components", "borders")
+    FAULTS = ("kill", "hang", "poison", "none")
+
+    @pytest.mark.parametrize("round_seed", range(5))
+    def test_random_faults_byte_identical(self, round_seed):
+        rng = np.random.default_rng(20260808 + round_seed)
+        n = int(rng.integers(150, 450))
+        d = int(rng.choice((2, 3)))
+        eps = float(rng.uniform(4.0, 12.0)) * (1.0 if d == 2 else 2.0)
+        min_pts = int(rng.integers(3, 8))
+        pts = dataset(n, d, seed=int(rng.integers(0, 2**31)))
+        oracle = dbscan(pts, eps, min_pts, algorithm="grid")
+
+        fault = str(rng.choice(self.FAULTS))
+        phase = str(rng.choice(self.PHASES))
+        shard = int(rng.integers(0, 2))
+        schedule = {}
+        if fault == "kill":
+            schedule["kill_shards"] = [(phase, shard)]
+        elif fault == "hang":
+            schedule["hang_shards"] = [(phase, shard)]
+            schedule["hang_seconds"] = 30.0
+        elif fault == "poison":
+            schedule["poison_shards"] = [(phase, shard)]
+
+        par = cfg(
+            shard_timeout=0.75 if fault == "hang" else 5.0,
+            max_shard_retries=1,
+        )
+        with inject_faults(**schedule):
+            result = dbscan(pts, eps, min_pts, algorithm="grid", workers=par)
+        name = f"stress[{round_seed}] n={n} d={d} fault={fault}@{phase}/{shard}"
+        assert_identical(oracle, result, name)
+        sup = result.meta["supervisor"]
+        if fault in ("kill", "hang") and result.meta["workers"] > 1:
+            assert sup["respawns"] >= 1 or sup["timeouts"] >= 1, (
+                f"{name}: supervisor ledger recorded no recovery"
+            )
+        if fault == "poison" and result.meta["workers"] > 1:
+            assert sup["quarantined"] or sup["retries"], (
+                f"{name}: poison left no supervisor trace"
+            )
+        assert leaked_segments() == [], f"{name}: leaked /dev/shm segments"
