@@ -16,7 +16,7 @@ quick-accept cells with a long tail of sparse cells — and asserts:
 * the staged kernels are at least :data:`TARGET_SPEEDUP` times faster on
   the **combined** core + border phase time;
 * the results are **byte-identical** between the kernels on the serial
-  path, the parallel path (workers > 1), and
+  path, the parallel cores path (workers > 1), and
   a ``known_core``-carried (sweep) run — the differential oracle riding
   along with every measurement.
 
@@ -45,11 +45,7 @@ from repro.core.labeling import label_cores
 from repro.data import seed_spreader
 from repro.grid import counters
 from repro.grid.cells import Grid
-from repro.parallel.executor import (
-    ParallelConfig,
-    parallel_assign_borders,
-    parallel_label_cores,
-)
+from repro.parallel.executor import ParallelConfig, parallel_label_cores
 
 from tests.oracles import loops
 
@@ -162,18 +158,17 @@ def measure(config, report=print):
     # must be byte-identical between kernels on the serial path...
     assert np.array_equal(core_staged, core_loop), "serial core mask drifted"
     assert b_staged == b_loop, "serial border assignment drifted"
-    # ...on the parallel path (workers > 1; staged kernel inside shards)...
+    # ...on the parallel cores path (workers > 1; staged kernel inside
+    # shards; borders always run in the parent)...
     pcfg = ParallelConfig(workers=2, min_points=0)
     par_core = parallel_label_cores(grid, min_pts, pcfg)
-    par_b = parallel_assign_borders(grid, core_loop, labels, pcfg)
     assert np.array_equal(par_core, core_loop), "parallel cores drifted"
-    assert dict(par_b) == dict(b_loop), "parallel borders drifted"
     # ...and on a known_core-carried run (the sweep's monotone hint).
     small = Grid(grid.points, eps * 0.6)
     hint = label_cores(small, min_pts)
     carried = label_cores(grid, min_pts, known_core=hint)
     assert np.array_equal(carried, core_loop), "known_core-carried mask drifted"
-    report("  oracle: serial / parallel / carry byte-identical")
+    report("  oracle: serial / parallel cores / carry byte-identical")
 
     return {
         "config": name,

@@ -22,14 +22,11 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.cellgraph import approx_components
 from repro.core.params import ApproxParams
 from repro.core.result import Clustering, empty_clustering
 from repro.errors import ParameterError
-from repro.parallel.executor import (
-    WorkersLike,
-    as_parallel_config,
-    parallel_approx_components,
-)
+from repro.parallel.executor import WorkersLike, as_parallel_config
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.deadline import Deadline, as_deadline
 from repro.runtime.memory import MemoryBudget, as_memory_budget
@@ -81,8 +78,8 @@ def approx_dbscan(
         Optional ``.npz`` path for phase-level checkpoint/resume.
     workers:
         Optional worker-process count (or a
-        :class:`~repro.parallel.ParallelConfig`) for the sharded parallel
-        pipeline; the labeling is identical to the serial run.
+        :class:`~repro.parallel.ParallelConfig`) fanning core labeling out
+        over a process pool; the labeling is identical to the serial run.
     hooks:
         Warm phase products and monotone-sweep seeds
         (:class:`~repro.runtime.pipeline.PipelineHooks`) — the reuse seam
@@ -134,10 +131,10 @@ def approx_dbscan(
     preunion = None if hooks is None else hooks.preunion
     structures = None if hooks is None else hooks.structures
 
-    def connect(grid, core_mask, dl, par):
-        return parallel_approx_components(
-            grid, core_mask, par, params.rho, exact_leaf_size,
-            deadline=dl, memory=guard, preunion=preunion, structures=structures,
+    def connect(grid, core_mask, dl):
+        return approx_components(
+            grid, core_mask, params.rho, exact_leaf_size,
+            deadline=dl, preunion=preunion, structures=structures,
         )
 
     return run_grid_pipeline(

@@ -24,13 +24,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.cellgraph import exact_components
 from repro.core.params import DBSCANParams
 from repro.core.result import Clustering
-from repro.parallel.executor import (
-    WorkersLike,
-    as_parallel_config,
-    parallel_exact_components,
-)
+from repro.parallel.executor import WorkersLike, as_parallel_config
 from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.deadline import Deadline, as_deadline
 from repro.runtime.memory import MemoryBudget, as_memory_budget
@@ -62,9 +59,8 @@ def exact_grid_dbscan(
     process RSS with :class:`~repro.errors.MemoryBudgetExceeded`;
     ``checkpoint`` names a ``.npz`` file that each completed phase is saved
     to, from which an identical invocation resumes.  ``workers`` (an int
-    or a :class:`~repro.parallel.ParallelConfig`) fans the cores /
-    components / borders phases out over a process pool; the labeling is
-    identical to the serial run (see ``docs/PARALLEL.md``).  ``hooks``
+    or a :class:`~repro.parallel.ParallelConfig`) fans core labeling out
+    over a process pool; the labeling is identical to the serial run (see ``docs/PARALLEL.md``).  ``hooks``
     donates warm phase products and monotone-sweep seeds
     (:class:`~repro.runtime.pipeline.PipelineHooks`) — the reuse seam of
     :class:`repro.engine.ClusteringEngine`; the output is identical with
@@ -77,11 +73,10 @@ def exact_grid_dbscan(
     preunion = None if hooks is None else hooks.preunion
     structures = None if hooks is None else hooks.structures
 
-    def connect(grid, core_mask, dl, par):
-        return parallel_exact_components(
-            grid, core_mask, par, bcp_strategy,
-            deadline=dl, memory=guard, preunion=preunion,
-            structures=structures,
+    def connect(grid, core_mask, dl):
+        return exact_components(
+            grid, core_mask, bcp_strategy,
+            deadline=dl, preunion=preunion, structures=structures,
         )
 
     return run_grid_pipeline(

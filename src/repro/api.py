@@ -86,8 +86,8 @@ def dbscan(
         Optional worker-process count (or a
         :class:`~repro.parallel.ParallelConfig`).  Supported by the
         grid-pipeline algorithms (``"grid"`` and ``"gunawan2d"``), whose
-        phases shard across a *supervised* multiprocessing pool with
-        output identical to the serial run; explicitly requesting more
+        core labeling shards across a *supervised* multiprocessing pool
+        with output identical to the serial run; explicitly requesting more
         than one worker for any other algorithm raises
         :class:`~repro.errors.ParameterError`.  Defaults to the
         ``REPRO_WORKERS`` environment variable (see

@@ -33,7 +33,6 @@ from repro.core.corekernel import (
     _size_classes,
     _take_ranges,
     _tile_width,
-    _work_cell_ids,
     grid_soa,
 )
 from repro.geometry import distance as dm
@@ -50,7 +49,6 @@ def assign_borders(
     core_labels: np.ndarray,
     *,
     deadline: Optional["Deadline"] = None,
-    cells=None,
 ) -> BorderAssignments:
     """Map each border point to the sorted tuple of cluster ids it joins.
 
@@ -58,11 +56,6 @@ def assign_borders(
     Points with no core point within ``eps`` are simply absent from the
     returned mapping (they are noise).  ``deadline`` is polled once per
     batched tile.
-
-    ``cells`` optionally restricts the pass to an iterable of cell
-    coordinates; the decision for each non-core point only reads its own
-    cell's eps-neighbourhood, so shard passes over a partition of the grid
-    merge (by plain dict union) into the full assignment.
 
     The result is a CSR-backed read-only mapping that compares equal to —
     and is consumed exactly like — a plain ``dict``.  The funnel
@@ -75,7 +68,7 @@ def assign_borders(
     sq_eps = dm.sq_radius(grid.eps)
     core_mask = np.asarray(core_mask, dtype=bool)
     soa = grid_soa(grid)
-    work, _ = _work_cell_ids(grid, soa, cells, None)
+    work = np.arange(len(soa), dtype=np.int64)
     if len(work) == 0:
         return BorderAssignments.empty()
     if deadline is not None:

@@ -63,11 +63,11 @@ def exact_edge_predicate(
 ):
     """Build the exact edge test ``edge(c1, c2) -> bool`` over core cells.
 
-    The closure is a *pure, deterministic* function of ``(grid, cells)`` —
-    the property the parallel layer relies on: any spanning subset of the
-    true edges, evaluated in any order by any process, yields the same
-    connected components.  Per-cell search structures (kd-trees, Voronoi
-    diagrams) are cached inside the closure and reused across calls.
+    The closure is a *pure, deterministic* function of ``(grid, cells)``,
+    so the staged kernel may skip any pair a spanning subset of the true
+    edges already connects without changing the components.  Per-cell
+    search structures (kd-trees, Voronoi diagrams) are cached inside the
+    closure and reused across calls.
 
     ``structures`` optionally seeds that per-cell cache — the same seam
     :func:`approx_edge_predicate` offers for Lemma 5 structures, used by
@@ -142,14 +142,13 @@ def approx_edge_predicate(
     core points in a single batched :meth:`FlatHierarchy.any_contains`
     call, which short-circuits the moment any query is decided yes.  The
     answer for an *oriented* pair is deterministic (the structure build
-    is), which is why serial and parallel runs agree exactly as long as
-    both evaluate pairs in the orientation
+    is), which is why every run agrees with the per-pair loop exactly as
+    long as pairs are evaluated in the orientation
     :meth:`Grid.neighbor_cell_pairs` emits them.
 
     ``structures`` optionally seeds the per-cell structure cache (the
-    serial path pre-builds all of them under the deadline); missing entries
-    are built lazily, which is what worker processes do for the cells their
-    pair chunks actually touch.  A bounded ``deadline`` is handed to every
+    engine's warm cache); missing entries are built lazily, only for the
+    cells a per-pair probe actually touches.  A bounded ``deadline`` is handed to every
     batched query, so even one pathologically large edge test is cancelled
     promptly.
     """
@@ -283,8 +282,7 @@ def labels_from_dense(
 
     ``uf``'s element ``t`` must be the ``t``-th cell of ``cells`` in
     insertion order; labels are assigned by first appearance in id order,
-    so the serial kernel and the parallel stitching pass (both of which
-    end here) label identically.  One ``np.repeat`` + fancy-index
+    so any forest with the same partition labels identically.  One ``np.repeat`` + fancy-index
     assignment, no per-cell Python loop.
     """
     labels = np.full(len(grid.points), -1, dtype=np.int64)

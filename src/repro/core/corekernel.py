@@ -22,7 +22,7 @@ Both passes compute exactly the predicate of the per-cell references in
 cluster with a core point within ``eps``" for borders — against the
 shared :func:`repro.geometry.distance.sq_radius` decision boundary, so
 the results are byte-identical to them on every path that runs these
-phases (serial pipeline, parallel shard workers on both transports, the
+phases (serial pipeline, the parallel cores shard workers, the
 engine sweep's ``known_core`` carry, the resilient cascade, and the
 fully-approximate extension).  The kernels report their funnels through
 :mod:`repro.grid.counters` (``core_*`` / ``border_*``), which the
@@ -247,8 +247,7 @@ class BorderAssignments:
     ascending, matching the reference loop's ``np.unique`` output).
     Implements the read-only mapping protocol, so every consumer of the
     classic ``Dict[int, Tuple[int, ...]]`` — ``build_clustering``,
-    checkpoint flattening, the worker slab writers, plain ``dict(...)``
-    adoption — works unchanged.
+    checkpoint flattening, plain ``dict(...)`` adoption — works unchanged.
     """
 
     __slots__ = ("points", "indptr", "labels", "_pos")

@@ -65,9 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: it is short-circuiting.
 _REJECT_SLACK = 1e-9
 
-#: ``(i, j)`` dense cell ids of a union that merged two components.
-Union = Tuple[int, int]
-
 
 @dataclass
 class CellArrays:
@@ -172,7 +169,7 @@ def resolve_edges(
     *,
     reject_eps: Optional[float] = None,
     deadline: Optional["Deadline"] = None,
-) -> List[Union]:
+) -> None:
     """Resolve one batch of candidate pairs into ``uf`` — the edge phase.
 
     Stages A/B settle the bulk of ``(ii, jj)`` with vectorised
@@ -182,17 +179,14 @@ def resolve_edges(
     whose endpoints ``uf`` already connects (a pre-union carry, or earlier
     batches) are dropped up front by one vectorised root comparison.
 
-    Returns the unions that merged two components, as ``(i, j)`` pairs —
-    the spanning subset parallel workers report to the stitching pass;
-    serial callers ignore it.  The per-pair orientation handed to ``edge`` is exactly the
-    caller's, so deterministic oriented predicates (the Lemma 5 probe)
-    answer as they would in the plain loop.
+    The per-pair orientation handed to ``edge`` is exactly the caller's,
+    so deterministic oriented predicates (the Lemma 5 probe) answer as
+    they would in the plain loop.
     """
     n_pairs = len(ii)
     counters.add("edge_pairs_total", n_pairs)
-    unions: List[Union] = []
     if n_pairs == 0:
-        return unions
+        return
     if deadline is not None:
         deadline.check()
 
@@ -208,15 +202,13 @@ def resolve_edges(
     counters.add("edge_quick_accept", int(accept.sum()))
     counters.add("edge_quick_reject", int(reject.sum()))
     if accept.any():
-        acc_i, acc_j = ii[accept], jj[accept]
-        merged = uf.union_many(acc_i, acc_j)
-        unions.extend(zip(acc_i[merged].tolist(), acc_j[merged].tolist()))
+        uf.union_many(ii[accept], jj[accept])
 
     survive = ~(accept | reject)
     n_survivors = int(survive.sum())
     counters.add("edge_survivors", n_survivors)
     if not n_survivors:
-        return unions
+        return
     si, sj = ii[survive], jj[survive]
     # Cheapest-first: ascending |c1| * |c2|, the cost proxy of both BCP
     # and the batched Lemma 5 probe.  Stable, so equal-cost pairs keep
@@ -238,11 +230,9 @@ def resolve_edges(
         if edge(keys[a], keys[b]):
             hits += 1
             uf.union(a, b)
-            unions.append((a, b))
     counters.add("edge_scheduled_skip", skipped)
     counters.add("edge_predicate_tests", tests)
     counters.add("edge_predicate_hits", hits)
-    return unions
 
 
 def apply_preunion_dense(

@@ -10,9 +10,9 @@ over; this module makes each of them a cacheable value keyed by
 ``(dataset_fingerprint, structure_kind, params...)``
 
 so every structure is built **at most once per process** and found again by
-any later request — including requests issued while parallel workers are
-active, since the cache lives in the parent and workers inherit warm
-structures through the existing payload plumbing.
+any later request — including ``workers>1`` requests, since the cache
+lives in the parent and every phase that reads a cached structure runs
+there too.
 
 Eviction is LRU with two independent caps: an entry-count cap and a
 byte-budget cap.  When a :class:`~repro.runtime.MemoryBudget` is attached,
@@ -88,8 +88,8 @@ class StructureCache:
         RSS exceeds 90% of the limit.
 
     The cache is safe to share between threads (one lock around the map);
-    worker *processes* never mutate it — they receive warm structures via
-    the phase payloads instead.
+    worker *processes* never touch it — the cores fan-out reads only the
+    grid and the ``known_core`` carry.
     """
 
     def __init__(

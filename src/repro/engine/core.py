@@ -9,8 +9,9 @@ StructureCache` keyed by ``(dataset_fingerprint, kind, params)``;
 * :meth:`sweep` runs an incremental multi-eps sweep that carries the
   previous step's monotone products forward (see
   :mod:`repro.engine.sweep` for the correctness argument);
-* parallel runs profit transparently — warm structures ride to workers
-  through the existing payload plumbing of :mod:`repro.parallel`.
+* parallel runs profit transparently — the cores fan-out of
+  :mod:`repro.parallel` forks workers that inherit the warm grid, and
+  every cached structure is read in the parent.
 
 Every engine result is **byte-identical** to the corresponding one-shot
 :func:`repro.dbscan` / :func:`repro.approx_dbscan` call: the reuse seams

@@ -99,7 +99,6 @@ class Grid:
         # all-pairs box-distance computation builds the full adjacency map
         # instead.  Built lazily on first neighbour query.
         self._adjacency: Dict[CellCoord, List[CellCoord]] | _CSRAdjacency | None = None
-        self._key_coords: np.ndarray | None = None
         m = len(self._cells)
         self._use_allpairs = len(self._offsets) > 4 * max(m, 64)
 
@@ -133,13 +132,13 @@ class Grid:
         Low dimensions use the vectorised offset probe and store the map in
         CSR form (index arrays, no per-cell Python lists); the high-``d``
         regime, where the offset table dwarfs the cell count, falls back to
-        all-pairs box tests (:meth:`adjacency_rows`) and a plain dict.
+        all-pairs box tests (:meth:`_adjacency_all_pairs`) and a plain dict.
         :meth:`neighbor_cells` reads either representation.
         """
         if self._adjacency is not None:
             return self._adjacency
         if self._use_allpairs:
-            self._adjacency = self.adjacency_rows(list(self._cells.keys()))
+            self._adjacency = self._adjacency_all_pairs()
         else:
             self._adjacency = self._adjacency_from_offsets()
         return self._adjacency
@@ -213,70 +212,40 @@ class Grid:
             if len(hit):
                 yield hit, order[pos[hit]]
 
-    def adjacency_rows(self, keys_block: List[CellCoord]) -> Dict[CellCoord, List[CellCoord]]:
-        """Adjacency lists for a block of cells, by vectorised box tests.
+    def _adjacency_all_pairs(self) -> Dict[CellCoord, List[CellCoord]]:
+        """Adjacency lists for every cell, by vectorised box tests.
 
-        The unit of work of the all-pairs adjacency build: each block row
-        is independent of every other, which is what lets the parallel
-        executor shard the build across workers and merge the returned
-        dicts (:func:`repro.parallel.executor.parallel_warm_neighbors`).
-        Internally chunked so the ``rows x cells`` distance blocks stay a
-        few million elements regardless of block size.
+        Chunked so the ``rows x cells`` distance blocks stay a few million
+        elements regardless of the cell count.
         """
         keys = list(self._cells.keys())
-        if self._key_coords is None:
-            self._key_coords = np.asarray(keys, dtype=np.int64).reshape(len(keys), self.dim)
-        coords = self._key_coords
+        coords = np.asarray(keys, dtype=np.int64).reshape(len(keys), self.dim)
         limit = self.eps * self.eps * (1.0 + 1e-9)
-        block_keys = [tuple(k) for k in keys_block]
         out: Dict[CellCoord, List[CellCoord]] = {}
         sub = max(1, 2_000_000 // max(len(keys) * self.dim, 1))
-        for start in range(0, len(block_keys), sub):
-            part = block_keys[start:start + sub]
-            block = np.asarray(part, dtype=np.int64).reshape(len(part), self.dim)
+        for start in range(0, len(keys), sub):
+            block = coords[start:start + sub]
             gaps = (np.maximum(np.abs(block[:, None, :] - coords[None, :, :]) - 1, 0)
                     * self.side)
             ok = np.einsum("bmd,bmd->bm", gaps, gaps) <= limit
-            for bi, key in enumerate(part):
+            for bi, key in enumerate(keys[start:start + sub]):
                 out[key] = [keys[j] for j in np.nonzero(ok[bi])[0] if keys[j] != key]
         return out
 
     @property
-    def needs_neighbor_warmup(self) -> bool:
-        """True while the adjacency map is still unbuilt."""
-        return self._adjacency is None
-
-    @property
     def uses_allpairs_adjacency(self) -> bool:
-        """True when adjacency comes from all-pairs box tests (high ``d``).
-
-        Only that build is expensive enough to shard across workers; the
-        offset-probe build is a fast vectorised pass done in-process.
-        """
+        """True when adjacency comes from all-pairs box tests (high ``d``)."""
         return self._use_allpairs
 
     def warm_neighbors(self) -> None:
         """Force the (cached) adjacency build *now*.
 
-        The parallel executor calls it before forking workers so every
-        worker inherits the warm table instead of each rebuilding it, and
-        the pipeline calls it during the grid phase so the cost is charged
-        where it belongs.
+        The pipeline calls it during the grid phase so the cost is charged
+        where it belongs, and the cores fan-out calls it before forking
+        workers so every worker inherits the warm table instead of each
+        rebuilding it.
         """
         self._ensure_adjacency()
-
-    def install_adjacency(self, adjacency: Dict[CellCoord, List[CellCoord]]) -> None:
-        """Install an externally assembled adjacency map.
-
-        Used by the parallel executor after sharding
-        :meth:`adjacency_rows` across workers; the map must cover every
-        non-empty cell.
-        """
-        if len(adjacency) != len(self._cells):
-            raise ParameterError(
-                f"adjacency covers {len(adjacency)} cells; grid has {len(self._cells)}"
-            )
-        self._adjacency = adjacency
 
     def neighbor_cells(self, cell: CellCoord, *, include_self: bool = False) -> Iterator[CellCoord]:
         """Yield the non-empty eps-neighbour cells of ``cell``.

@@ -1,13 +1,14 @@
 """Multiprocessing execution layer for the shared grid pipeline.
 
-The paper's Theorem 2 decomposition is embarrassingly parallel: core
+The paper's Theorem 2 decomposition has three shardable phases: core
 determination is per-cell, the core-cell graph is per-edge, and border
-assignment is per-cell again.  This package shards the grid into
-spatially contiguous cell blocks, fans the three data-parallel phases out
-over a worker pool, and stitches per-shard union-find forests back into
-the global component labeling — producing output *identical* to the
-serial pipeline (see ``docs/PARALLEL.md`` for the correctness argument
-and ``tests/test_parallel_equivalence.py`` for the differential oracle).
+assignment is per-cell again.  Only core labeling pays for a worker pool
+(measured in ``docs/PARALLEL.md``, "Phase by phase"), so this package
+shards the grid into spatially contiguous cell blocks, fans core labeling
+out over a supervised pool and merges the flags by index writes; the
+other phases run serially in the parent.  The output is *identical* to
+the serial pipeline (``tests/test_parallel_equivalence.py`` is the
+differential oracle).
 
 Public entry points accept ``workers=`` (an int or a
 :class:`ParallelConfig`); ``repro-dbscan --workers N`` exposes it on the
@@ -30,7 +31,7 @@ from repro.parallel.executor import (
     track_copy_bytes,
     unpublish_grid,
 )
-from repro.parallel.shard import assign_shards, chunked, shard_cells, split_pairs
+from repro.parallel.shard import shard_cells
 from repro.parallel.supervisor import (
     SupervisorStats,
     collect_stats,
@@ -49,9 +50,6 @@ __all__ = [
     "parallel_assign_borders",
     "parallel_warm_neighbors",
     "shard_cells",
-    "assign_shards",
-    "split_pairs",
-    "chunked",
     "OVERSHARD",
     "track_copy_bytes",
     "unpublish_grid",

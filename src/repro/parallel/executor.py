@@ -1,28 +1,22 @@
 """Parent-process orchestration of the parallel grid pipeline.
 
-The three data-parallel phases of the shared pipeline (core labeling,
-core-cell graph connectivity, border assignment) fan out as chunked
-shard tasks over a supervised ``multiprocessing.Pool``:
+One phase fans out: core labeling.  It is per-cell work over read-only
+inputs, so spatially contiguous cell shards run the serial
+:func:`~repro.core.labeling.label_cores` independently over a supervised
+``multiprocessing.Pool`` and the parent writes each shard's flags into
+one global mask.  The core-cell connectivity, the border assignment and
+the all-pairs adjacency build run serially in the parent: measured on a
+2-CPU host with 2 workers, components and borders lost to serial on
+every input and the adjacency build on 4 of 5 grids, because shipping
+and merging their results costs more than the work itself
+(``docs/PARALLEL.md``, "Phase by phase").
 
-* **cores / borders** — per-cell work with read-only inputs; shards of
-  spatially contiguous cells are processed independently and the results
-  (index/flag arrays, border dicts) merged by direct writes;
-* **components** — candidate cell pairs are split into intra-shard lists
-  (each evaluated under a worker-local union-find, i.e. a per-shard
-  forest) and cross-shard *boundary* chunks; every task returns the pairs
-  it actually united, and the parent stitches all of them into one global
-  :class:`~repro.utils.unionfind.DenseUnionFind` over dense cell ids in
-  the same insertion order the serial path uses — which makes
-  the final component labels *identical*, not merely isomorphic.  Inside
-  each chunk the workers run the same staged edge kernel
-  (:mod:`repro.core.edgekernel`) the serial builders use.
-
-Every phase falls back to the serial implementation when the resolved
+The fan-out falls back to the serial implementation when the resolved
 worker count is 1, the input is below :attr:`ParallelConfig.min_points`,
 or there are fewer cells than workers.  Workers poll the remaining time
 budget and the memory limit cooperatively (see ``repro.parallel.worker``).
 
-Every fan-out runs under the fault-tolerant supervisor
+It runs under the fault-tolerant supervisor
 (:mod:`repro.parallel.supervisor`): dead workers and hung shards are
 detected, the pool is respawned, failed shards are retried with backoff
 and ultimately quarantined to serial parent-side execution — while budget
@@ -30,8 +24,7 @@ errors raised *inside* workers still re-raise promptly.
 
 **Transport.** Pools start with ``fork`` where the platform has it, so
 workers inherit the parent's warm :class:`~repro.grid.cells.Grid`
-copy-on-write; task items (cell lists, pair chunks) and shard results
-travel pickled, and the parent merges the results.
+copy-on-write; task items (cell lists) and shard results travel pickled.
 """
 
 from __future__ import annotations
@@ -47,33 +40,23 @@ import numpy as np
 
 from repro import config
 from repro.core.border import assign_borders
-from repro.core.cellgraph import (
-    approx_components,
-    core_cells,
-    exact_components,
-    labels_from_dense,
-)
-from repro.core.edgekernel import apply_preunion_dense
+from repro.core.cellgraph import approx_components, exact_components
 from repro.core.labeling import label_cores
 from repro.errors import ParameterError
 from repro.grid.cells import Grid
 from repro.parallel import worker
-from repro.parallel.shard import assign_shards, chunked, shard_cells, split_pairs
+from repro.parallel.shard import shard_cells
 from repro.parallel.supervisor import run_supervised
 from repro.runtime import faultinject
 from repro.runtime.deadline import Deadline
 from repro.runtime.memory import MemoryBudget
 from repro.utils.log import get_logger
-from repro.utils.unionfind import DenseUnionFind
 
 _log = get_logger("parallel.executor")
 
-#: Shards per worker for the per-cell phases: mild over-sharding lets the
+#: Shards per worker for the cores fan-out: mild over-sharding lets the
 #: pool rebalance skewed cell occupancy across its workers.
 OVERSHARD = 4
-
-#: Boundary-edge chunk size for the component phase.
-CHUNK_PAIRS = 256
 
 #: Pool start method: ``fork`` where available (workers inherit the grid
 #: copy-on-write), else the platform default.
@@ -82,7 +65,7 @@ _START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else None
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How the grid pipeline distributes work over processes.
+    """How the grid pipeline fans core labeling out over processes.
 
     Parameters
     ----------
@@ -164,7 +147,7 @@ def as_parallel_config(workers: WorkersLike) -> Optional[ParallelConfig]:
 def effective_workers(
     cfg: Optional[ParallelConfig], n_points: int, n_cells: int
 ) -> int:
-    """Resolved worker count for one phase (1 means run serial)."""
+    """Resolved worker count for the cores fan-out (1 means run serial)."""
     if cfg is None:
         return 1
     if n_points < cfg.min_points:
@@ -259,10 +242,10 @@ def _fan_out(
 ) -> None:
     """Distribute one phase's tasks over the supervised pool and merge.
 
-    ``consume`` must be order-independent and idempotent (all four phase
-    merges are: index writes, dict updates and union-find unions), which
-    is what lets the supervisor keep completed work across pool respawns
-    and tolerate a duplicate result from a torn-down pool.
+    ``consume`` must be order-independent and idempotent (the cores merge
+    is a disjoint index write), which is what lets the supervisor keep
+    completed work across pool respawns and tolerate a duplicate result
+    from a torn-down pool.
     """
     items, consume = _count_copies(items, consume)
     run_supervised(
@@ -277,47 +260,6 @@ def _fan_out(
         memory=memory,
         local_runner=worker.make_local_runner(payload),
     )
-
-
-def parallel_warm_neighbors(
-    grid: Grid,
-    cfg: Optional[ParallelConfig],
-    *,
-    deadline: Optional[Deadline] = None,
-    memory: Optional[MemoryBudget] = None,
-) -> None:
-    """Build the grid's all-pairs adjacency map, sharded over the pool.
-
-    On grids that use the all-pairs neighbour strategy this build is the
-    dominant *serial* cost of a parallel run (every later phase only reads
-    the finished map), so it gets its own fan-out: workers compute
-    :meth:`~repro.grid.cells.Grid.adjacency_rows` for blocks of cells and
-    the parent merges the rows and installs the map.  A no-op when the
-    grid probes offsets instead, and serial below the fallback thresholds.
-
-    Every later payload then carries the *warm* grid: under fork the
-    workers of subsequent phases inherit the table copy-on-write; under
-    spawn it rides along in the pickled payload — built once either way.
-    """
-    if not grid.needs_neighbor_warmup:
-        return
-    n_workers = effective_workers(cfg, len(grid.points), len(grid))
-    if n_workers <= 1 or not grid.uses_allpairs_adjacency:
-        grid.warm_neighbors()
-        return
-    _check_guards(deadline, memory, "grid")
-    keys = list(grid.cells.keys())
-    block = max(1, (len(keys) + n_workers * OVERSHARD - 1) // (n_workers * OVERSHARD))
-    blocks = chunked(keys, block)
-    payload = _base_payload(grid, "grid", deadline, memory)
-    adjacency = {}
-    _log.debug("adjacency warm-up: %d blocks over %d workers", len(blocks), n_workers)
-    _fan_out(
-        cfg, n_workers, payload, "adjacency", blocks,
-        lambda rows: adjacency.update(rows),
-        deadline=deadline, memory=memory,
-    )
-    grid.install_adjacency(adjacency)
 
 
 def _pool(cfg: ParallelConfig, n_workers: int, payload: Dict[str, object]):
@@ -354,7 +296,9 @@ def parallel_label_cores(
     if n_workers <= 1:
         return label_cores(grid, min_pts, deadline=deadline, known_core=known_core)
     _check_guards(deadline, memory, "cores")
-    parallel_warm_neighbors(grid, cfg, deadline=deadline, memory=memory)
+    # Warm the adjacency map before forking so every worker inherits it
+    # instead of rebuilding it (a no-op when the pipeline already did).
+    grid.warm_neighbors()
     weights = {c: len(idx) for c, idx in grid.cells.items()}
     shards = shard_cells(grid.cells.keys(), n_workers * OVERSHARD, weights)
     payload = _base_payload(grid, "cores", deadline, memory)
@@ -374,6 +318,24 @@ def parallel_label_cores(
     return core
 
 
+# -------------------------------------------------- serial pass-throughs
+#
+# The phases below no longer fan out; these names keep their signatures
+# for ``perfbench/workload.py``, which imports them, and nothing under
+# ``src/`` calls them.  They go at the next change to that file.
+
+
+def parallel_warm_neighbors(
+    grid: Grid,
+    cfg: Optional[ParallelConfig],
+    *,
+    deadline: Optional[Deadline] = None,
+    memory: Optional[MemoryBudget] = None,
+) -> None:
+    """Serial pass-through: :meth:`Grid.warm_neighbors <repro.grid.cells.Grid.warm_neighbors>`."""
+    grid.warm_neighbors()
+
+
 def parallel_exact_components(
     grid: Grid,
     core_mask: np.ndarray,
@@ -385,29 +347,10 @@ def parallel_exact_components(
     preunion=None,
     structures=None,
 ) -> Tuple[np.ndarray, int]:
-    """Phase-3 exact connectivity: per-shard forests + boundary stitching.
-
-    ``preunion`` seeds known same-component cell pairs
-    (:func:`repro.core.edgekernel.apply_preunion_dense`) into both the parent's
-    stitching forest and every worker's chunk-local forest, so seeded
-    connectivity short-circuits BCP tests everywhere.  ``structures``
-    seeds the per-cell search-structure cache of
-    :func:`repro.core.cellgraph.exact_edge_predicate` (kd-trees / Voronoi
-    diagrams) — the engine's warm-cache seam, mirroring the Lemma 5
-    ``structures`` of :func:`parallel_approx_components`.
-    """
-    return _parallel_components(
-        grid,
-        core_mask,
-        cfg,
-        {
-            "edge_rule": "exact",
-            "bcp_strategy": bcp_strategy,
-            "structures": structures,
-        },
-        deadline=deadline,
-        memory=memory,
-        preunion=preunion,
+    """Serial pass-through: :func:`repro.core.cellgraph.exact_components`."""
+    return exact_components(
+        grid, core_mask, bcp_strategy,
+        deadline=deadline, preunion=preunion, structures=structures,
     )
 
 
@@ -423,120 +366,11 @@ def parallel_approx_components(
     preunion=None,
     structures=None,
 ) -> Tuple[np.ndarray, int]:
-    """Phase-3 rho-approximate connectivity over the pool (or serial).
-
-    ``preunion`` seeds known same-component pairs; ``structures`` seeds the
-    per-cell Lemma 5 structure map (cells already built are not rebuilt —
-    on the pooled path the map ships in the payload, so workers inherit the
-    warm structures instead of rebuilding them lazily).
-    """
-    return _parallel_components(
-        grid,
-        core_mask,
-        cfg,
-        {
-            "edge_rule": "approx",
-            "rho": float(rho),
-            "exact_leaf_size": exact_leaf_size,
-            "structures": structures,
-        },
-        deadline=deadline,
-        memory=memory,
-        preunion=preunion,
+    """Serial pass-through: :func:`repro.core.cellgraph.approx_components`."""
+    return approx_components(
+        grid, core_mask, rho, exact_leaf_size,
+        deadline=deadline, preunion=preunion, structures=structures,
     )
-
-
-def _parallel_components(
-    grid: Grid,
-    core_mask: np.ndarray,
-    cfg: Optional[ParallelConfig],
-    edge_payload: Dict[str, object],
-    *,
-    deadline: Optional[Deadline],
-    memory: Optional[MemoryBudget],
-    preunion=None,
-) -> Tuple[np.ndarray, int]:
-    cells = core_cells(grid, core_mask)
-    n_workers = effective_workers(cfg, len(grid.points), len(cells))
-    if n_workers <= 1:
-        if edge_payload["edge_rule"] == "exact":
-            return exact_components(
-                grid,
-                core_mask,
-                edge_payload["bcp_strategy"],
-                deadline=deadline,
-                preunion=preunion,
-                structures=edge_payload.get("structures"),
-            )
-        return approx_components(
-            grid,
-            core_mask,
-            edge_payload["rho"],
-            edge_payload["exact_leaf_size"],
-            deadline=deadline,
-            preunion=preunion,
-            structures=edge_payload.get("structures"),
-        )
-    _check_guards(deadline, memory, "components")
-    parallel_warm_neighbors(grid, cfg, deadline=deadline, memory=memory)
-
-    # The whole phase runs on dense cell ids (positions in the core-cell
-    # insertion order) — the same ids the staged kernel uses inside the
-    # workers' chunks.
-    index = {c: t for t, c in enumerate(cells)}
-
-    # Pairs already connected by the pre-union seed never need an edge
-    # test anywhere — drop them before sharding so neither the payload nor
-    # any worker carries them (a union inside one component is a no-op).
-    keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
-    if deadline is not None:
-        deadline.tick()
-    if preunion and len(ii):
-        key_id = np.fromiter((index[c] for c in keys), dtype=np.int64, count=len(keys))
-        seed_forest = DenseUnionFind(len(index))
-        apply_preunion_dense(seed_forest, index, preunion)
-        seed_root = seed_forest.roots()[key_id]
-        keep = seed_root[ii] != seed_root[jj]
-        ii, jj = ii[keep], jj[keep]
-    weights = {c: len(idx) for c, idx in cells.items()}
-    shards = shard_cells(cells.keys(), n_workers, weights)
-    owner = assign_shards(shards)
-
-    payload = _base_payload(grid, "components", deadline, memory)
-    payload.update(edge_payload)
-    payload["core_mask"] = core_mask
-    if preunion:
-        payload["preunion"] = list(preunion)
-
-    # The stitching pass: one forest over *all* core cells, in the same
-    # insertion order the serial path uses, so component labels (assigned
-    # by first appearance in id order) come out identical.
-    uf = DenseUnionFind(len(index))
-    apply_preunion_dense(uf, index, preunion)
-
-    pairs = [(keys[i], keys[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-    intra, boundary = split_pairs(pairs, owner, len(shards))
-    tasks = [block for block in intra if block]
-    tasks.extend(chunked(boundary, CHUNK_PAIRS))
-    _log.debug(
-        "components phase: %d intra lists + %d boundary pairs in %d tasks "
-        "over %d workers",
-        sum(len(b) for b in intra),
-        len(boundary),
-        len(tasks),
-        n_workers,
-    )
-
-    def consume(united) -> None:
-        for c1, c2 in united:
-            uf.union(index[c1], index[c2])
-
-    if tasks:
-        _fan_out(
-            cfg, n_workers, payload, "edges", tasks, consume,
-            deadline=deadline, memory=memory,
-        )
-    return labels_from_dense(grid, cells, uf)
 
 
 def parallel_assign_borders(
@@ -548,25 +382,8 @@ def parallel_assign_borders(
     deadline: Optional[Deadline] = None,
     memory: Optional[MemoryBudget] = None,
 ) -> Dict[int, Tuple[int, ...]]:
-    """Phase-4 border assignment, sharded over the pool (or serial)."""
-    n_workers = effective_workers(cfg, len(grid.points), len(grid))
-    if n_workers <= 1:
-        return assign_borders(grid, core_mask, core_labels, deadline=deadline)
-    _check_guards(deadline, memory, "borders")
-    parallel_warm_neighbors(grid, cfg, deadline=deadline, memory=memory)
-    weights = {c: len(idx) for c, idx in grid.cells.items()}
-    shards = shard_cells(grid.cells.keys(), n_workers * OVERSHARD, weights)
-    payload = _base_payload(grid, "borders", deadline, memory)
-    payload["core_mask"] = core_mask
-    payload["core_labels"] = core_labels
-    out: Dict[int, Tuple[int, ...]] = {}
-    _log.debug("borders phase: %d shards over %d workers", len(shards), n_workers)
-    _fan_out(
-        cfg, n_workers, payload, "borders", shards,
-        lambda result: out.update(result),
-        deadline=deadline, memory=memory,
-    )
-    return out
+    """Serial pass-through: :func:`repro.core.border.assign_borders`."""
+    return assign_borders(grid, core_mask, core_labels, deadline=deadline)
 
 
 # ------------------------------------------------------ shared-memory probes

@@ -10,21 +10,13 @@ cutting the sorted sequence into runs of roughly equal point count:
 * balancing on *point* count rather than cell count evens out the skewed
   occupancy the seed spreader produces (a few dense cells, many sparse
   ones).
-
-For the component phase, :func:`split_pairs` classifies the candidate
-cell pairs emitted by :meth:`Grid.neighbor_cell_pairs` into *intra-shard*
-work lists (both endpoints in one shard — the worker may short-circuit
-with a local union-find) and *boundary* pairs crossing shards, which are
-evaluated in chunks and stitched into the global forest by the parent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping
 
 from repro.grid.cells import CellCoord
-
-Pair = Tuple[CellCoord, CellCoord]
 
 
 def shard_cells(
@@ -61,42 +53,3 @@ def shard_cells(
     if block:
         shards.append(block)
     return shards
-
-
-def assign_shards(shards: Sequence[Sequence[CellCoord]]) -> Dict[CellCoord, int]:
-    """Map each cell coordinate to the index of its shard."""
-    owner: Dict[CellCoord, int] = {}
-    for sid, block in enumerate(shards):
-        for cell in block:
-            owner[cell] = sid
-    return owner
-
-
-def split_pairs(
-    pairs: Iterable[Pair],
-    owner: Mapping[CellCoord, int],
-    n_shards: int,
-) -> Tuple[List[List[Pair]], List[Pair]]:
-    """Split candidate pairs into per-shard intra lists and boundary pairs.
-
-    Pair orientation is preserved exactly as emitted by
-    :meth:`Grid.neighbor_cell_pairs` — the approximate edge rule is only
-    deterministic per *oriented* pair, and serial/parallel equivalence
-    depends on both paths asking the same oriented questions.
-    """
-    intra: List[List[Pair]] = [[] for _ in range(n_shards)]
-    boundary: List[Pair] = []
-    for c1, c2 in pairs:
-        s1 = owner[c1]
-        if s1 == owner[c2]:
-            intra[s1].append((c1, c2))
-        else:
-            boundary.append((c1, c2))
-    return intra, boundary
-
-
-def chunked(items: Sequence, size: int) -> List[Sequence]:
-    """Split a sequence into chunks of at most ``size`` elements."""
-    if size <= 0:
-        raise ValueError(f"chunk size must be positive; got {size}")
-    return [items[i:i + size] for i in range(0, len(items), size)]

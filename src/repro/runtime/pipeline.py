@@ -13,8 +13,8 @@ control flow once, and is where the robustness guarantees attach:
   completed phase is persisted before the next begins, and a rerun resumes
   from the latest phase whose output is on disk (corrupt or mismatched
   checkpoints degrade to a fresh start with a WARNING);
-* when a :class:`~repro.parallel.ParallelConfig` is attached, the cores /
-  components / borders phases fan out over a *supervised* worker pool
+* when a :class:`~repro.parallel.ParallelConfig` is attached, core
+  labeling fans out over a *supervised* worker pool
   (:mod:`repro.parallel`) that recovers from worker crashes and hangs
   (shard retry, quarantine, pool respawn — see
   :mod:`repro.parallel.supervisor`), checkpoints stay phase-granular, and
@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.border import assign_borders
 from repro.core.result import Clustering, build_clustering
 from repro.errors import ParameterError
 from repro.grid import counters
@@ -38,9 +39,7 @@ from repro.grid.cells import CellCoord, Grid
 from repro.parallel.executor import (
     ParallelConfig,
     effective_workers,
-    parallel_assign_borders,
     parallel_label_cores,
-    parallel_warm_neighbors,
 )
 from repro.parallel.supervisor import collect_stats
 from repro.runtime.checkpoint import CheckpointStore, fingerprint_points, phase_index
@@ -50,11 +49,8 @@ from repro.utils.log import get_logger
 
 _log = get_logger("runtime.pipeline")
 
-#: ``connect(grid, core_mask, deadline, parallel) -> (core_labels, n_components)``
-ConnectFn = Callable[
-    [Grid, np.ndarray, Optional[Deadline], Optional[ParallelConfig]],
-    Tuple[np.ndarray, int],
-]
+#: ``connect(grid, core_mask, deadline) -> (core_labels, n_components)``
+ConnectFn = Callable[[Grid, np.ndarray, Optional[Deadline]], Tuple[np.ndarray, int]]
 
 
 @dataclass
@@ -129,10 +125,10 @@ def run_grid_pipeline(
     wall-clock spent per phase, result assembly included as ``result``) and (when a resume happened)
     ``resumed_from_phase``.
 
-    ``parallel`` fans the cores / components / borders phases out over a
-    worker pool (serial when ``None``); the requested worker count is part
-    of the checkpoint parameters, so a resume never silently mixes shard
-    layouts produced under a different parallel configuration.
+    ``parallel`` fans core labeling out over a worker pool (serial when
+    ``None``); the requested worker count is part of the checkpoint
+    parameters, so a resume never silently mixes shard layouts produced
+    under a different parallel configuration.
 
     ``hooks`` (see :class:`PipelineHooks`) lets a caller donate prebuilt
     phase products and harvest the run's — the clustering engine's seam.
@@ -161,8 +157,8 @@ def run_grid_pipeline(
             checkpoint.save(phase, fingerprint, ckpt_params, **kwargs)
 
     # All four phases run under one ambient supervisor-stats ledger: the
-    # parallel executor's retries / quarantines / respawns accumulate here
-    # without widening the ConnectFn signature (see repro.parallel.supervisor).
+    # cores fan-out's retries / quarantines / respawns accumulate here
+    # (see repro.parallel.supervisor).
     phase_seconds: Dict[str, float] = {}
     counters_before = counters.snapshot()
     with collect_stats() as sup_stats:
@@ -178,10 +174,9 @@ def run_grid_pipeline(
                 memory.charge_estimate(estimate_grid_bytes(len(pts), pts.shape[1]), "grid")
             grid = Grid(pts, eps)
             _log.debug("grid built: %d non-empty cells for %d points", len(grid), len(pts))
-        # On all-pairs grids the adjacency build is the dominant serial cost
-        # of a parallel run — shard it over the pool before the phases start
-        # (a no-op on offset-probe grids, warm grids and serial fallback).
-        parallel_warm_neighbors(grid, parallel, deadline=deadline, memory=memory)
+        # Build the cell adjacency now, so its cost is charged to this phase
+        # and a cores fan-out forks workers that inherit it warm.
+        grid.warm_neighbors()
         if deadline is not None:
             deadline.check()
         if memory is not None:
@@ -224,7 +219,7 @@ def run_grid_pipeline(
             k = int(state["n_components"])
             _log.debug("graph connectivity restored from checkpoint: %d components", k)
         else:
-            core_labels, k = connect(grid, core_mask, deadline, parallel)
+            core_labels, k = connect(grid, core_mask, deadline)
             _log.debug("graph connectivity done: %d components", k)
             persist("components", core_mask=core_mask, core_labels=core_labels, n_components=k)
         if deadline is not None:
@@ -242,9 +237,7 @@ def run_grid_pipeline(
                 "border assignment restored from checkpoint: %d border points", len(borders)
             )
         else:
-            borders = parallel_assign_borders(
-                grid, core_mask, core_labels, parallel, deadline=deadline, memory=memory
-            )
+            borders = assign_borders(grid, core_mask, core_labels, deadline=deadline)
             _log.debug("border assignment done: %d border points", len(borders))
             persist(
                 "borders",
@@ -261,8 +254,8 @@ def run_grid_pipeline(
     meta = dict(meta)
     meta["grid_cells"] = len(grid)
     meta["phase_seconds"] = phase_seconds
-    # Kernel work this run triggered in this process (parallel runs only
-    # see the parent's share — worker processes keep their own registries).
+    # Kernel work this run triggered in this process.  Under ``workers>1``
+    # the core_* counters of pooled shards stay in the worker processes.
     kernel_counters = counters.delta_since(counters_before)
     if kernel_counters:
         meta["kernel_counters"] = kernel_counters

@@ -10,8 +10,7 @@ Two implementations share the same semantics:
   original general-purpose structure;
 * :class:`DenseUnionFind` — numpy parent/rank arrays over dense ids with
   *batched* operations (``union_many``, ``roots``) for the staged edge
-  kernel (:mod:`repro.core.edgekernel`) and the parallel stitching pass,
-  where whole stages of candidate pairs are settled with a handful of
+  kernel (:mod:`repro.core.edgekernel`), where whole stages of candidate pairs are settled with a handful of
   array passes.
 
 Both implement union by rank with full path compression, giving the usual
@@ -149,8 +148,7 @@ class DenseUnionFind:
         """Merge every pair ``(xs[t], ys[t])`` in order.
 
         Returns a boolean mask marking the pairs whose union actually
-        merged two distinct sets — the spanning subset of the batch, which
-        is what parallel workers report back to the stitching pass.
+        merged two distinct sets — the spanning subset of the batch.
         """
         if len(xs) != len(ys):
             raise ValueError(f"batch lengths differ: {len(xs)} vs {len(ys)}")

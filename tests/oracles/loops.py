@@ -145,7 +145,6 @@ def assign_borders(
     core_labels: np.ndarray,
     *,
     deadline=None,
-    cells=None,
 ) -> Dict[int, Tuple[int, ...]]:
     """Border point -> sorted tuple of cluster ids, one cell at a time.
 
@@ -155,12 +154,7 @@ def assign_borders(
     points = grid.points
     sq_eps = dm.sq_radius(grid.eps)
     out: Dict[int, Tuple[int, ...]] = {}
-    if cells is None:
-        work = grid.cells.items()
-    else:
-        work = ((tuple(c), grid.points_in(c)) for c in cells)
-
-    for cell, idx in work:
+    for cell, idx in grid.cells.items():
         if deadline is not None:
             deadline.tick()
         non_core = idx[~core_mask[idx]]

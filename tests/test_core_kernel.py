@@ -4,9 +4,9 @@ The contract under test (see ``repro/core/corekernel.py``): the staged,
 batched core-labeling and border-assignment kernels must produce results
 **byte-identical** to the reference per-cell loops
 (``tests/oracles/loops.py``) on every path that consumes them — serial
-across dims and ``MinPts``, ``known_core`` sweep carry, shard restriction
-(``cells=``), parallel workers, and the degenerate empty/singleton
-grids.
+across dims and ``MinPts``, ``known_core`` sweep carry, core shard
+restriction (``cells=``), ``workers>1`` pipeline runs, and the degenerate
+empty/singleton grids.
 ``loops.neighbor_counts`` stays the brute oracle grounding both in the
 raw ``|B(p, eps)| >= MinPts`` predicate.  On top of the end-to-end oracle: the ``core_*``/``border_*``
 counter funnels must partition cleanly, and a deadline must abort the
@@ -19,6 +19,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.algorithms.exact_grid import exact_grid_dbscan
 from repro.core import cellgraph as cg
 from repro.core.border import assign_borders
 from repro.core.corekernel import BorderAssignments, grid_soa
@@ -26,12 +27,9 @@ from repro.core.labeling import label_cores
 from repro.errors import TimeoutExceeded
 from repro.grid import counters
 from repro.grid.cells import Grid
-from repro.parallel.executor import (
-    ParallelConfig,
-    parallel_assign_borders,
-    parallel_label_cores,
-)
+from repro.parallel.executor import ParallelConfig, parallel_label_cores
 from repro.runtime import Deadline, inject_faults
+from repro.runtime.pipeline import PipelineHooks
 
 from .oracles import loops
 
@@ -133,14 +131,6 @@ class TestBorderOracle:
         assert staged == loop
         assert dict(staged.items()) == loop
 
-    def test_shard_restriction(self):
-        grid, core, labels = _labeled(20, 600, 2, 6.0, 5)
-        keys = list(grid.cells.keys())
-        for shard in (keys[: len(keys) // 2], keys[::3], []):
-            staged = assign_borders(grid, core, labels, cells=shard)
-            loop = loops.assign_borders(grid, core, labels, cells=shard)
-            assert staged == loop
-
     def test_no_cores_anywhere(self):
         grid = _dataset(21, 100, 2, 1.0)
         out = assign_borders(grid, np.zeros(100, bool), np.zeros(100, int))
@@ -158,9 +148,14 @@ class TestParallelOracle:
         ref_b = loops.assign_borders(grid, core, labels)
         cfg = ParallelConfig(workers=3, min_points=0)
         par_core = parallel_label_cores(grid, 5, cfg)
-        par_b = parallel_assign_borders(grid, core, labels, cfg)
         assert np.array_equal(par_core, core)
-        assert dict(par_b) == ref_b
+        # Borders run in the parent on the pooled core mask.
+        seen = {}
+        exact_grid_dbscan(
+            grid.points, grid.eps, 5, workers=cfg,
+            hooks=PipelineHooks(on_phase=seen.__setitem__),
+        )
+        assert dict(seen["borders"]) == ref_b
 
     def test_workers_with_known_core_carry(self):
         grid_small = _dataset(31, 1000, 2, 4.0)

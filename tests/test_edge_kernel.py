@@ -4,26 +4,26 @@ The contract under test (see ``repro/core/edgekernel.py``): the staged,
 batched edge-resolution kernel must produce labels **byte-identical** to
 the reference per-pair loop (``tests/oracles/loops.py``) on every path that
 consumes it — serial exact/approx across bcp strategies and rho values,
-parallel shards, and
-preunion-seeded sweep steps.  On top of the end-to-end oracle, the stage
-certificates are validated directly against the exact edge list: stage A
-may accept only true edges, stage B may reject only non-edges.
+``workers>1`` pipeline runs, and preunion-seeded sweep steps.  On top of
+the end-to-end oracle, the stage certificates are validated directly
+against the exact edge list: stage A may accept only true edges, stage B
+may reject only non-edges.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.algorithms.approx import approx_dbscan
+from repro.algorithms.exact_grid import exact_grid_dbscan
 from repro.core import cellgraph as cg
-from repro.core.edgekernel import cell_arrays, classify_pairs, resolve_edges
+from repro.core.edgekernel import cell_arrays, classify_pairs
 from repro.core.labeling import label_cores
 from repro.engine import ClusteringEngine, StructureCache
 from repro.grid.cells import Grid
-from repro.parallel.executor import (
-    ParallelConfig,
-    parallel_approx_components,
-    parallel_exact_components,
-)
-from repro.utils.unionfind import DenseUnionFind
+from repro.parallel import ParallelConfig
+from repro.runtime.pipeline import PipelineHooks
 
 from .oracles import loops
 
@@ -92,14 +92,27 @@ class TestPreunionOracle:
                 assert np.array_equal(result.labels, fresh.labels), (algorithm, eps)
 
 
+def _pooled_components(run, grid, min_pts, workers, **hook_kwargs):
+    """The ``(labels, k)`` a ``workers>1`` pipeline run hands its hook.
+
+    Core labeling fans out over the pool; connectivity then runs in the
+    parent on the merged mask, so its labels must equal the loop's.
+    """
+    seen = {}
+    hooks = PipelineHooks(on_phase=seen.__setitem__, **hook_kwargs)
+    cfg = ParallelConfig(workers=workers, min_points=0)
+    result = run(grid.points, grid.eps, min_pts, workers=cfg, hooks=hooks)
+    assert result.meta["workers"] == workers
+    return seen["components"]
+
+
 class TestParallelOracle:
     def test_workers_match_serial_loop(self):
         grid, core = _dataset(7, 1200, 2, 6.0, 5)
-        cfg = ParallelConfig(workers=3, min_points=0)
         ref_e = loops.exact_components(grid, core)
         ref_a = loops.approx_components(grid, core, 0.1)
-        par_e = parallel_exact_components(grid, core, cfg)
-        par_a = parallel_approx_components(grid, core, cfg, 0.1)
+        par_e = _pooled_components(exact_grid_dbscan, grid, 5, 3)
+        par_a = _pooled_components(partial(approx_dbscan, rho=0.1), grid, 5, 3)
         assert np.array_equal(par_e[0], ref_e[0]) and par_e[1] == ref_e[1]
         assert np.array_equal(par_a[0], ref_a[0]) and par_a[1] == ref_a[1]
 
@@ -107,8 +120,7 @@ class TestParallelOracle:
         grid, core = _dataset(8, 1000, 2, 6.0, 5)
         seed = loops.edge_list_exact(grid, core)[::2]
         ref = loops.exact_components(grid, core)
-        cfg = ParallelConfig(workers=2, min_points=0)
-        par = parallel_exact_components(grid, core, cfg, preunion=seed)
+        par = _pooled_components(exact_grid_dbscan, grid, 5, 2, preunion=seed)
         assert np.array_equal(par[0], ref[0]) and par[1] == ref[1]
 
 
@@ -149,21 +161,6 @@ class TestStageCertificates:
 
 
 class TestKernelInternals:
-    def test_resolve_edges_reports_spanning_unions(self):
-        grid, core = _dataset(13, 500, 2, 7.0, 4)
-        cells = cg.core_cells(grid, core)
-        arrays = cell_arrays(grid.points, cells)
-        _, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
-        uf = DenseUnionFind(len(arrays))
-        edge = cg.exact_edge_predicate(grid, cells)
-        unions = resolve_edges(grid.points, grid.eps, arrays, ii, jj, uf, edge)
-        # Every reported union is a distinct candidate pair, and the
-        # union count is exactly the number of merges the forest saw.
-        assert len(unions) == len(set(unions))
-        assert len(unions) == len(arrays) - uf.n_components
-        # Re-running against the now-connected forest yields nothing new.
-        assert resolve_edges(grid.points, grid.eps, arrays, ii, jj, uf, edge) == []
-
     def test_exact_predicate_structure_seeding(self):
         grid, core = _dataset(14, 500, 2, 7.0, 4)
         cells = cg.core_cells(grid, core)

@@ -1,9 +1,9 @@
-"""Differential oracle for the sharded parallel pipeline.
+"""Differential oracle for the parallel pipeline.
 
 The parallel executor promises *identical* output to the serial run — not
 merely permutation-equivalent clusters but the very same label array (the
-stitching forest registers core cells in the serial insertion order, so
-``component_labels()`` assigns the same first-appearance ids).  This suite
+cores fan-out merges disjoint flag writes into the same mask the serial
+pass computes, and every later phase runs the serial code).  This suite
 holds it to that promise on randomized seed-spreader data (d in {2, 3, 5}),
 2-D shape datasets, several eps values including near-collapse radii, and
 worker counts {1, 2, 4} — and cross-checks everything against the O(n^2)
@@ -24,7 +24,7 @@ from repro.api import dbscan
 from repro.data.seed_spreader import seed_spreader
 from repro.data.shapes import rings, two_moons
 from repro.errors import ParameterError, TimeoutExceeded
-from repro.parallel import ParallelConfig, leaked_segments, shard_cells, split_pairs
+from repro.parallel import ParallelConfig, leaked_segments, shard_cells
 from repro.parallel import worker as worker_mod
 from repro.parallel.executor import as_parallel_config, effective_workers
 from repro.runtime.deadline import Deadline
@@ -243,16 +243,6 @@ class TestShardHelpers:
         shards = shard_cells(cells, 8, {c: 1 for c in cells})
         assert [c for s in shards for c in s] == sorted(cells)
 
-    def test_split_pairs_preserves_orientation(self):
-        owner = {(0, 0): 0, (0, 1): 0, (5, 5): 1}
-        pairs = [((0, 0), (0, 1)), ((5, 5), (0, 1)), ((0, 1), (5, 5))]
-        intra, boundary = split_pairs(pairs, owner, 2)
-        assert intra[0] == [((0, 0), (0, 1))]
-        assert intra[1] == []
-        # Boundary pairs keep their original orientation — the approximate
-        # edge predicate is direction-sensitive in the don't-care zone.
-        assert boundary == [((5, 5), (0, 1)), ((0, 1), (5, 5))]
-
 
 class TestWorkerGuards:
     def test_worker_deadline_trips(self):
@@ -288,3 +278,48 @@ class TestWorkerGuards:
         assert worker_mod._CTX is None
         with pytest.raises(RuntimeError):
             worker_mod.cores_task([])
+
+
+class TestKernelCountersUnderWorkers:
+    """``meta["kernel_counters"]`` of a ``workers>1`` run.
+
+    Connectivity and border assignment run in the parent, so their
+    ``edge_*`` / ``border_*`` counters must equal the serial run's and keep
+    the funnel identities.  The ``core_*`` counters of pooled shards still
+    stay in the worker processes (workers do not yet return counter deltas
+    with their shard results), so they are not compared here.
+    """
+
+    def test_edge_and_border_counters_match_serial(self):
+        pts = np.random.default_rng(60).uniform(0.0, 400.0, size=(6000, 3))
+        serial = dbscan(pts, 25.0, 10, algorithm="grid", workers=1)
+        pooled = dbscan(
+            pts, 25.0, 10, algorithm="grid",
+            workers=ParallelConfig(workers=2, min_points=1),
+        )
+        assert pooled.meta["workers"] == 2
+        assert np.array_equal(serial.labels, pooled.labels)
+
+        def funnel(result):
+            counters = result.meta.get("kernel_counters", {})
+            return {
+                k: v for k, v in counters.items()
+                if k.startswith(("edge_", "border_"))
+            }
+
+        got = funnel(pooled)
+        assert got == funnel(serial)
+        assert got["edge_pairs_total"] > 0 and got.get("edge_survivors", 0) > 0
+        assert got["edge_pairs_total"] == (
+            got.get("edge_quick_accept", 0)
+            + got.get("edge_quick_reject", 0)
+            + got.get("edge_survivors", 0)
+            + got.get("edge_connected_skip", 0)
+        )
+        assert got.get("edge_survivors", 0) == (
+            got.get("edge_scheduled_skip", 0) + got.get("edge_predicate_tests", 0)
+        )
+        assert got["border_points_total"] == int((~pooled.core_mask).sum())
+        assert got["border_points_total"] == (
+            got.get("border_assigned", 0) + got.get("border_noise", 0)
+        )

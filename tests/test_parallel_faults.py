@@ -6,7 +6,10 @@ against the serial oracle: recovery is only correct if the output is
 Faults are injected via :mod:`repro.runtime.faultinject`, which addresses
 shards as ``(phase, shard_seq)`` and coordinates once-only kill/hang
 firings across processes, so the retry after recovery succeeds
-deterministically.  :class:`TestRandomizedStress` adds seeded random
+deterministically.  Core labeling is the only phase that fans out, so
+every fault is aimed at ``cores`` shards — a fault aimed at any other
+phase would never fire — and each test also checks that the supervisor
+ledger recorded it.  :class:`TestRandomizedStress` adds seeded random
 datasets under random kill / hang / poison schedules.
 """
 
@@ -50,6 +53,14 @@ def assert_identical(serial_result, recovered, name):
         ), f"{name}: border point {idx} has different memberships"
 
 
+def ledger_names(sup, phase, shard):
+    """True when the supervisor ledger retried or quarantined that shard."""
+    return any(
+        entry["phase"] == phase and entry["shard"] == shard
+        for entry in sup["retries"] + sup["quarantined"]
+    )
+
+
 def cfg(**overrides):
     defaults = dict(workers=2, min_points=0, shard_timeout=5.0)
     defaults.update(overrides)
@@ -58,15 +69,14 @@ def cfg(**overrides):
 
 class TestWorkerCrashRecovery:
     def test_kill_one_worker_per_phase(self, points, serial):
-        with inject_faults(
-            kill_shards=[("cores", 0), ("components", 0), ("borders", 0)]
-        ) as plan:
+        # Cores is the one fan-out phase: kill a worker on two of its shards.
+        with inject_faults(kill_shards=[("cores", 0), ("cores", 2)]) as plan:
             recovered = dbscan(points, EPS, MIN_PTS, algorithm="grid", workers=cfg())
-            assert plan.worker_faults_fired("kill") >= 1
+            assert plan.worker_faults_fired("kill") == 2
         assert_identical(serial, recovered, "kill-per-phase")
         sup = recovered.meta["supervisor"]
         assert sup["respawns"] >= 1
-        assert len(sup["retries"]) >= 1
+        assert ledger_names(sup, "cores", 0) and ledger_names(sup, "cores", 2)
 
     def test_fault_free_run_records_zero_events(self, points, serial):
         recovered = dbscan(points, EPS, MIN_PTS, algorithm="grid", workers=cfg())
@@ -83,14 +93,19 @@ class TestWorkerCrashRecovery:
 
 class TestHangDetection:
     def test_hung_shard_times_out_and_retry_succeeds(self, points, serial):
-        with inject_faults(hang_shards=[("borders", 0)], hang_seconds=30.0):
+        with inject_faults(hang_shards=[("cores", 0)], hang_seconds=30.0) as plan:
             recovered = dbscan(
                 points, EPS, MIN_PTS, algorithm="grid", workers=cfg(shard_timeout=0.5)
             )
+            assert plan.worker_faults_fired("hang") == 1
         assert_identical(serial, recovered, "hang")
         sup = recovered.meta["supervisor"]
         assert sup["timeouts"] >= 1
         assert sup["respawns"] >= 1
+        assert any(
+            r["phase"] == "cores" and r["shard"] == 0 and r["reason"] == "timeout"
+            for r in sup["retries"]
+        )
 
 
 class TestQuarantine:
@@ -161,7 +176,7 @@ class TestRandomizedStress:
     by the CI fault-injection job alongside the deterministic suite.
     """
 
-    PHASES = ("cores", "components", "borders")
+    PHASES = ("cores",)
     FAULTS = ("kill", "hang", "poison", "none")
 
     @pytest.mark.parametrize("round_seed", range(5))
@@ -190,17 +205,20 @@ class TestRandomizedStress:
             shard_timeout=0.75 if fault == "hang" else 5.0,
             max_shard_retries=1,
         )
-        with inject_faults(**schedule):
-            result = dbscan(pts, eps, min_pts, algorithm="grid", workers=par)
         name = f"stress[{round_seed}] n={n} d={d} fault={fault}@{phase}/{shard}"
+        with inject_faults(**schedule) as plan:
+            result = dbscan(pts, eps, min_pts, algorithm="grid", workers=par)
+            if fault in ("kill", "hang"):
+                assert plan.worker_faults_fired(fault) == 1, f"{name}: fault never fired"
         assert_identical(oracle, result, name)
+        assert result.meta["workers"] == 2, f"{name}: the pool never ran"
         sup = result.meta["supervisor"]
-        if fault in ("kill", "hang") and result.meta["workers"] > 1:
+        if fault in ("kill", "hang"):
             assert sup["respawns"] >= 1 or sup["timeouts"] >= 1, (
                 f"{name}: supervisor ledger recorded no recovery"
             )
-        if fault == "poison" and result.meta["workers"] > 1:
-            assert sup["quarantined"] or sup["retries"], (
-                f"{name}: poison left no supervisor trace"
+        if fault != "none":
+            assert ledger_names(sup, phase, shard), (
+                f"{name}: supervisor ledger does not name the faulted shard"
             )
         assert leaked_segments() == [], f"{name}: leaked /dev/shm segments"

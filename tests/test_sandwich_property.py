@@ -13,7 +13,7 @@ radii:
 The oracle is the O(n^2) brute-force algorithm at eps and at eps(1+rho).
 The property is exercised for *random* eps and rho via hypothesis and for
 fixed paper-flavoured configurations, against both the serial and the
-sharded parallel approx pipelines — the approximation guarantee must
+``workers>1`` approx pipelines — the approximation guarantee must
 survive parallelisation, not just label equality.
 """
 
@@ -124,5 +124,5 @@ class TestSandwichRandomised:
         result = parallel_approx(pts, eps, 8, rho)
         assert_sandwiched(pts, eps, 8, rho, result)
         # And the parallel approx path must agree with the serial one
-        # exactly — same edge decisions, same stitching order.
+        # exactly — same core mask, same edge decisions.
         assert np.array_equal(result.labels, serial_approx(pts, eps, 8, rho).labels)

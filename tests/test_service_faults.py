@@ -77,7 +77,7 @@ class TestWorkerFaultsThroughService:
         self, client, serial
     ):
         with inject_faults(
-            hang_shards=[("borders", 0)], hang_seconds=30.0
+            hang_shards=[("cores", 0)], hang_seconds=30.0
         ) as plan:
             result = client.cluster(
                 "blobs", EPS, MIN_PTS,
