@@ -101,7 +101,8 @@ def assign_borders(
     if len(soa) > 1:
         np.cumsum(core_counts[:-1], out=core_offsets[1:])
 
-    adj_counts = soa.adj_counts(live_ids)
+    adjacency = grid.adjacency()
+    adj_counts = adjacency.counts(live_ids)
     entry_len = adj_counts + 1
     entry_ptr = np.zeros(len(live_ids), dtype=np.int64)
     np.cumsum(entry_len[:-1], out=entry_ptr[1:])
@@ -110,7 +111,7 @@ def assign_borders(
     rest = np.ones(len(entries), dtype=bool)
     rest[entry_ptr] = False
     entries[rest] = _take_ranges(
-        soa.adj_indices, soa.adj_indptr[live_ids], adj_counts
+        adjacency.indices, adjacency.indptr[live_ids], adj_counts
     )
     entry_owner = np.repeat(np.arange(len(live_ids)), entry_len)
     cand_len = np.bincount(

@@ -11,10 +11,11 @@ staged, vectorised passes over the grid's dense cell arrays.  This module
 holds what both passes share:
 
 * :class:`GridSoA` / :func:`grid_soa` — the dense structure-of-arrays view
-  of a grid's cells and eps-neighbour adjacency, cached per grid;
-* the range, size-class and tile helpers that turn CSR rows into padded,
+  of a grid's cells, cached per grid (the eps-neighbour adjacency is the
+  grid's own CSR, :meth:`Grid.adjacency`, in the same cell ids);
+* the size-class and tile helpers that turn CSR rows into padded,
   batched distance blocks (padding waste < 2x, tiles bounded by the
-  shared chunk budget);
+  shared chunk budget), next to the grid's ``_take_ranges``;
 * :class:`BorderAssignments` — the CSR result type of the border pass.
 
 Both passes compute exactly the predicate of the per-cell references in
@@ -40,12 +41,12 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.geometry import distance as dm
-from repro.grid.cells import CellCoord, Grid, _CSRAdjacency
+from repro.grid.cells import CellCoord, Grid, _take_ranges
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 #: Attribute name under which the per-grid dense arrays are cached on the
-#: :class:`Grid` instance.  A grid's cells and adjacency are immutable
+#: :class:`Grid` instance.  A grid's cells are immutable
 #: once built, so the cache never invalidates; shard workers calling the
 #: kernel once per shard reuse it instead of rebuilding per task.
 _SOA_ATTR = "_corekernel_soa"
@@ -53,15 +54,16 @@ _SOA_ATTR = "_corekernel_soa"
 
 @dataclass
 class GridSoA:
-    """Dense structure-of-arrays view of a grid's cells and adjacency.
+    """Dense structure-of-arrays view of a grid's cells.
 
-    Cell ids are positions in the grid's cell insertion order.  ``cat`` is
-    the concatenation of every cell's point-index array in that order
-    (cell ``t`` owns ``cat[offsets[t] : offsets[t] + sizes[t]]``);
-    ``adj_indptr`` / ``adj_indices`` are the CSR rows of the eps-neighbour
-    cell adjacency in the same id space, preserving each row's neighbour
-    order.  ``point_sq`` caches every point's squared norm for the
-    expanded-form distance tiles.
+    Cell ids are positions in the grid's cell insertion order — the id
+    space of the grid's CSR adjacency (:meth:`Grid.adjacency`), which the
+    kernels read from the grid itself, so a caller that only needs the
+    cell layout (the sweep's pre-union carry) never triggers the
+    adjacency build.  ``cat`` is the concatenation of every cell's
+    point-index array in that order (cell ``t`` owns
+    ``cat[offsets[t] : offsets[t] + sizes[t]]``).  ``point_sq`` caches
+    every point's squared norm for the expanded-form distance tiles.
     """
 
     keys: List[CellCoord]
@@ -69,15 +71,16 @@ class GridSoA:
     sizes: np.ndarray
     offsets: np.ndarray
     cat: np.ndarray
-    adj_indptr: np.ndarray
-    adj_indices: np.ndarray
     point_sq: np.ndarray
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def adj_counts(self, ids: np.ndarray) -> np.ndarray:
-        return self.adj_indptr[ids + 1] - self.adj_indptr[ids]
+    def point_cells(self) -> np.ndarray:
+        """Dense cell id of every point, inverted from the ``cat`` layout."""
+        out = np.empty(len(self.point_sq), dtype=np.int64)
+        out[self.cat] = np.repeat(np.arange(len(self.keys), dtype=np.int64), self.sizes)
+        return out
 
 
 def grid_soa(grid: Grid) -> GridSoA:
@@ -91,10 +94,7 @@ def grid_soa(grid: Grid) -> GridSoA:
     points = grid.points
     point_sq = np.einsum("ij,ij->i", points, points)
     if m == 0:
-        soa = GridSoA(
-            keys, index, _EMPTY, _EMPTY.copy(), _EMPTY.copy(),
-            np.zeros(1, dtype=np.int64), _EMPTY.copy(), point_sq,
-        )
+        soa = GridSoA(keys, index, _EMPTY, _EMPTY.copy(), _EMPTY.copy(), point_sq)
         setattr(grid, _SOA_ATTR, soa)
         return soa
     sizes = np.fromiter(
@@ -103,41 +103,9 @@ def grid_soa(grid: Grid) -> GridSoA:
     offsets = np.zeros(m, dtype=np.int64)
     np.cumsum(sizes[:-1], out=offsets[1:])
     cat = np.concatenate(list(grid.cells.values()))
-    adjacency = grid._ensure_adjacency()
-    if isinstance(adjacency, _CSRAdjacency) and adjacency.keys == keys:
-        adj_indptr = np.asarray(adjacency.indptr, dtype=np.int64)
-        adj_indices = np.asarray(adjacency.indices, dtype=np.int64)
-    else:
-        # All-pairs adjacency (high d) stores per-cell lists in a dict;
-        # repack into CSR once — the only per-cell Python work the staged
-        # kernels ever do, paid a single time per grid.
-        rows = [adjacency[c] for c in keys]
-        adj_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in rows], out=adj_indptr[1:])
-        flat = [index[c] for row in rows for c in row]
-        adj_indices = np.asarray(flat, dtype=np.int64)
-    soa = GridSoA(
-        keys, index, sizes, offsets, cat, adj_indptr, adj_indices, point_sq
-    )
+    soa = GridSoA(keys, index, sizes, offsets, cat, point_sq)
     setattr(grid, _SOA_ATTR, soa)
     return soa
-
-
-def _take_ranges(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenate ``values[starts[i] : starts[i] + lengths[i]]``, vectorised.
-
-    The ranges-to-indices expansion that replaces every per-cell
-    ``np.concatenate`` loop: one ``repeat`` + one ``arange`` regardless of
-    how many ranges are being flattened.
-    """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=values.dtype)
-    row = np.repeat(np.arange(len(starts)), lengths)
-    prefix = np.zeros(len(starts), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=prefix[1:])
-    inner = np.arange(total, dtype=np.int64) - prefix[row]
-    return values[starts[row] + inner]
 
 
 def _work_cell_ids(
@@ -162,12 +130,7 @@ def _work_cell_ids(
         unknown = np.nonzero(~known_core)[0]
         if len(unknown) == 0:
             return _EMPTY, True
-        # point -> dense cell id, inverted from the concatenation layout.
-        point_cell = np.empty(len(grid.points), dtype=np.int64)
-        point_cell[soa.cat] = np.repeat(
-            np.arange(len(soa), dtype=np.int64), soa.sizes
-        )
-        return np.unique(point_cell[unknown]), True
+        return np.unique(soa.point_cells()[unknown]), True
     return np.arange(len(soa), dtype=np.int64), False
 
 

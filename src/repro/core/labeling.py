@@ -132,10 +132,10 @@ def label_cores(
 
     # Flatten the (cell, neighbour-cell) CSR adjacency into one
     # neighbour-point list per live sparse cell.
-    nb_cells = _take_ranges(
-        soa.adj_indices, soa.adj_indptr[live_ids], soa.adj_counts(live_ids)
-    )
-    nb_owner = np.repeat(np.arange(len(live_ids)), soa.adj_counts(live_ids))
+    adjacency = grid.adjacency()
+    nb_counts = adjacency.counts(live_ids)
+    nb_cells = _take_ranges(adjacency.indices, adjacency.indptr[live_ids], nb_counts)
+    nb_owner = np.repeat(np.arange(len(live_ids)), nb_counts)
     nb_sizes = soa.sizes[nb_cells]
     nlen = np.bincount(nb_owner, weights=nb_sizes, minlength=len(live_ids)).astype(np.int64)
     nbr_flat = _take_ranges(soa.cat, soa.offsets[nb_cells], nb_sizes)

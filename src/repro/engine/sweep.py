@@ -33,6 +33,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.corekernel import grid_soa
 from repro.core.result import Clustering
 from repro.errors import ParameterError
 from repro.grid.cells import CellCoord, Grid
@@ -78,16 +79,17 @@ def preunion_pairs(prev: Clustering, grid: Grid) -> List[Pair]:
     core_idx = np.nonzero(prev.core_mask)[0]
     if len(core_idx) == 0:
         return []
-    # One unique pass over (label, cell-coord) rows replaces the per-point
-    # Python loop: rows come out lexicographically sorted, so each
-    # cluster's distinct cells are contiguous and chaining them is a pair
-    # per consecutive same-label row.
-    rows = np.concatenate(
-        [prev.labels[core_idx][:, None], grid.point_cells[core_idx]], axis=1
-    )
-    uniq = np.unique(rows, axis=0)
-    if len(uniq) < 2:
-        return []
-    same_label = np.nonzero(uniq[1:, 0] == uniq[:-1, 0])[0]
-    cells = list(map(tuple, uniq[:, 1:].tolist()))
-    return [(cells[i], cells[i + 1]) for i in same_label.tolist()]
+    # One sort of packed (label, cell id) keys replaces the per-point
+    # Python loop: cell ids follow lexicographic cell order, so the keys
+    # sort exactly like (label, cell-coord) rows, each cluster's distinct
+    # cells come out contiguous, and chaining them is a pair per
+    # consecutive same-label key.
+    soa = grid_soa(grid)
+    m = len(soa)
+    labels = prev.labels[core_idx].astype(np.int64)
+    packed = np.unique(labels * m + soa.point_cells()[core_idx])
+    label, cell = np.divmod(packed, m)
+    same_label = np.nonzero(label[1:] == label[:-1])[0]
+    keys = soa.keys
+    cell = cell.tolist()
+    return [(keys[cell[i]], keys[cell[i + 1]]) for i in same_label.tolist()]

@@ -10,8 +10,11 @@ hyper-squares with side length ``eps / sqrt(d)``.  Two facts drive every use:
   (21 in 2D, as the paper notes).
 
 :class:`Grid` maps points to integer cell coordinates, groups point indices
-per non-empty cell, and enumerates eps-neighbour cells via a cached offset
-table shared across instances.
+per non-empty cell, and builds the eps-neighbour adjacency of the non-empty
+cells once, in CSR form, with whichever of two builders has less to do:
+the *offset probe* (one membership pass over the cells per entry of the
+cached offset table) or the *coarse-bucket join* (cells bucketed by
+``coords // reach``, candidate pairs drawn only from adjacent buckets).
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
+from repro.config import chunk_budget
 from repro.errors import ParameterError
+from repro.grid import counters
 
 CellCoord = Tuple[int, ...]
 
@@ -93,14 +98,11 @@ class Grid:
         self.point_cells = coords
         self._cells: Dict[CellCoord, np.ndarray] = _group_by_rows(coords)
         self._offsets = neighbor_offsets(self.eps, self.side, d)
-        # In high dimensions the offset table explodes (~257k entries for
-        # d = 7, ~1.6k for d = 4) far past the number of non-empty cells;
-        # there, probing offsets is hopeless and a (chunked, vectorised)
-        # all-pairs box-distance computation builds the full adjacency map
-        # instead.  Built lazily on first neighbour query.
-        self._adjacency: Dict[CellCoord, List[CellCoord]] | _CSRAdjacency | None = None
-        m = len(self._cells)
-        self._use_allpairs = len(self._offsets) > 4 * max(m, 64)
+        # The offset table grows fast with d (841 entries at d = 4, 6,095
+        # at d = 5, 257,675 at d = 7) whatever the number of non-empty
+        # cells; :meth:`_build_adjacency` picks the builder that scales
+        # with the cells instead.  Built lazily on first neighbour query.
+        self._adjacency: _CSRAdjacency | None = None
 
     # ------------------------------------------------------------- inspection
 
@@ -126,116 +128,67 @@ class Grid:
 
     # ------------------------------------------------------------- neighbours
 
-    def _ensure_adjacency(self):
-        """Build (once) the full cell-adjacency map.
+    def adjacency(self) -> _CSRAdjacency:
+        """The eps-neighbour cell adjacency in CSR form, built once per grid.
 
-        Low dimensions use the vectorised offset probe and store the map in
-        CSR form (index arrays, no per-cell Python lists); the high-``d``
-        regime, where the offset table dwarfs the cell count, falls back to
-        all-pairs box tests (:meth:`_adjacency_all_pairs`) and a plain dict.
-        :meth:`neighbor_cells` reads either representation.
+        Cell ids are positions in the grid's cell order (lexicographic by
+        coordinate), the id space of the staged kernels' ``GridSoA``.
         """
-        if self._adjacency is not None:
-            return self._adjacency
-        if self._use_allpairs:
-            self._adjacency = self._adjacency_all_pairs()
-        else:
-            self._adjacency = self._adjacency_from_offsets()
+        if self._adjacency is None:
+            self._adjacency = self._build_adjacency()
         return self._adjacency
 
-    def _adjacency_from_offsets(self) -> "_CSRAdjacency":
-        """CSR adjacency via the vectorised offset probe.
+    def _build_adjacency(self) -> _CSRAdjacency:
+        """Build the CSR adjacency with the builder that has less to do.
 
-        Each cell's neighbours come out in offset-table order — the same
-        order the old per-cell probing loop yielded them in, which callers
-        that scan neighbours lazily (labeling early-exit) may observe.
+        The offset probe does ``m x |offsets|`` packed-key lookups however
+        few cells exist; the coarse-bucket join does one lookup per
+        (bucket, adjacent bucket) and then checks ``C`` candidate cell
+        pairs against the offset table, where ``C`` — the ordered pairs of
+        cells in adjacent buckets — is read off the bucket counts before
+        any expansion.  The
+        join runs when ``C < _JOIN_RATIO * m * |offsets|``: sparse and
+        high-``d`` grids.  Dense low-``d`` grids keep the probe.  Both keep
+        exactly the pairs of cells whose offset is in the offset table;
+        only the order inside a row differs (offset-table order for the
+        probe, candidate order for the join), and no consumer depends on
+        it.  Reported through the ``adjacency_*`` kernel counters.
         """
         keys = list(self._cells.keys())
         index = {c: t for t, c in enumerate(keys)}
         m = len(keys)
         if m < 2:
-            return _CSRAdjacency(
-                keys, np.zeros(m + 1, dtype=np.int64), _EMPTY_IDX, index
-            )
+            return _CSRAdjacency(keys, np.zeros(m + 1, dtype=np.int64), _EMPTY_IDX, index)
         coords = np.asarray(keys, dtype=np.int64).reshape(m, self.dim)
-        nonzero = self._offsets[(self._offsets != 0).any(axis=1)]
-        i_parts: List[np.ndarray] = []
-        j_parts: List[np.ndarray] = []
-        for i_arr, j_arr in self._iter_offset_hits(coords, nonzero):
-            i_parts.append(i_arr)
-            j_parts.append(j_arr)
-        if not i_parts:
-            return _CSRAdjacency(
-                keys, np.zeros(m + 1, dtype=np.int64), _EMPTY_IDX, index
-            )
-        ii = np.concatenate(i_parts)
-        jj = np.concatenate(j_parts)
-        # Stable sort by source cell keeps each row in offset-table order
-        # (the concatenation order of the per-offset hit arrays).
-        order = np.argsort(ii, kind="stable")
-        indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(ii, minlength=m))]
-        ).astype(np.int64)
-        return _CSRAdjacency(keys, indptr, jj[order], index)
-
-    def _iter_offset_hits(
-        self, coords: np.ndarray, offsets: np.ndarray
-    ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Per offset, index arrays ``(i, j)`` with ``coords[i] + off == coords[j]``.
-
-        One scalar membership test per offset replaces ``|coords| x
-        |offsets|`` dictionary probes: rows are packed into mixed-radix
-        int64 keys (the radix is padded by the offset reach, so every
-        shifted coordinate stays in range and a shift is a single scalar
-        addition on the packed keys), with a structured-dtype row view as
-        the overflow fallback.  Offsets that hit nothing are skipped.
-        """
         reach = int(np.abs(self._offsets).max())
-        lo = coords.min(axis=0) - reach
-        spans = coords.max(axis=0) + reach + 1 - lo
-        if float(np.prod(spans.astype(np.float64))) < 2.0 ** 62:
-            rev = np.concatenate([[1], np.cumprod(spans[::-1][:-1])])
-            mults = rev[::-1]
-            base = (coords - lo) @ mults
-            shifts = [int(off @ mults) for off in offsets]
-        else:  # packed keys would overflow: fall back to structured rows
-            base = _row_view(coords)
-            shifts = None
-        order = np.argsort(base, kind="stable")
-        sorted_keys = base[order]
-        last = len(sorted_keys) - 1
-        for k, off in enumerate(offsets):
-            shifted = base + shifts[k] if shifts is not None else _row_view(coords + off)
-            pos = np.searchsorted(sorted_keys, shifted)
-            np.minimum(pos, last, out=pos)
-            hit = np.nonzero(sorted_keys[pos] == shifted)[0]
-            if len(hit):
-                yield hit, order[pos[hit]]
-
-    def _adjacency_all_pairs(self) -> Dict[CellCoord, List[CellCoord]]:
-        """Adjacency lists for every cell, by vectorised box tests.
-
-        Chunked so the ``rows x cells`` distance blocks stay a few million
-        elements regardless of the cell count.
-        """
-        keys = list(self._cells.keys())
-        coords = np.asarray(keys, dtype=np.int64).reshape(len(keys), self.dim)
-        limit = self.eps * self.eps * (1.0 + 1e-9)
-        out: Dict[CellCoord, List[CellCoord]] = {}
-        sub = max(1, 2_000_000 // max(len(keys) * self.dim, 1))
-        for start in range(0, len(keys), sub):
-            block = coords[start:start + sub]
-            gaps = (np.maximum(np.abs(block[:, None, :] - coords[None, :, :]) - 1, 0)
-                    * self.side)
-            ok = np.einsum("bmd,bmd->bm", gaps, gaps) <= limit
-            for bi, key in enumerate(keys[start:start + sub]):
-                out[key] = [keys[j] for j in np.nonzero(ok[bi])[0] if keys[j] != key]
-        return out
+        plan = _BucketPlan(coords, reach)
+        probe_work = m * len(self._offsets)
+        counters.add("adjacency_candidates", plan.candidates)
+        counters.add("adjacency_probe_work", probe_work)
+        if plan.candidates < _JOIN_RATIO * probe_work:
+            counters.add("adjacency_join", 1)
+            ii, jj = plan.join(coords, self._offsets)
+        else:
+            counters.add("adjacency_probe", 1)
+            nonzero = self._offsets[(self._offsets != 0).any(axis=1)]
+            hits = list(_offset_hits(coords, nonzero, reach))
+            ii = np.concatenate([h[0] for h in hits] or [_EMPTY_IDX])
+            jj = np.concatenate([h[1] for h in hits] or [_EMPTY_IDX])
+        counters.add("adjacency_entries", len(ii))
+        # Stable sort by source cell: each row keeps its builder's order.
+        order = np.argsort(ii, kind="stable")
+        indptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ii, minlength=m), out=indptr[1:])
+        return _CSRAdjacency(keys, indptr, jj[order], index)
 
     @property
     def uses_allpairs_adjacency(self) -> bool:
-        """True when adjacency comes from all-pairs box tests (high ``d``)."""
-        return self._use_allpairs
+        """Always False: the all-pairs adjacency regime no longer exists.
+
+        The coarse-bucket join replaced it (see :meth:`_build_adjacency`);
+        the property stays for benchmark code that still reads it.
+        """
+        return False
 
     def warm_neighbors(self) -> None:
         """Force the (cached) adjacency build *now*.
@@ -245,7 +198,7 @@ class Grid:
         workers so every worker inherits the warm table instead of each
         rebuilding it.
         """
-        self._ensure_adjacency()
+        self.adjacency()
 
     def neighbor_cells(self, cell: CellCoord, *, include_self: bool = False) -> Iterator[CellCoord]:
         """Yield the non-empty eps-neighbour cells of ``cell``.
@@ -258,11 +211,7 @@ class Grid:
         if cell in self._cells:
             if include_self:
                 yield cell
-            adjacency = self._ensure_adjacency()
-            if isinstance(adjacency, _CSRAdjacency):
-                yield from adjacency.row(cell)
-            else:
-                yield from adjacency[cell]
+            yield from self.adjacency().row(cell)
             return
         # A coordinate with no points has no adjacency row; probe offsets.
         base = np.asarray(cell, dtype=np.int64)
@@ -290,61 +239,209 @@ class Grid:
         ``(keys[i[t]], keys[j[t]])`` — the representation callers want when
         they post-filter pairs vectorised (e.g. dropping pairs whose
         endpoints a carried pre-union already connects) instead of paying
-        a Python-level yield per pair.  ``i``-side cells precede their
-        ``j`` partners lexicographically, matching the orientation contract
-        of :meth:`neighbor_cell_pairs`.
+        a Python-level yield per pair.  ``keys`` lists the cells (of
+        ``subset``, if given) in grid order.  The pairs are the cached
+        adjacency's entries ``a -> b`` with ``b > a``; cells are numbered
+        in lexicographic coordinate order, so every ``i``-side cell
+        precedes its ``j`` partner lexicographically — the orientation
+        contract of :meth:`neighbor_cell_pairs`.
         """
-        cells = self._cells
+        adjacency = self.adjacency()
+        m = len(adjacency.keys)
         if subset is None:
-            sub_keys = list(cells.keys())
+            ids = np.arange(m, dtype=np.int64)
         else:
-            allowed = set(map(tuple, subset))
-            sub_keys = [c for c in cells if c in allowed]
-        empty = np.empty(0, dtype=np.int64)
-        if len(sub_keys) < 2:
-            return sub_keys, empty, empty
-        if self._use_allpairs:
-            index = {c: t for t, c in enumerate(sub_keys)}
-            adjacency = self._ensure_adjacency()
-            ii: List[int] = []
-            jj: List[int] = []
-            for t, cell in enumerate(sub_keys):
-                for other in adjacency[cell]:
-                    u = index.get(other)
-                    if u is not None and cell < other:
-                        ii.append(t)
-                        jj.append(u)
-            return sub_keys, np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
-        coords = np.asarray(sub_keys, dtype=np.int64).reshape(len(sub_keys), self.dim)
-        positive = self._offsets[_positive_offset_mask(self._offsets)]
-        i_parts: List[np.ndarray] = []
-        j_parts: List[np.ndarray] = []
-        for i_arr, j_arr in self._iter_offset_hits(coords, positive):
-            i_parts.append(i_arr)
-            j_parts.append(j_arr)
-        if not i_parts:
-            return sub_keys, empty, empty
-        return sub_keys, np.concatenate(i_parts), np.concatenate(j_parts)
+            index = adjacency.index
+            ids = np.unique(np.fromiter(
+                (index[c] for c in map(tuple, subset) if c in index), dtype=np.int64
+            ))
+        sub_keys = [adjacency.keys[t] for t in ids.tolist()]
+        if len(ids) < 2:
+            return sub_keys, _EMPTY_IDX, _EMPTY_IDX
+        src = np.repeat(np.arange(m, dtype=np.int64), np.diff(adjacency.indptr))
+        dst = adjacency.indices
+        keep = dst > src
+        if len(ids) < m:
+            position = np.full(m, -1, dtype=np.int64)
+            position[ids] = np.arange(len(ids))
+            keep &= (position[src] >= 0) & (position[dst] >= 0)
+            return sub_keys, position[src[keep]], position[dst[keep]]
+        return sub_keys, src[keep], dst[keep]
 
     def neighbor_cell_pairs(self, subset=None) -> Iterator[Tuple[CellCoord, CellCoord]]:
         """Yield each unordered pair of distinct eps-neighbour cells once.
 
         ``subset`` optionally restricts both endpoints to a collection of
-        cells (e.g. the core cells when building the graph ``G``).
-        Deduplication uses the lexicographic order of the offset vector, so
-        the pair ``(c, c + o)`` is emitted only for positive offsets.
+        cells (e.g. the core cells when building the graph ``G``).  Each
+        pair comes out once, lexicographically smaller cell first.
         """
         keys, ii, jj = self.neighbor_cell_pair_arrays(subset)
         for i, j in zip(ii.tolist(), jj.tolist()):
             yield keys[i], keys[j]
 
 
+#: The coarse-bucket join builds the adjacency when its candidate count is
+#: below this fraction of the offset probe's ``m x |offsets|`` lookups.
+#: Measured on a 2-CPU Xeon: the 5-D to 7-D grids tried sit at ratios
+#: 0.0003-0.15, where the join beat the probe and the old all-pairs build
+#: by 3-40x; the dense 3-D and 4-D benchmark grids sit at 0.23-1.33 and
+#: keep the probe (at 1.33, a PAMAP2-like 4-D grid, the join was ~1.1x
+#: slower).
+_JOIN_RATIO = 0.2
+
+
+class _BucketPlan:
+    """Cells grouped into coarse buckets ``coords // reach``.
+
+    Two cells within an offset-table offset differ by at most ``reach``
+    per axis, so their buckets differ by at most one per axis: every
+    neighbour pair lies in one bucket or in two of the ``3^d`` adjacent
+    ones.  The plan lists those bucket pairs once each (one orientation,
+    found with the probe's packed-key lookup over the buckets), and
+    ``candidates`` is the number of ordered cell pairs they span,
+    self-pairs included — the join's work, comparable with the probe's
+    ``m x |offsets|``.
+    """
+
+    def __init__(self, coords: np.ndarray, reach: int) -> None:
+        m, d = coords.shape
+        self.reach = reach
+        buckets = coords // reach
+        self.order = np.lexsort(buckets.T[::-1])
+        ordered = buckets[self.order]
+        change = np.any(ordered[1:] != ordered[:-1], axis=1)
+        self.starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
+        self.counts = np.diff(np.append(self.starts, m))
+        # The 3^d bucket steps in lexicographic order; those after the zero
+        # step (the middle row) are the positive half, one per +/- pair.
+        steps = np.array(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"))
+        deltas = steps.reshape(d, -1).T[3 ** d // 2 + 1:]
+        within = np.arange(len(self.starts), dtype=np.int64)
+        hits = list(_offset_hits(ordered[self.starts], deltas, 1))
+        self.pu = np.concatenate([within] + [h[0] for h in hits])
+        self.pv = np.concatenate([within] + [h[1] for h in hits])
+        counts = self.counts
+        self.candidates = int(
+            2 * np.dot(counts[self.pu], counts[self.pv]) - np.dot(counts, counts)
+        )
+
+    def join(self, coords: np.ndarray, offsets: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Both orientations of every neighbour pair, as cell-id arrays.
+
+        Every cell of bucket ``u`` is expanded against bucket ``v`` (the
+        cells after it, when ``u == v``), in blocks whose gathered
+        coordinates stay within ``chunk_budget()`` entries, and a pair is
+        kept when its
+        offset is in ``offsets`` (the grid's offset table) — one lookup in
+        a dense membership box, so the join keeps exactly the probe's
+        pairs.
+        """
+        d = coords.shape[1]
+        r = self.reach
+        # Membership over [-(r + 1), r + 1]^d: clipping a candidate's
+        # offset into the box maps every offset beyond the reach (adjacent
+        # buckets reach 2r - 1) onto the outer shell, which holds no entry.
+        box = 2 * r + 3
+        radix = box ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        member = np.zeros(box ** d, dtype=bool)
+        member[(offsets + (r + 1)) @ radix] = True
+        local = np.ascontiguousarray(coords[self.order].T)  # axis-major, bucket order
+        positions = np.arange(len(coords), dtype=np.int64)
+        starts, counts = self.starts, self.counts
+        rows = counts[self.pu]
+        unit = np.repeat(np.arange(len(self.pu)), rows)
+        a_pos = _take_ranges(positions, starts[self.pu], rows)
+        u, v = self.pu[unit], self.pv[unit]
+        same = u == v
+        b_start = np.where(same, a_pos + 1, starts[v])
+        b_len = np.where(same, starts[u] + counts[u] - a_pos - 1, counts[v])
+        ends = np.cumsum(b_len)
+        block = max(1, chunk_budget() // d)
+        kept_a: List[np.ndarray] = []
+        kept_b: List[np.ndarray] = []
+        lo = 0
+        while lo < len(ends):
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + block, side="right")))
+            a = np.repeat(a_pos[lo:hi], b_len[lo:hi])
+            b = _take_ranges(positions, b_start[lo:hi], b_len[lo:hi])
+            # The candidates' packed box index, one axis at a time, so a
+            # block never holds more than a few length-k arrays.
+            flat = np.zeros(len(a), dtype=np.int64)
+            for axis in range(d):
+                col = local[axis]
+                diff = col[b] - col[a]
+                np.clip(diff, -(r + 1), r + 1, out=diff)
+                diff += r + 1
+                diff *= radix[axis]
+                flat += diff
+            ok = member[flat]
+            kept_a.append(a[ok])
+            kept_b.append(b[ok])
+            lo = hi
+        a = self.order[np.concatenate(kept_a or [_EMPTY_IDX])]
+        b = self.order[np.concatenate(kept_b or [_EMPTY_IDX])]
+        return np.concatenate([a, b]), np.concatenate([b, a])
+
+
+def _offset_hits(
+    coords: np.ndarray, offsets: np.ndarray, reach: int
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Per offset, index arrays ``(i, j)`` with ``coords[i] + off == coords[j]``.
+
+    One scalar membership test per offset replaces ``|coords| x
+    |offsets|`` dictionary probes: rows are packed into mixed-radix int64
+    keys (the radix is padded by ``reach`` — at least every offset
+    component's magnitude — so every shifted coordinate stays in range and
+    a shift is a single scalar addition on the packed keys), with a
+    structured-dtype row view as the overflow fallback.  Offsets that hit
+    nothing are skipped.
+    """
+    lo = coords.min(axis=0) - reach
+    spans = coords.max(axis=0) + reach + 1 - lo
+    if float(np.prod(spans.astype(np.float64))) < 2.0 ** 62:
+        rev = np.concatenate([[1], np.cumprod(spans[::-1][:-1])])
+        mults = rev[::-1]
+        base = (coords - lo) @ mults
+        shifts = [int(off @ mults) for off in offsets]
+    else:  # packed keys would overflow: fall back to structured rows
+        base = _row_view(coords)
+        shifts = None
+    order = np.argsort(base, kind="stable")
+    sorted_keys = base[order]
+    last = len(sorted_keys) - 1
+    for k, off in enumerate(offsets):
+        shifted = base + shifts[k] if shifts is not None else _row_view(coords + off)
+        pos = np.searchsorted(sorted_keys, shifted)
+        np.minimum(pos, last, out=pos)
+        hit = np.nonzero(sorted_keys[pos] == shifted)[0]
+        if len(hit):
+            yield hit, order[pos[hit]]
+
+
+def _take_ranges(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenate ``values[starts[i] : starts[i] + lengths[i]]``, vectorised.
+
+    The ranges-to-indices expansion that replaces every per-cell
+    ``np.concatenate`` loop: one ``repeat`` + one ``arange`` regardless of
+    how many ranges are being flattened.
+    """
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=values.dtype)
+    row = np.repeat(np.arange(len(starts)), lengths)
+    prefix = np.zeros(len(starts), dtype=np.int64)
+    np.cumsum(lengths[:-1], out=prefix[1:])
+    inner = np.arange(total, dtype=np.int64) - prefix[row]
+    return values[starts[row] + inner]
+
+
 class _CSRAdjacency:
     """Cell adjacency in compressed-sparse-row form.
 
     ``indices[indptr[t]:indptr[t + 1]]`` are the positions (into ``keys``)
-    of cell ``keys[t]``'s neighbours, in offset-table order.  Index arrays
-    instead of per-cell Python lists keep the build fully vectorised.
+    of cell ``keys[t]``'s neighbours.  Index arrays instead of per-cell
+    Python lists keep the build fully vectorised.
     """
 
     __slots__ = ("keys", "indptr", "indices", "index")
@@ -361,16 +458,15 @@ class _CSRAdjacency:
         self.indices = indices
         self.index = index
 
+    def counts(self, ids: np.ndarray) -> np.ndarray:
+        """Row lengths of the cells ``ids``."""
+        return self.indptr[ids + 1] - self.indptr[ids]
+
     def row(self, cell: CellCoord) -> Iterator[CellCoord]:
         t = self.index[cell]
         keys = self.keys
         for j in self.indices[self.indptr[t]:self.indptr[t + 1]].tolist():
             yield keys[j]
-
-    def __getitem__(self, cell: CellCoord) -> List[CellCoord]:
-        """Dict-style row access, so CSR can stand in for the all-pairs
-        adjacency dict."""
-        return list(self.row(cell))
 
 
 def _row_view(a: np.ndarray) -> np.ndarray:
@@ -382,15 +478,6 @@ def _row_view(a: np.ndarray) -> np.ndarray:
     """
     a = np.ascontiguousarray(a)
     return a.view([("", a.dtype)] * a.shape[1]).ravel()
-
-
-def _positive_offset_mask(offsets: np.ndarray) -> np.ndarray:
-    """Mask of lexicographically positive offsets (one direction per pair)."""
-    nonzero = offsets != 0
-    has_any = nonzero.any(axis=1)
-    first = np.argmax(nonzero, axis=1)
-    leading = offsets[np.arange(len(offsets)), first]
-    return has_any & (leading > 0)
 
 
 def _group_by_rows(coords: np.ndarray) -> Dict[CellCoord, np.ndarray]:

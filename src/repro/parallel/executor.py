@@ -5,11 +5,11 @@ inputs, so spatially contiguous cell shards run the serial
 :func:`~repro.core.labeling.label_cores` independently over a supervised
 ``multiprocessing.Pool`` and the parent writes each shard's flags into
 one global mask.  The core-cell connectivity, the border assignment and
-the all-pairs adjacency build run serially in the parent: measured on a
+the cell-adjacency build run serially in the parent: measured on a
 2-CPU host with 2 workers, components and borders lost to serial on
-every input and the adjacency build on 4 of 5 grids, because shipping
-and merging their results costs more than the work itself
-(``docs/PARALLEL.md``, "Phase by phase").
+every input and the (then all-pairs) adjacency build on 4 of 5 grids,
+because shipping and merging their results costs more than the work
+itself (``docs/PARALLEL.md``, "Phase by phase").
 
 The fan-out falls back to the serial implementation when the resolved
 worker count is 1, the input is below :attr:`ParallelConfig.min_points`,

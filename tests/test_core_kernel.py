@@ -68,10 +68,12 @@ class TestCoreOracle:
         assert label_cores(grid, 1).all()
 
     def test_allpairs_adjacency_regime(self):
-        # d=5 pushes the grid into the all-pairs dict adjacency fallback,
-        # which the staged kernel repacks into CSR once per grid.
+        # d=5 on a sparse grid: the coarse-bucket join (which replaced the
+        # all-pairs regime) builds the adjacency the staged kernel reads.
         grid = _dataset(4, 300, 5, 40.0)
-        assert grid.uses_allpairs_adjacency
+        before = counters.snapshot()
+        grid.warm_neighbors()
+        assert counters.delta_since(before).get("adjacency_join") == 1
         assert np.array_equal(
             label_cores(grid, 4),
             loops.label_cores(grid, 4),

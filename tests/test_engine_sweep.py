@@ -14,7 +14,10 @@ from repro import ClusteringEngine, StructureCache, approx_dbscan, dbscan
 from repro.engine import approx_carry_ok, ascending_order, preunion_pairs
 from repro.engine.cache import default_cache, estimate_structure_bytes
 from repro.errors import ParameterError
+from repro.grid.cells import Grid
 from repro.parallel import ParallelConfig
+
+from .oracles import sweep as sweep_oracle
 
 
 @pytest.fixture()
@@ -78,6 +81,17 @@ class TestSweepHelpers:
             l1 = {int(x) for x in labels[grid.cells[c1]] if x >= 0}
             l2 = {int(x) for x in labels[grid.cells[c2]] if x >= 0}
             assert l1 & l2
+
+    @pytest.mark.parametrize("eps_pair", [(25.0, 40.0), (40.0, 40.0), (10.0, 80.0)])
+    def test_preunion_pairs_match_row_unique_oracle(self, blob_points, eps_pair):
+        # The packed (label, cell id) sort must reproduce the structured-row
+        # np.unique formulation element for element, order included.
+        prev = dbscan(blob_points, eps_pair[0], 5, algorithm="grid")
+        grid = Grid(blob_points, eps_pair[1])
+        pairs = preunion_pairs(prev, grid)
+        assert pairs and pairs == sweep_oracle.preunion_pairs(prev, grid)
+        # Only the cell layout is read: the adjacency stays unbuilt.
+        assert grid._adjacency is None
 
 
 class TestStructureCache:
