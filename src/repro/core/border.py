@@ -151,12 +151,12 @@ def assign_borders(
             if deadline is not None:
                 deadline.check()  # one poll per tile, not per cell
             w = _tile_width(len(sel), grid.dim, width - pos)
-            tile = slice(pos, pos + w)
-            nbr_idx = padmat[q_rows][:, tile]
+            # Advanced row index plus a column slice: copies only the tile.
+            nbr_idx = padmat[q_rows, pos:pos + w]
             within = _gathered_sq_dists(
                 points, soa.point_sq, q_all[sel], nbr_idx
             ) <= sq_eps
-            within &= valid[q_rows][:, tile]
+            within &= valid[q_rows, pos:pos + w]
             r, c = np.nonzero(within)
             if len(r):
                 hit_q.append(q_all[sel[r]])

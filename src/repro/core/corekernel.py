@@ -134,20 +134,28 @@ def _work_cell_ids(
     return np.arange(len(soa), dtype=np.int64), False
 
 
-def _size_classes(lengths: np.ndarray) -> Iterator[np.ndarray]:
+def _size_classes(
+    lengths: np.ndarray, queries: Optional[np.ndarray] = None
+) -> Iterator[np.ndarray]:
     """Group positions by the power-of-two class of ``lengths``.
 
     Rows inside one class are padded to the class *maximum*, so the
-    padding waste is bounded by the class width (< 2x).  Classes come out
-    in ascending size order; zero-length rows are skipped entirely.
+    padding waste is bounded by the class width (< 2x).  With
+    ``queries`` (a second per-row extent, e.g. the query count of a
+    cell's block) the class is the pair of both power-of-two classes, so
+    the padding stays under 2x on each axis.  Classes come out in
+    ascending size order; rows with a zero length are skipped entirely.
     """
     if len(lengths) == 0:
         return
     cls = np.zeros(len(lengths), dtype=np.int64)
     positive = lengths > 0
     cls[positive] = np.frexp(lengths[positive].astype(np.float64))[1]
+    if queries is not None:
+        q_cls = np.frexp(np.asarray(queries, dtype=np.float64))[1]
+        cls = cls * 128 + q_cls  # int64 extents have exponents <= 64
     for c in np.unique(cls[positive]):
-        yield np.nonzero(cls == c)[0]
+        yield np.nonzero(positive & (cls == c))[0]
 
 
 def _padded_rows(

@@ -19,7 +19,8 @@ settles the bulk of the pairs with three staged, vectorised passes:
   from the rho-approximate rule (a point within ``eps`` is inside the
   Lemma 5 structure's mandatory-yes band), so accepting them is sound for
   both edge predicates.  Accepted edges are merged into an array-backed
-  :class:`~repro.utils.unionfind.DenseUnionFind` in one batch.
+  :class:`~repro.utils.unionfind.DenseUnionFind` in one batch of array
+  hook-and-compress rounds.
 
 * **Stage B — quick reject.**  Pairs whose core bounding boxes are
   separated by more than the rule's no-band radius — ``eps`` exactly,
@@ -27,12 +28,14 @@ settles the bulk of the pairs with three staged, vectorised passes:
   guaranteed a no (approximate): one vectorised box-distance pass
   eliminates them without touching a point.
 
-* **Stage C — spanning-forest-aware survivors.**  Only the undecided
-  pairs fall through to the per-pair predicate, scheduled cheapest-first
-  (ascending ``|c1| * |c2|``, the cost proxy of both BCP and the batched
-  probe) with a connectivity re-check before each test: a pair whose
-  endpoints an earlier (cheaper) edge already connected contributes
-  nothing to the spanning forest and is skipped outright.
+* **Stage C — spanning-forest-aware survivors.**  The undecided pairs
+  whose endpoints stage A's unions already connected are dropped by one
+  vectorised root comparison.  Only the rest fall through to the
+  per-pair predicate, scheduled cheapest-first (ascending
+  ``|c1| * |c2|``, the cost proxy of both BCP and the batched probe)
+  with a connectivity re-check before each test: a pair whose endpoints
+  an earlier (cheaper) edge already connected contributes nothing to the
+  spanning forest and is skipped outright.
 
 Every stage only skips work whose outcome is already determined, so the
 resolved component structure — and therefore the final labels, which are
@@ -210,16 +213,25 @@ def resolve_edges(
     if not n_survivors:
         return
     si, sj = ii[survive], jj[survive]
+    # Funnel accounting: edge_quick_accept + edge_quick_reject +
+    # edge_survivors + edge_connected_skip == edge_pairs_total, and
+    # edge_survivors == edge_scheduled_skip + edge_predicate_tests.
+    skipped = 0
+    if accept.any():
+        # Survivors stage A's unions already connected would be skipped
+        # by the loop's re-check anyway; one root comparison drops them
+        # all before any scheduling or per-pair Python work.
+        roots = uf.roots()
+        open_ = roots[si] != roots[sj]
+        skipped = n_survivors - int(open_.sum())
+        si, sj = si[open_], sj[open_]
     # Cheapest-first: ascending |c1| * |c2|, the cost proxy of both BCP
     # and the batched Lemma 5 probe.  Stable, so equal-cost pairs keep
     # their candidate order and the schedule is deterministic.
     order = np.argsort(arrays.sizes[si] * arrays.sizes[sj], kind="stable")
     si, sj = si[order].tolist(), sj[order].tolist()
     keys = arrays.keys
-    # Funnel accounting: edge_quick_accept + edge_quick_reject +
-    # edge_survivors + edge_connected_skip == edge_pairs_total, and
-    # edge_survivors == edge_scheduled_skip + edge_predicate_tests.
-    tests = hits = skipped = 0
+    tests = hits = 0
     for a, b in zip(si, sj):
         if deadline is not None:
             deadline.tick()

@@ -13,7 +13,8 @@ shared machinery in :mod:`repro.core.corekernel`):
   cells' points accumulate neighbour counts against their cells'
   eps-neighbour points.  The (cell, neighbour-cell) CSR adjacency is
   flattened into one per-cell neighbour-point list, the cells are grouped
-  into power-of-two size classes (so padding waste stays below 2x), and
+  by the power-of-two classes of both their neighbour-list length and
+  their query count (so padding waste stays below 2x on each axis), and
   each class runs as tiled, batched distance blocks with *vectorised
   early retirement*: only the predicate ``|B(p, eps)| >= MinPts``
   matters, so a point that reaches ``MinPts`` drops out of every later
@@ -77,7 +78,9 @@ def label_cores(
     ``core_points_total == core_dense_points + core_known_points +
     core_counted_points`` over the cells the pass visited, and
     ``core_retired_points <= core_counted_points`` measures how much the
-    early-retirement tiles saved.
+    early-retirement tiles saved.  ``core_tile_slots`` counts the padded
+    (query, neighbour) slots the distance tiles evaluated, so its ratio
+    to the real neighbour work shows the padding overhead.
     """
     if grid.side > grid.eps / np.sqrt(grid.dim) * (1.0 + 1e-9):
         raise AlgorithmError(
@@ -164,7 +167,7 @@ def label_cores(
     # a (cells, max queries/cell, tile) block settled by one batched
     # matmul, with whole cells retiring from later tiles once all their
     # points reach MinPts.
-    for rows in _size_classes(needs_work):
+    for rows in _size_classes(needs_work, q_counts):
         nbr_pad, nbr_valid = _padded_rows(nbr_flat, nbr_starts[rows], nlen[rows])
         q_pad, q_valid = _padded_rows(q_all, q_starts[rows], q_counts[rows])
         q_max = q_pad.shape[1]
@@ -181,8 +184,9 @@ def label_cores(
             if deadline is not None:
                 deadline.check()  # one poll per tile, not per cell
             w = _tile_width(len(active) * q_max, grid.dim, width - pos)
-            tile = slice(pos, pos + w)
-            nbr_idx = nbr_pad[active][:, tile]
+            counters.add("core_tile_slots", len(active) * q_max * w)
+            # Advanced row index plus a column slice: copies only the tile.
+            nbr_idx = nbr_pad[active, pos:pos + w]
             q_idx = q_pad[active]
             # Expanded-form distances as one batched matmul per tile:
             # (cells, q_max, d) @ (cells, d, w) -> (cells, q_max, w).
@@ -193,7 +197,7 @@ def label_cores(
             )
             np.maximum(sq, 0.0, out=sq)
             within = sq <= sq_eps
-            within &= nbr_valid[active][:, None, tile]
+            within &= nbr_valid[active, None, pos:pos + w]
             count_mat[active] += within.sum(axis=2)
             done = (count_mat[active] >= min_pts).all(axis=1)
             pos += w

@@ -171,9 +171,9 @@ class Grid:
         else:
             counters.add("adjacency_probe", 1)
             nonzero = self._offsets[(self._offsets != 0).any(axis=1)]
-            hits = list(_offset_hits(coords, nonzero, reach))
-            ii = np.concatenate([h[0] for h in hits] or [_EMPTY_IDX])
-            jj = np.concatenate([h[1] for h in hits] or [_EMPTY_IDX])
+            ii, jj, direct = _offset_hits(coords, nonzero, reach)
+            if direct:
+                counters.add("adjacency_table", 1)
         counters.add("adjacency_entries", len(ii))
         # Stable sort by source cell: each row keeps its builder's order.
         order = np.argsort(ii, kind="stable")
@@ -317,9 +317,9 @@ class _BucketPlan:
         steps = np.array(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"))
         deltas = steps.reshape(d, -1).T[3 ** d // 2 + 1:]
         within = np.arange(len(self.starts), dtype=np.int64)
-        hits = list(_offset_hits(ordered[self.starts], deltas, 1))
-        self.pu = np.concatenate([within] + [h[0] for h in hits])
-        self.pv = np.concatenate([within] + [h[1] for h in hits])
+        hit_u, hit_v, _ = _offset_hits(ordered[self.starts], deltas, 1)
+        self.pu = np.concatenate([within, hit_u])
+        self.pv = np.concatenate([within, hit_v])
         counts = self.counts
         self.candidates = int(
             2 * np.dot(counts[self.pu], counts[self.pv]) - np.dot(counts, counts)
@@ -386,24 +386,40 @@ class _BucketPlan:
 
 def _offset_hits(
     coords: np.ndarray, offsets: np.ndarray, reach: int
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Per offset, index arrays ``(i, j)`` with ``coords[i] + off == coords[j]``.
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Index arrays ``(i, j)`` with ``coords[i] + off == coords[j]``.
 
-    One scalar membership test per offset replaces ``|coords| x
+    The hits of every offset, grouped by offset in table order (``i``
+    ascending inside a group), plus whether the direct table answered
+    them.  One vectorised lookup per offset replaces ``|coords| x
     |offsets|`` dictionary probes: rows are packed into mixed-radix int64
     keys (the radix is padded by ``reach`` — at least every offset
     component's magnitude — so every shifted coordinate stays in range and
-    a shift is a single scalar addition on the packed keys), with a
-    structured-dtype row view as the overflow fallback.  Offsets that hit
-    nothing are skipped.
+    a shift is a single scalar addition on the packed keys).  When the
+    packed key span is small enough (:func:`_use_direct_table`), a dense
+    int32 table indexed by packed key (cell id, or -1) answers each
+    offset with one gather; otherwise a ``searchsorted`` over the sorted
+    keys does, with a structured-dtype row view as the overflow fallback.
     """
     lo = coords.min(axis=0) - reach
     spans = coords.max(axis=0) + reach + 1 - lo
-    if float(np.prod(spans.astype(np.float64))) < 2.0 ** 62:
+    span_product = float(np.prod(spans.astype(np.float64)))
+    hit_i: List[np.ndarray] = [_EMPTY_IDX]
+    hit_j: List[np.ndarray] = [_EMPTY_IDX]
+    if span_product < 2.0 ** 62:
         rev = np.concatenate([[1], np.cumprod(spans[::-1][:-1])])
         mults = rev[::-1]
         base = (coords - lo) @ mults
         shifts = [int(off @ mults) for off in offsets]
+        if _use_direct_table(span_product, len(coords) * len(offsets)):
+            table = np.full(int(span_product), -1, dtype=np.int32)
+            table[base] = np.arange(len(coords), dtype=np.int32)
+            for shift in shifts:
+                found = table[base + shift]
+                hit = np.nonzero(found >= 0)[0]
+                hit_i.append(hit)
+                hit_j.append(found[hit].astype(np.int64))
+            return np.concatenate(hit_i), np.concatenate(hit_j), True
     else:  # packed keys would overflow: fall back to structured rows
         base = _row_view(coords)
         shifts = None
@@ -415,25 +431,44 @@ def _offset_hits(
         pos = np.searchsorted(sorted_keys, shifted)
         np.minimum(pos, last, out=pos)
         hit = np.nonzero(sorted_keys[pos] == shifted)[0]
-        if len(hit):
-            yield hit, order[pos[hit]]
+        hit_i.append(hit)
+        hit_j.append(order[pos[hit]])
+    return np.concatenate(hit_i), np.concatenate(hit_j), False
+
+
+def _use_direct_table(span_product: float, lookups: int) -> bool:
+    """Whether :func:`_offset_hits` answers through a direct-indexed table.
+
+    The table has one int32 entry per packed key in the span, so it pays
+    off when the span is at most the probe's own lookup count, and it is
+    capped at ``2 * chunk_budget()`` entries — the byte size of one
+    default distance chunk — so its memory stays bounded on any grid.
+    """
+    cap = min(2 * chunk_budget(), 2 ** 31 - 1)
+    return span_product <= lookups and span_product <= cap
 
 
 def _take_ranges(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenate ``values[starts[i] : starts[i] + lengths[i]]``, vectorised.
 
     The ranges-to-indices expansion that replaces every per-cell
-    ``np.concatenate`` loop: one ``repeat`` + one ``arange`` regardless of
-    how many ranges are being flattened.
+    ``np.concatenate`` loop: the gather positions are one cumulative sum
+    over unit steps, with a jump to the next range's start at each range
+    boundary, so the expansion holds a single index array of the output's
+    length (the kernels flatten tens of millions of neighbour entries
+    through here, so its temporaries set the core phase's peak memory).
     """
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=values.dtype)
-    row = np.repeat(np.arange(len(starts)), lengths)
-    prefix = np.zeros(len(starts), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=prefix[1:])
-    inner = np.arange(total, dtype=np.int64) - prefix[row]
-    return values[starts[row] + inner]
+    nonempty = lengths > 0
+    if not nonempty.all():
+        starts, lengths = starts[nonempty], lengths[nonempty]
+    idx = np.ones(total, dtype=np.int64)
+    idx[0] = starts[0]
+    idx[np.cumsum(lengths[:-1])] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
+    np.cumsum(idx, out=idx)
+    return values[idx]
 
 
 class _CSRAdjacency:

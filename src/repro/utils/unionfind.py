@@ -9,14 +9,18 @@ Two implementations share the same semantics:
 * :class:`UnionFind` — dense integer elements backed by Python lists, the
   original general-purpose structure;
 * :class:`DenseUnionFind` — numpy parent/rank arrays over dense ids with
-  *batched* operations (``union_many``, ``roots``) for the staged edge
-  kernel (:mod:`repro.core.edgekernel`), where whole stages of candidate pairs are settled with a handful of
-  array passes.
+  *batched* operations for the staged edge kernel
+  (:mod:`repro.core.edgekernel`): ``union_many`` merges a whole batch of
+  pairs by array hook-and-compress rounds (Wang/Gu/Shun's array
+  connectivity), and ``roots`` resolves every representative at once.
 
-Both implement union by rank with full path compression, giving the usual
-near-constant amortised cost per operation.  Component labels are always
-assigned by first appearance in element/insertion order, which is what
-makes every consumer's output deterministic.
+Scalar ``union`` calls use union by rank with full path compression,
+giving the usual near-constant amortised cost per operation; the batched
+hooks ignore rank and point the larger root at the smaller id, which can
+never form a cycle.  Component labels are always assigned by first
+appearance in element/insertion order, never by representative, which is
+what makes every consumer's output deterministic whichever way the
+forest was built.
 """
 
 from __future__ import annotations
@@ -92,11 +96,11 @@ class DenseUnionFind:
 
     The hot structure of the staged edge kernel: ``parent`` / ``rank`` are
     numpy int64 arrays, whole edge batches merge through
-    :meth:`union_many`, and :meth:`roots` resolves every element's
-    representative in a few vectorised pointer-jumping passes — the
-    operation behind the kernel's "drop pairs an earlier stage already
-    connected" filters.  Component labels are assigned by first
-    appearance in id order.
+    :meth:`union_many` (array hook-and-compress, no per-pair Python
+    work), and :meth:`roots` resolves every element's representative in
+    a few vectorised pointer-jumping passes — the operation behind the
+    kernel's "drop pairs an earlier stage already connected" filters.
+    Component labels are assigned by first appearance in id order.
     """
 
     __slots__ = ("_parent", "_rank", "_count")
@@ -144,37 +148,56 @@ class DenseUnionFind:
         """True iff ``x`` and ``y`` are in the same set."""
         return self.find(x) == self.find(y)
 
-    def union_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Merge every pair ``(xs[t], ys[t])`` in order.
+    def union_many(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Merge every pair ``(xs[t], ys[t])`` with array passes only.
 
-        Returns a boolean mask marking the pairs whose union actually
-        merged two distinct sets — the spanning subset of the batch.
+        Hook-and-compress: each round hooks, for every pair whose roots
+        still differ, the larger root onto the smaller one
+        (``np.minimum.at``, so a root hooked from several pairs takes the
+        smallest), then pointer-jumps the forest to full compression.  A
+        hook only ever points a root at a smaller id, so no cycle can
+        form, and every round merges at least one root, so the loop ends.
+        The resulting partition is the one sequential :meth:`union` calls
+        would build; only the representatives differ, and component
+        labels come from id order, not from the representatives.
         """
         if len(xs) != len(ys):
             raise ValueError(f"batch lengths differ: {len(xs)} vs {len(ys)}")
-        merged = np.zeros(len(xs), dtype=bool)
-        xs_list = np.asarray(xs, dtype=np.int64).tolist()
-        ys_list = np.asarray(ys, dtype=np.int64).tolist()
-        for t, (x, y) in enumerate(zip(xs_list, ys_list)):
-            merged[t] = self.union(x, y)
-        return merged
+        xs = np.asarray(xs, dtype=np.int64)
+        ys = np.asarray(ys, dtype=np.int64)
+        p = self.roots()
+        while len(xs):
+            rx, ry = p[xs], p[ys]
+            open_ = rx != ry
+            if not open_.any():
+                break
+            xs, ys, rx, ry = xs[open_], ys[open_], rx[open_], ry[open_]
+            np.minimum.at(p, np.maximum(rx, ry), np.minimum(rx, ry))
+            p = self._compress(p)
+        self._parent = p
+        self._count = int(np.count_nonzero(p == np.arange(len(p))))
+
+    @staticmethod
+    def _compress(p: np.ndarray) -> np.ndarray:
+        """Pointer-jump ``p`` until every element points at its root.
+
+        Each pass squares the pointer depth, so the loop runs
+        ``O(log depth)`` times regardless of ``n``.
+        """
+        while True:
+            pp = p[p]
+            if np.array_equal(pp, p):
+                return p
+            p = pp
 
     def roots(self) -> np.ndarray:
         """Every element's representative, as one array (fully compressed).
 
-        Vectorised pointer jumping: each pass squares the pointer depth,
-        so the loop runs ``O(log depth)`` times regardless of ``n``.  The
-        result is written back into ``parent``, so subsequent scalar finds
-        run on a fully compressed forest.
+        The result is written back into ``parent``, so subsequent scalar
+        finds run on a fully compressed forest.
         """
-        p = self._parent
-        while True:
-            pp = p[p]
-            if np.array_equal(pp, p):
-                break
-            p = pp
-        self._parent = p
-        return p
+        self._parent = self._compress(self._parent)
+        return self._parent
 
     def component_labels(self) -> np.ndarray:
         """Dense component label per element, ``0..k-1``.

@@ -25,6 +25,7 @@ from repro.core.border import assign_borders
 from repro.core.corekernel import BorderAssignments, grid_soa
 from repro.core.labeling import label_cores
 from repro.errors import TimeoutExceeded
+from repro.geometry import distance as dm
 from repro.grid import counters
 from repro.grid.cells import Grid
 from repro.parallel.executor import ParallelConfig, parallel_label_cores
@@ -121,6 +122,100 @@ class TestCoreOracle:
         single = Grid(np.zeros((1, 2)), 1.0)
         assert np.array_equal(label_cores(single, 1), np.array([True]))
         assert np.array_equal(label_cores(single, 2), np.array([False]))
+
+
+def _mixed_sparse(min_pts: int, seed: int) -> Grid:
+    """Sparse cells of 1 and ``min_pts - 1`` points, mixed at random.
+
+    Every cell of a 10 x 10 block of a 2-D grid is occupied, by one point
+    or by ``min_pts - 1``, so the neighbour-length classes each hold
+    both kinds of cell (the fixture asserts it).
+    """
+    eps = 2.0
+    side = eps / np.sqrt(2)
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for i in range(10):
+        for j in range(10):
+            k = 1 if rng.random() < 0.5 else min_pts - 1
+            corner = np.array([i, j]) * side
+            blocks.append(corner + rng.uniform(0, side, size=(k, 2)))
+    return Grid(np.vstack(blocks), eps)
+
+
+class TestQuerySizedTiles:
+    """Query-sized core classes against the per-cell loop, many tiles each."""
+
+    MIN_PTS = 6
+
+    @pytest.fixture
+    def grid(self, monkeypatch):
+        # A chunk budget of 16 entries makes every tile one column wide,
+        # so each size class runs as many tiles with real retirements.
+        monkeypatch.setattr(dm, "_chunk_budget", lambda: 16)
+        grid = _mixed_sparse(self.MIN_PTS, 70)
+        soa = grid_soa(grid)
+        adj = grid.adjacency()
+        nlen = np.array([
+            int(soa.sizes[adj.indices[adj.indptr[t]:adj.indptr[t + 1]]].sum())
+            for t in range(len(soa))
+        ])
+        # The fixture's point: one neighbour-length class holds both kinds.
+        cls = np.frexp(nlen.astype(float))[1]
+        mixed = [set(soa.sizes[cls == c].tolist()) for c in np.unique(cls)]
+        assert any({1, self.MIN_PTS - 1} <= sizes for sizes in mixed)
+        return grid
+
+    def _funnel(self, delta, counted):
+        assert delta["core_points_total"] == (
+            delta.get("core_dense_points", 0)
+            + delta.get("core_known_points", 0)
+            + delta.get("core_counted_points", 0)
+        )
+        assert delta.get("core_counted_points", 0) == counted
+        assert 0 < delta.get("core_retired_points", 0) <= counted
+        assert delta["core_tile_slots"] > 0
+
+    def test_plain(self, grid):
+        loop = loops.label_cores(grid, self.MIN_PTS)
+        assert loop.any() and not loop.all()
+        before = counters.snapshot()
+        staged = label_cores(grid, self.MIN_PTS)
+        delta = counters.delta_since(before)
+        assert np.array_equal(staged, loop)
+        assert delta.get("core_dense_points", 0) == 0
+        self._funnel(delta, len(grid.points))
+
+    def test_known_core_carry(self, grid):
+        loop = loops.label_cores(grid, self.MIN_PTS)
+        known = loop & (np.arange(len(loop)) % 3 == 0)
+        before = counters.snapshot()
+        carried = label_cores(grid, self.MIN_PTS, known_core=known)
+        delta = counters.delta_since(before)
+        assert np.array_equal(carried, loop)
+        # Only cells holding an unknown point are visited; their known
+        # points skip the counting pass.
+        visited = [idx for idx in grid.cells.values() if not known[idx].all()]
+        known_visited = sum(int(known[idx].sum()) for idx in visited)
+        assert delta["core_points_total"] == sum(len(idx) for idx in visited)
+        assert delta["core_known_points"] == known_visited > 0
+        self._funnel(delta, delta["core_points_total"] - known_visited)
+
+    def test_shards(self, grid):
+        keys = list(grid.cells.keys())
+        shards = [keys[0::2], keys[1::2]]
+        union = np.zeros(len(grid.points), dtype=bool)
+        for shard in shards:
+            before = counters.snapshot()
+            part = label_cores(grid, self.MIN_PTS, cells=shard)
+            delta = counters.delta_since(before)
+            assert np.array_equal(
+                part, loops.label_cores(grid, self.MIN_PTS, cells=shard)
+            )
+            in_shard = sum(len(grid.cells[c]) for c in shard)
+            self._funnel(delta, in_shard)
+            union |= part
+        assert np.array_equal(union, loops.label_cores(grid, self.MIN_PTS))
 
 
 class TestBorderOracle:
@@ -264,6 +359,32 @@ class TestKernelInternals:
         assert delta.get("border_no_candidates", 0) == 2
         assert delta["border_noise"] == 2
         assert out == loops.assign_borders(grid, core, labels)
+
+    def test_table_and_tile_slot_counters_by_hand(self):
+        # A 1-D grid with eps = side = 1: cells 0, 1, 2 holding 1, 2 and 1
+        # points.  Offset table {-2..2}, so every cell neighbours both
+        # others.
+        #   adjacency: 3 cells x 5 offsets = 15 probe lookups; the coarse
+        #     buckets (coords // 2) hold 2 and 1 cells, 9 join candidates
+        #     >= 0.2 * 15, so the probe runs.  Packed-key span = 2 + 2 * 2
+        #     + 1 = 7 <= 3 x 4 non-zero offsets = 12, so the direct table
+        #     answers: adjacency_table = 1.
+        #   cores, MinPts = 4 (every cell sparse): neighbour lengths 3, 2,
+        #     3 and query counts 1, 2, 1 give two classes.  Cells 0 and 2:
+        #     2 rows x 1 query x 3 neighbours = 6 slots; cell 1: 1 row x 2
+        #     queries x 2 neighbours = 4 slots.  core_tile_slots = 10
+        #     (classing by neighbour length alone padded 3 x 2 x 3 = 18).
+        pts = np.array([[0.5], [1.2], [1.8], [2.5]])
+        grid = Grid(pts, 1.0)
+        before = counters.snapshot()
+        core = label_cores(grid, 4)
+        delta = counters.delta_since(before)
+        assert delta["adjacency_probe"] == 1
+        assert delta["adjacency_probe_work"] == 15
+        assert delta["adjacency_candidates"] == 9
+        assert delta["adjacency_table"] == 1
+        assert delta["core_tile_slots"] == 10
+        assert np.array_equal(core, loops.label_cores(grid, 4))
 
     def test_grid_soa_is_cached_and_consistent(self):
         grid = _dataset(53, 400, 2, 6.0)

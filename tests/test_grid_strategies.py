@@ -4,8 +4,10 @@ The grid builds its eps-neighbour cell adjacency either with the offset
 probe (one packed-key lookup pass per offset-table entry) or with the
 coarse-bucket join (candidate pairs from adjacent ``coords // reach``
 buckets); :meth:`Grid._build_adjacency` picks one from the grid's own
-candidate counts.  This suite forces each builder in turn, through the
-module's selection ratio, and checks it against
+candidate counts.  Both builders look packed cell keys up through
+``_offset_hits``, with a direct-indexed table or ``searchsorted``.  This
+suite forces each builder and each lookup in turn, through the module's
+selection ratio and table decision, and checks them against
 ``tests/oracles/adjacency.box_gap_pairs``.
 """
 
@@ -23,6 +25,9 @@ from .conftest import make_blobs
 from .oracles.adjacency import box_gap_pairs
 
 BUILDERS = {"probe": 0.0, "join": math.inf}
+#: The two packed-key lookups of ``_offset_hits``, forced through the
+#: module's table decision: the direct-indexed table or ``searchsorted``.
+LOOKUPS = {"table": True, "searchsorted": False}
 
 
 def forced(points, eps, builder, side=None):
@@ -106,6 +111,80 @@ def test_cells_at_gap_exactly_eps():
         assert (3, 0) not in row and (0, -3) not in row
 
 
+def forced_lookup(points, eps, builder, lookup, *, packed=True):
+    """A grid built by ``builder`` with every key lookup forced to ``lookup``.
+
+    ``packed=False`` marks a grid whose keys overflow int64: it never
+    builds a table, whatever the decision says.
+    """
+    grid = Grid(points, eps)
+    before = counters.snapshot()
+    with mock.patch.object(grid_cells, "_JOIN_RATIO", BUILDERS[builder]), \
+            mock.patch.object(
+                grid_cells, "_use_direct_table", lambda span, lookups: LOOKUPS[lookup]
+            ):
+        grid.warm_neighbors()
+    moved = counters.delta_since(before)
+    if len(grid) > 1:
+        assert moved.get(f"adjacency_{builder}") == 1
+        # Only the cell probe reports the table; the join's bucket
+        # lookups take the same path without a counter.
+        table = packed and builder == "probe" and lookup == "table"
+        assert moved.get("adjacency_table", 0) == int(table)
+    return grid
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("lookup", LOOKUPS)
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_offset_lookups_agree(d, lookup, builder):
+    pts = make_blobs(150, d, 3, spread=1.0, domain=30.0, seed=10 + d)
+    assert_matches_oracle(forced_lookup(pts, 3.0, builder, lookup))
+
+
+def test_wide_span_takes_searchsorted():
+    # Two blobs ~5,000 apart in every axis of a 3-D grid with eps = 1: the
+    # packed keys fit in int64, but their span (~7e11 keys) dwarfs the
+    # probe's own lookup count, so the table must not be built.
+    rng = np.random.default_rng(12)
+    pts = np.vstack([
+        rng.uniform(0, 3.0, size=(60, 3)),
+        rng.uniform(5_000, 5_003, size=(60, 3)),
+    ])
+    grid = Grid(pts, 1.0)
+    before = counters.snapshot()
+    with mock.patch.object(grid_cells, "_JOIN_RATIO", 0.0):
+        grid.warm_neighbors()
+    moved = counters.delta_since(before)
+    assert moved.get("adjacency_probe") == 1
+    assert "adjacency_table" not in moved
+    assert_matches_oracle(grid)
+
+
+def test_dense_grid_takes_direct_table():
+    rng = np.random.default_rng(13)
+    grid = Grid(rng.uniform(0, 100, size=(500, 2)), 5.0)
+    before = counters.snapshot()
+    grid.warm_neighbors()
+    moved = counters.delta_since(before)
+    assert moved.get("adjacency_probe") == 1 and moved.get("adjacency_table") == 1
+    assert_matches_oracle(grid)
+
+
+def test_direct_table_is_capped_by_chunk_budget(monkeypatch):
+    # The same dense grid, with a chunk budget too small for its table.
+    monkeypatch.setenv("REPRO_CHUNK_BUDGET", "100")
+    assert not grid_cells._use_direct_table(201.0, 10_000)
+    assert grid_cells._use_direct_table(200.0, 10_000)
+    rng = np.random.default_rng(13)
+    grid = Grid(rng.uniform(0, 100, size=(500, 2)), 5.0)
+    before = counters.snapshot()
+    grid.warm_neighbors()
+    moved = counters.delta_since(before)
+    assert moved.get("adjacency_probe") == 1 and "adjacency_table" not in moved
+    assert_matches_oracle(grid)
+
+
 def test_packed_key_overflow_5d():
     # Two blobs ~62k apart in every axis of a 5-D grid with eps = 1: the
     # cell-span product is ~4e25, past int64, so both the cell probe and
@@ -119,12 +198,14 @@ def test_packed_key_overflow_5d():
     spans = np.ptp(np.asarray(list(grid.cells)), axis=0) + 1
     assert float(np.prod(spans.astype(np.float64))) > 2.0 ** 63
     for builder in BUILDERS:
-        with mock.patch.object(
-            grid_cells, "_row_view", wraps=grid_cells._row_view
-        ) as row_view:
-            grid = forced(pts, 1.0, builder)
-        assert row_view.called, builder
-        assert_matches_oracle(grid)
+        # Even a forced table decision must not build a table here.
+        for lookup in LOOKUPS:
+            with mock.patch.object(
+                grid_cells, "_row_view", wraps=grid_cells._row_view
+            ) as row_view:
+                grid = forced_lookup(pts, 1.0, builder, lookup, packed=False)
+            assert row_view.called, (builder, lookup)
+            assert_matches_oracle(grid)
 
 
 def test_high_dimension_picks_join():

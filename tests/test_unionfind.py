@@ -130,14 +130,15 @@ class TestDenseUnionFind:
         assert not uf.connected(0, 3)
         assert uf.n_components == 3
 
-    def test_union_many_returns_spanning_mask(self):
-        uf = DenseUnionFind(4)
-        xs = np.array([0, 1, 0, 2], dtype=np.int64)
-        ys = np.array([1, 2, 2, 3], dtype=np.int64)
-        merged = uf.union_many(xs, ys)
-        # Third pair (0,2) is redundant after the first two unions.
-        assert merged.tolist() == [True, True, False, True]
-        assert uf.n_components == 1
+    def test_union_many_matches_sequential_unions(self):
+        xs = np.array([0, 1, 0, 2, 5], dtype=np.int64)
+        ys = np.array([1, 2, 2, 3, 4], dtype=np.int64)
+        batched = DenseUnionFind(7)
+        batched.union_many(xs, ys)
+        _assert_same_partition(batched, xs.tolist(), ys.tolist())
+        # {0, 1, 2, 3}, {4, 5} and the untouched singleton 6.
+        assert batched.n_components == 3
+        assert batched.component_labels().tolist() == [0, 0, 0, 0, 1, 1, 2]
 
     def test_union_many_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -175,6 +176,83 @@ class TestDenseUnionFind:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             DenseUnionFind(-2)
+
+
+def _assert_same_partition(batched, xs, ys, *, before=()):
+    """``batched`` must hold the partition sequential unions build.
+
+    The baselines are scalar :meth:`DenseUnionFind.union` calls and the
+    keyed oracle, each fed the ``before`` pairs and then ``(xs, ys)`` one
+    pair at a time.
+    """
+    n = len(batched)
+    scalar = DenseUnionFind(n)
+    keyed = KeyedUnionFind(range(n))
+    for a, b in list(before) + list(zip(xs, ys)):
+        scalar.union(a, b)
+        keyed.union(a, b)
+    keyed_labels = keyed.component_labels()
+    expected = [keyed_labels[i] for i in range(n)]
+    assert batched.component_labels().tolist() == expected
+    assert scalar.component_labels().tolist() == expected
+    assert batched.n_components == scalar.n_components == keyed.n_components
+    roots = batched.roots()
+    for a, b in zip(xs, ys):
+        assert roots[a] == roots[b]
+
+
+_PAIR = st.tuples(st.integers(0, 59), st.integers(0, 59))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    before=st.lists(_PAIR, max_size=30),
+    batch=st.lists(_PAIR, max_size=120),
+)
+def test_property_union_many_matches_sequential(n, before, batch):
+    """A batch merges exactly like sequential unions, on a fresh forest
+    or on one that scalar unions already partly merged."""
+    before = [(a % n, b % n) for a, b in before]
+    xs = [a % n for a, _ in batch]
+    ys = [b % n for _, b in batch]
+    uf = DenseUnionFind(n)
+    for a, b in before:
+        uf.union(a, b)
+    uf.union_many(np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64))
+    _assert_same_partition(uf, xs, ys, before=before)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    shape=st.sampled_from(["chain_up", "chain_down", "star_high", "star_low"]),
+    seed=st.integers(0, 2 ** 16),
+    preunited=st.integers(0, 20),
+)
+def test_property_union_many_adversarial_shapes(n, shape, seed, preunited):
+    """Long chains in both orientations and stars around a high-id or a
+    low-id centre — the shapes that need the most hook rounds — over a
+    forest that scalar unions partly merged beforehand."""
+    ids = np.arange(n, dtype=np.int64)
+    if shape == "chain_up":
+        xs, ys = ids[:-1], ids[1:]
+    elif shape == "chain_down":
+        xs, ys = ids[1:][::-1], ids[:-1][::-1]
+    else:
+        centre = n - 1 if shape == "star_high" else 0
+        ys = ids[ids != centre]
+        xs = np.full(len(ys), centre, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    flip = rng.random(len(xs)) < 0.5
+    xs, ys = np.where(flip, ys, xs), np.where(flip, xs, ys)
+    before = rng.integers(0, n, size=(preunited, 2)).tolist()
+    uf = DenseUnionFind(n)
+    for a, b in before:
+        uf.union(a, b)
+    uf.union_many(xs, ys)
+    _assert_same_partition(uf, xs.tolist(), ys.tolist(), before=before)
+    assert uf.n_components == 1
 
 
 @settings(max_examples=60, deadline=None)
