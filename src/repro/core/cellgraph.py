@@ -187,7 +187,7 @@ def _connected_components(
     arrays = cell_arrays(grid.points, cells)
     uf = DenseUnionFind(len(arrays))
     apply_preunion_dense(uf, arrays.index, preunion)
-    keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+    keys, ii, jj, inner = grid.neighbor_cell_pair_arrays(subset=cells.keys())
     if keys != arrays.keys:  # pragma: no cover - orders coincide in practice
         remap = np.fromiter(
             (arrays.index[c] for c in keys), dtype=np.int64, count=len(keys)
@@ -199,6 +199,7 @@ def _connected_components(
         arrays,
         ii,
         jj,
+        inner,
         uf,
         edge,
         reject_eps=reject_eps,

@@ -8,7 +8,15 @@ Python loop and pays a full per-pair decision — a BCP computation
 tuple-hash and union-find overhead for *every* pair.  Following the
 observation of Wang/Gu/Shun that the edge phase dominates grid DBSCAN and
 that only a spanning forest of ``G`` is actually needed, this kernel
-settles the bulk of the pairs with three staged, vectorised passes:
+settles the bulk of the pairs in two batches, nearest ring first:
+
+* **Batch 1 — inner ring.**  Stage A alone on the pairs of cells at
+  Chebyshev distance 1 (the grid's inner ring, the pairs most likely to
+  be edges), with its accepts unioned in one batch.
+* **Batch 2 — everything else.**  The other pairs whose endpoints are
+  already connected (by batch 1, or a pre-union carry) are dropped by
+  one vectorised root comparison; the rest run the three stages below.
+  Skipping a connected pair never changes the partition.
 
 * **Stage A — quick accept.**  Two cheap geometric certificates, both
   evaluated for all pairs at once, prove an edge without touching the
@@ -118,6 +126,35 @@ def cell_arrays(points: np.ndarray, cells: Dict[CellCoord, np.ndarray]) -> CellA
     return CellArrays(keys, index, sizes, reps, lo, hi)
 
 
+def quick_accept(
+    points: np.ndarray,
+    eps: float,
+    arrays: CellArrays,
+    ii: np.ndarray,
+    jj: np.ndarray,
+) -> np.ndarray:
+    """Stage A alone: the pairs ``(keys[ii[t]], keys[jj[t]])`` proven edges.
+
+    Two certificates, both sound for the exact *and* the approximate
+    rule: the cells' representative core points lie within ``eps``, or
+    the far corners of their core bounding boxes do (then every cross
+    pair is within ``eps``).
+    """
+    rep_diff = points[arrays.reps[ii]] - points[arrays.reps[jj]]
+    accept = np.einsum("ij,ij->i", rep_diff, rep_diff) <= dm.sq_radius(eps)
+    if not accept.all():
+        # Far-corner certificate: the maximum cross-pair distance is at
+        # most eps, so *every* pair qualifies.  Compared against the bare
+        # eps^2 (not the slackened boundary) to stay conservative.
+        lo_i, hi_i = arrays.lo[ii], arrays.hi[ii]
+        lo_j, hi_j = arrays.lo[jj], arrays.hi[jj]
+        far = np.maximum(hi_j - lo_i, hi_i - lo_j)
+        np.bitwise_or(
+            accept, np.einsum("ij,ij->i", far, far) <= eps * eps, out=accept
+        )
+    return accept
+
+
 def classify_pairs(
     points: np.ndarray,
     eps: float,
@@ -130,33 +167,19 @@ def classify_pairs(
     """Stage A / B verdicts for a batch of candidate pairs, vectorised.
 
     Returns ``(accept, reject)`` boolean masks over the pairs
-    ``(keys[ii[t]], keys[jj[t]])``.  ``accept`` marks proven edges (both
-    certificates are sound for the exact *and* the approximate rule);
-    ``reject`` marks pairs the edge predicate is guaranteed to answer no
-    for — separation beyond ``reject_eps`` (default ``eps``; pass
-    ``eps * (1 + rho)`` for the approximate rule's no band).  The masks
-    are disjoint; pairs in neither are stage C's survivors.
+    ``(keys[ii[t]], keys[jj[t]])``.  ``accept`` marks proven edges
+    (:func:`quick_accept`); ``reject`` marks pairs the edge predicate is
+    guaranteed to answer no for — separation beyond ``reject_eps``
+    (default ``eps``; pass ``eps * (1 + rho)`` for the approximate rule's
+    no band).  The masks are disjoint; pairs in neither are stage C's
+    survivors.
     """
-    sq_accept = dm.sq_radius(eps)
     sq_reject = dm.sq_radius(eps if reject_eps is None else float(reject_eps))
     sq_reject *= 1.0 + _REJECT_SLACK
-
-    rep_diff = points[arrays.reps[ii]] - points[arrays.reps[jj]]
-    accept = np.einsum("ij,ij->i", rep_diff, rep_diff) <= sq_accept
-
-    lo_i, hi_i = arrays.lo[ii], arrays.hi[ii]
-    lo_j, hi_j = arrays.lo[jj], arrays.hi[jj]
-    gap = np.maximum(lo_j - hi_i, 0.0) + np.maximum(lo_i - hi_j, 0.0)
+    accept = quick_accept(points, eps, arrays, ii, jj)
+    gap = np.maximum(arrays.lo[jj] - arrays.hi[ii], 0.0)
+    gap += np.maximum(arrays.lo[ii] - arrays.hi[jj], 0.0)
     reject = np.einsum("ij,ij->i", gap, gap) > sq_reject
-
-    if not accept.all():
-        # Far-corner certificate: the maximum cross-pair distance is at
-        # most eps, so *every* pair qualifies.  Compared against the bare
-        # eps^2 (not the slackened boundary) to stay conservative.
-        far = np.maximum(hi_j - lo_i, hi_i - lo_j)
-        np.bitwise_or(
-            accept, np.einsum("ij,ij->i", far, far) <= eps * eps, out=accept
-        )
     reject &= ~accept
     return accept, reject
 
@@ -167,6 +190,7 @@ def resolve_edges(
     arrays: CellArrays,
     ii: np.ndarray,
     jj: np.ndarray,
+    inner: np.ndarray,
     uf: "DenseUnionFind",
     edge: Callable[[CellCoord, CellCoord], bool],
     *,
@@ -175,12 +199,16 @@ def resolve_edges(
 ) -> None:
     """Resolve one batch of candidate pairs into ``uf`` — the edge phase.
 
-    Stages A/B settle the bulk of ``(ii, jj)`` with vectorised
-    certificates (:func:`classify_pairs`); the survivors run the per-pair
-    ``edge`` predicate cheapest-first with a connectivity re-check, so
-    pairs made redundant by earlier unions never pay for a test.  Pairs
-    whose endpoints ``uf`` already connects (a pre-union carry, or earlier
-    batches) are dropped up front by one vectorised root comparison.
+    Two batches, nearest ring first.  Batch 1 runs stage A alone on the
+    inner-ring pairs (``inner``: Chebyshev-distance-1 cells, the pairs
+    most likely to be edges) and unions its accepts.  Batch 2 takes every
+    other pair: those whose endpoints ``uf`` already connects (batch 1's
+    unions, a pre-union carry) are dropped up front by one vectorised
+    root comparison, and the rest run stages A/B (:func:`classify_pairs`)
+    and C — the per-pair ``edge`` predicate, cheapest-first with a
+    connectivity re-check, so pairs made redundant by earlier unions never
+    pay for a test.  Only a spanning forest matters, so skipping a pair
+    whose endpoints are already connected never changes the partition.
 
     The per-pair orientation handed to ``edge`` is exactly the caller's,
     so deterministic oriented predicates (the Lemma 5 probe) answer as
@@ -192,12 +220,28 @@ def resolve_edges(
         return
     if deadline is not None:
         deadline.check()
+    # Funnel accounting: edge_quick_accept (both batches) +
+    # edge_quick_reject + edge_survivors + edge_connected_skip ==
+    # edge_pairs_total, and edge_survivors == edge_scheduled_skip +
+    # edge_predicate_tests.
+    near = np.nonzero(inner)[0]
+    near = near[quick_accept(points, eps, arrays, ii[near], jj[near])]
+    counters.add("edge_quick_accept", len(near))
+    if len(near):
+        uf.union_many(ii[near], jj[near])
+        rest = np.ones(n_pairs, dtype=bool)
+        rest[near] = False
+        ii, jj = ii[rest], jj[rest]
+        if deadline is not None:
+            deadline.check()
 
     roots = uf.roots()
     keep = roots[ii] != roots[jj]
     if not keep.all():
-        counters.add("edge_connected_skip", int(n_pairs - int(keep.sum())))
+        counters.add("edge_connected_skip", int(len(ii) - int(keep.sum())))
         ii, jj = ii[keep], jj[keep]
+    if len(ii) == 0:
+        return
 
     accept, reject = classify_pairs(
         points, eps, arrays, ii, jj, reject_eps=reject_eps
@@ -213,9 +257,6 @@ def resolve_edges(
     if not n_survivors:
         return
     si, sj = ii[survive], jj[survive]
-    # Funnel accounting: edge_quick_accept + edge_quick_reject +
-    # edge_survivors + edge_connected_skip == edge_pairs_total, and
-    # edge_survivors == edge_scheduled_skip + edge_predicate_tests.
     skipped = 0
     if accept.any():
         # Survivors stage A's unions already connected would be skipped

@@ -9,16 +9,21 @@ shared machinery in :mod:`repro.core.corekernel`):
   ``eps``).  The verdict needs only the cell sizes, so every dense cell in
   the pass is accepted by one vectorised comparison and one index scatter.
 
-* **Stage B — size-classed sparse counting.**  The surviving sparse
-  cells' points accumulate neighbour counts against their cells'
-  eps-neighbour points.  The (cell, neighbour-cell) CSR adjacency is
-  flattened into one per-cell neighbour-point list, the cells are grouped
-  by the power-of-two classes of both their neighbour-list length and
-  their query count (so padding waste stays below 2x on each axis), and
-  each class runs as tiled, batched distance blocks with *vectorised
-  early retirement*: only the predicate ``|B(p, eps)| >= MinPts``
-  matters, so a point that reaches ``MinPts`` drops out of every later
-  tile, and a cell whose points all retired contributes no further rows.
+* **Stage B — two-ring, size-classed sparse counting.**  The surviving
+  sparse cells' points accumulate neighbour counts against their cells'
+  eps-neighbour points, nearest ring first.  The grid's adjacency rows
+  list the inner ring (Chebyshev-distance-1 cells) first, so pass 1
+  counts every query against its own cell plus the inner ring, and the
+  queries that reach ``MinPts`` there retire.  Pass 2 scans the outer
+  shell, only for the queries still below ``MinPts`` whose count plus
+  the shell's point total can still reach it.  Each pass flattens only
+  its own ring's neighbour points, groups the cells by the power-of-two
+  classes of both their neighbour-list length and their query count (so
+  padding waste stays below 2x on each axis), and runs each class as
+  tiled, batched distance blocks with *vectorised early retirement*:
+  only the predicate ``|B(p, eps)| >= MinPts`` matters, so a point that
+  reaches ``MinPts`` drops out of every later tile, and a cell whose
+  points all retired contributes no further rows.
 
 The per-cell loop this replaced is kept as the differential oracle in
 ``tests/oracles/loops.py``; the mask is byte-identical to it.
@@ -26,11 +31,12 @@ The per-cell loop this replaced is kept as the differential oracle in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
 from repro.core.corekernel import (
+    GridSoA,
     _padded_rows,
     _size_classes,
     _take_ranges,
@@ -41,7 +47,7 @@ from repro.core.corekernel import (
 from repro.errors import AlgorithmError
 from repro.geometry import distance as dm
 from repro.grid import counters
-from repro.grid.cells import Grid
+from repro.grid.cells import Grid, _CSRAdjacency
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.runtime.deadline import Deadline
@@ -77,10 +83,12 @@ def label_cores(
     The funnel is published through the ``core_*`` counters:
     ``core_points_total == core_dense_points + core_known_points +
     core_counted_points`` over the cells the pass visited, and
-    ``core_retired_points <= core_counted_points`` measures how much the
-    early-retirement tiles saved.  ``core_tile_slots`` counts the padded
-    (query, neighbour) slots the distance tiles evaluated, so its ratio
-    to the real neighbour work shows the padding overhead.
+    ``core_retired_points <= core_counted_points`` measures how much
+    early retirement saved (points that reach MinPts on the inner ring,
+    plus points retired by an outer-shell tile).  ``core_tile_slots``
+    counts the padded (query, neighbour) slots the distance tiles
+    evaluated, so its ratio to the real neighbour work shows the padding
+    overhead.
     """
     if grid.side > grid.eps / np.sqrt(grid.dim) * (1.0 + 1e-9):
         raise AlgorithmError(
@@ -133,50 +141,109 @@ def label_cores(
     q_cell = remap[q_cell]
     live_ids = sparse_ids[live]
 
-    # Flatten the (cell, neighbour-cell) CSR adjacency into one
-    # neighbour-point list per live sparse cell.
+    # Per-row neighbour-point totals — the inner-ring prefix and the
+    # outer shell — from one cumulative sum over the adjacency entries'
+    # cell sizes, without flattening a single neighbour point.
     adjacency = grid.adjacency()
-    nb_counts = adjacency.counts(live_ids)
-    nb_cells = _take_ranges(adjacency.indices, adjacency.indptr[live_ids], nb_counts)
-    nb_owner = np.repeat(np.arange(len(live_ids)), nb_counts)
-    nb_sizes = soa.sizes[nb_cells]
-    nlen = np.bincount(nb_owner, weights=nb_sizes, minlength=len(live_ids)).astype(np.int64)
-    nbr_flat = _take_ranges(soa.cat, soa.offsets[nb_cells], nb_sizes)
-    nbr_starts = np.zeros(len(live_ids), dtype=np.int64)
-    np.cumsum(nlen[:-1], out=nbr_starts[1:])
-
-    # Queries of one cell are contiguous in ``q_all`` (built per cell, in
-    # cell order), so each live cell owns one query range.
-    q_counts = np.bincount(q_cell, minlength=len(live_ids)).astype(np.int64)
-    q_starts = np.zeros(len(live_ids), dtype=np.int64)
-    np.cumsum(q_counts[:-1], out=q_starts[1:])
-    verdict = np.zeros(len(q_all), dtype=bool)
+    size_sum = np.zeros(len(adjacency.indices) + 1, dtype=np.int64)
+    np.cumsum(soa.sizes[adjacency.indices], out=size_sum[1:])
+    row_lo = adjacency.indptr[live_ids]
+    row_mid = row_lo + adjacency.inner[live_ids]
+    row_hi = adjacency.indptr[live_ids + 1]
+    inner_len = size_sum[row_mid] - size_sum[row_lo]
+    outer_len = size_sum[row_hi] - size_sum[row_mid]
+    own = soa.sizes[live_ids]
 
     # Upper-bound quick-reject: a sparse cell whose occupancy plus entire
     # neighbourhood stays below ``MinPts`` cannot make any point core —
     # no distance work needed (the per-cell reference pays the full scan).
-    ubound = soa.sizes[live_ids] + nlen
-    rejected = ubound < min_pts
+    rejected = own + inner_len + outer_len < min_pts
     if rejected.any():
         counters.add(
-            "core_upperbound_reject_points", int(q_counts[rejected].sum())
+            "core_upperbound_reject_points", int(rejected[q_cell].sum())
         )
-    needs_work = np.where(rejected, 0, nlen)
+    # Counts start at the full cell occupancy (same-cell points are all
+    # within eps), exactly like the reference.
+    counts = own[q_cell]
 
-    # Stage B: size-classed counting, batched per *cell* — each class is
-    # a (cells, max queries/cell, tile) block settled by one batched
-    # matmul, with whole cells retiring from later tiles once all their
-    # points reach MinPts.
-    for rows in _size_classes(needs_work, q_counts):
+    # Stage B, nearest ring first.  Pass 1 counts every query against its
+    # cell's inner ring; the queries that reach MinPts there retire
+    # without ever touching the outer shell.
+    open_q = np.nonzero(~rejected[q_cell])[0]
+    _count_pass(
+        grid, soa, adjacency, min_pts, q_all, q_cell, counts, open_q,
+        row_lo, row_mid - row_lo, inner_len, deadline,
+    )
+    settled = counts[open_q] >= min_pts
+    open_q = open_q[~settled]
+    if settled.any():
+        counters.add("core_retired_points", int(settled.sum()))
+        still = np.bincount(q_cell[open_q], minlength=len(live_ids))
+        counters.add("core_retired_cells", int((~rejected & (still == 0)).sum()))
+    # Pass 2: the outer shell, only for the queries still below MinPts
+    # that the shell's point total can still carry there.
+    open_q = open_q[counts[open_q] + outer_len[q_cell[open_q]] >= min_pts]
+    retired_points, retired_cells = _count_pass(
+        grid, soa, adjacency, min_pts, q_all, q_cell, counts, open_q,
+        row_mid, row_hi - row_mid, outer_len, deadline,
+    )
+    counters.add("core_retired_points", retired_points)
+    counters.add("core_retired_cells", retired_cells)
+    core[q_all] = counts >= min_pts
+    return core
+
+
+def _count_pass(
+    grid: Grid,
+    soa: GridSoA,
+    adjacency: _CSRAdjacency,
+    min_pts: int,
+    q_all: np.ndarray,
+    q_cell: np.ndarray,
+    counts: np.ndarray,
+    open_q: np.ndarray,
+    entry_start: np.ndarray,
+    entry_len: np.ndarray,
+    nlen: np.ndarray,
+    deadline: Optional["Deadline"],
+) -> Tuple[int, int]:
+    """Add one ring's neighbour counts to the queries ``open_q``, in place.
+
+    ``open_q`` are positions into ``q_all`` (ascending, so each live
+    cell's open queries stay contiguous); live cell ``c`` scans the
+    adjacency entries ``indices[entry_start[c] : + entry_len[c]]``,
+    ``nlen[c]`` neighbour points in all.  Only this ring's neighbour
+    points are flattened.  Cells are grouped by the power-of-two classes
+    of both their neighbour-list length and their open-query count, and
+    each class is a (cells, max queries/cell, tile) block settled by one
+    batched matmul per tile, with whole cells retiring from later tiles
+    once all their points reach MinPts.  Returns the points and cells
+    retired before the end of their rows.
+    """
+    n_live = len(entry_start)
+    q_counts = np.bincount(q_cell[open_q], minlength=n_live).astype(np.int64)
+    nlen = np.where(q_counts > 0, nlen, 0)
+    if not nlen.any():
+        return 0, 0
+    q_starts = np.zeros(n_live, dtype=np.int64)
+    np.cumsum(q_counts[:-1], out=q_starts[1:])
+    entry_len = np.where(nlen > 0, entry_len, 0)
+    nb_cells = _take_ranges(adjacency.indices, entry_start, entry_len)
+    nbr_flat = _take_ranges(soa.cat, soa.offsets[nb_cells], soa.sizes[nb_cells])
+    nbr_starts = np.zeros(n_live, dtype=np.int64)
+    np.cumsum(nlen[:-1], out=nbr_starts[1:])
+
+    points = grid.points
+    sq_eps = dm.sq_radius(grid.eps)
+    retired_points = retired_cells = 0
+    for rows in _size_classes(nlen, q_counts):
         nbr_pad, nbr_valid = _padded_rows(nbr_flat, nbr_starts[rows], nlen[rows])
-        q_pad, q_valid = _padded_rows(q_all, q_starts[rows], q_counts[rows])
+        q_pos, q_valid = _padded_rows(open_q, q_starts[rows], q_counts[rows])
+        q_pad = q_all[q_pos]
         q_max = q_pad.shape[1]
-        # Counts start at the full cell occupancy (same-cell points are
-        # all within eps), exactly like the reference; padded query slots are
-        # born retired so they never keep a cell alive.
-        count_mat = np.where(
-            q_valid, soa.sizes[live_ids[rows]][:, None], np.int64(min_pts)
-        )
+        # Padded query slots are born retired so they never keep a cell
+        # alive.
+        count_mat = np.where(q_valid, counts[q_pos], np.int64(min_pts))
         active = np.arange(len(rows))
         width = nbr_pad.shape[1]
         pos = 0
@@ -203,14 +270,8 @@ def label_cores(
             pos += w
             if done.any() and pos < width:
                 retired = count_mat[active[done]] >= min_pts
-                counters.add("core_retired_points", int((retired & q_valid[active[done]]).sum()))
-                counters.add("core_retired_cells", int(done.sum()))
+                retired_points += int((retired & q_valid[active[done]]).sum())
+                retired_cells += int(done.sum())
             active = active[~done]
-        # Row-major valid entries of the count matrix are exactly the
-        # class cells' queries, concatenated in class order.
-        q_pos = _take_ranges(
-            np.arange(len(q_all), dtype=np.int64), q_starts[rows], q_counts[rows]
-        )
-        verdict[q_pos] = count_mat[q_valid] >= min_pts
-    core[q_all] = verdict
-    return core
+        counts[q_pos[q_valid]] = count_mat[q_valid]
+    return retired_points, retired_cells

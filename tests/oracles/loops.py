@@ -207,7 +207,7 @@ def candidate_cell_pairs(
     Seeded (a pre-union carry was applied to ``uf``), pairs whose
     endpoints already share a root are dropped up front.
     """
-    keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+    keys, ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.keys())
     if seeded and len(ii):
         root = np.fromiter(
             (uf.find(c) for c in keys), dtype=np.int64, count=len(keys)

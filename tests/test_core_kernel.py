@@ -124,6 +124,18 @@ class TestCoreOracle:
         assert np.array_equal(label_cores(single, 2), np.array([False]))
 
 
+def _assert_core_funnel(delta, counted):
+    """The ``core_*`` funnel of one pass that counted ``counted`` points."""
+    assert delta["core_points_total"] == (
+        delta.get("core_dense_points", 0)
+        + delta.get("core_known_points", 0)
+        + delta.get("core_counted_points", 0)
+    )
+    assert delta.get("core_counted_points", 0) == counted
+    assert 0 < delta.get("core_retired_points", 0) <= counted
+    assert delta["core_tile_slots"] > 0
+
+
 def _mixed_sparse(min_pts: int, seed: int) -> Grid:
     """Sparse cells of 1 and ``min_pts - 1`` points, mixed at random.
 
@@ -166,16 +178,6 @@ class TestQuerySizedTiles:
         assert any({1, self.MIN_PTS - 1} <= sizes for sizes in mixed)
         return grid
 
-    def _funnel(self, delta, counted):
-        assert delta["core_points_total"] == (
-            delta.get("core_dense_points", 0)
-            + delta.get("core_known_points", 0)
-            + delta.get("core_counted_points", 0)
-        )
-        assert delta.get("core_counted_points", 0) == counted
-        assert 0 < delta.get("core_retired_points", 0) <= counted
-        assert delta["core_tile_slots"] > 0
-
     def test_plain(self, grid):
         loop = loops.label_cores(grid, self.MIN_PTS)
         assert loop.any() and not loop.all()
@@ -184,7 +186,7 @@ class TestQuerySizedTiles:
         delta = counters.delta_since(before)
         assert np.array_equal(staged, loop)
         assert delta.get("core_dense_points", 0) == 0
-        self._funnel(delta, len(grid.points))
+        _assert_core_funnel(delta, len(grid.points))
 
     def test_known_core_carry(self, grid):
         loop = loops.label_cores(grid, self.MIN_PTS)
@@ -199,7 +201,7 @@ class TestQuerySizedTiles:
         known_visited = sum(int(known[idx].sum()) for idx in visited)
         assert delta["core_points_total"] == sum(len(idx) for idx in visited)
         assert delta["core_known_points"] == known_visited > 0
-        self._funnel(delta, delta["core_points_total"] - known_visited)
+        _assert_core_funnel(delta, delta["core_points_total"] - known_visited)
 
     def test_shards(self, grid):
         keys = list(grid.cells.keys())
@@ -213,7 +215,92 @@ class TestQuerySizedTiles:
                 part, loops.label_cores(grid, self.MIN_PTS, cells=shard)
             )
             in_shard = sum(len(grid.cells[c]) for c in shard)
-            self._funnel(delta, in_shard)
+            _assert_core_funnel(delta, in_shard)
+            union |= part
+        assert np.array_equal(union, loops.label_cores(grid, self.MIN_PTS))
+
+
+def _ring_counts(grid: Grid):
+    """Per point: ``|B(p, eps)|`` over its own cell + inner ring, and in all.
+
+    Brute force over every pair; a pair counts toward the inner ring
+    when its cells are at Chebyshev distance <= 1 — no adjacency rows.
+    """
+    pts, cells = grid.points, grid.point_cells
+    sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    within = sq <= grid.eps ** 2
+    near = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2) <= 1
+    return (within & near).sum(axis=1), within.sum(axis=1)
+
+
+class TestRingPasses:
+    """Two-ring counting against the per-cell loop, many tiles each.
+
+    Uniform points at a density where ``MinPts`` sits between the inner
+    ring's and the whole neighbourhood's typical counts: some sparse
+    queries settle on the inner ring, others need the outer shell to
+    become core, and others scan both rings and stay non-core.
+    """
+
+    MIN_PTS = 9
+
+    @pytest.fixture
+    def grid(self, monkeypatch):
+        # A chunk budget of 16 entries makes every tile one column wide,
+        # so each size class of both passes runs as many tiles.
+        monkeypatch.setattr(dm, "_chunk_budget", lambda: 16)
+        rng = np.random.default_rng(71)
+        grid = Grid(rng.uniform(0, 20, size=(300, 2)), 2.0)
+        inner, full = _ring_counts(grid)
+        sparse = grid_soa(grid).sizes[grid_soa(grid).point_cells()] < self.MIN_PTS
+        assert (sparse & (inner >= self.MIN_PTS)).any()
+        assert (sparse & (inner < self.MIN_PTS) & (full >= self.MIN_PTS)).any()
+        assert (sparse & (full < self.MIN_PTS)).any()
+        return grid
+
+    def test_plain(self, grid):
+        loop = loops.label_cores(grid, self.MIN_PTS)
+        before = counters.snapshot()
+        staged = label_cores(grid, self.MIN_PTS)
+        delta = counters.delta_since(before)
+        assert np.array_equal(staged, loop)
+        inner, _ = _ring_counts(grid)
+        # Every sparse query that reaches MinPts on its inner ring
+        # retires there (dense cells never reach the counting pass).
+        sparse = grid_soa(grid).sizes[grid_soa(grid).point_cells()] < self.MIN_PTS
+        assert delta["core_retired_points"] >= int((sparse & (inner >= self.MIN_PTS)).sum())
+        _assert_core_funnel(delta, int(sparse.sum()))
+
+    def test_known_core_carry(self, grid):
+        loop = loops.label_cores(grid, self.MIN_PTS)
+        known = loop & (np.arange(len(loop)) % 2 == 0)
+        before = counters.snapshot()
+        carried = label_cores(grid, self.MIN_PTS, known_core=known)
+        delta = counters.delta_since(before)
+        assert np.array_equal(carried, loop)
+        assert delta["core_known_points"] > 0
+        # Counted: the unknown points of the visited sparse cells.
+        counted = sum(
+            int((~known[idx]).sum()) for idx in grid.cells.values()
+            if len(idx) < self.MIN_PTS
+        )
+        _assert_core_funnel(delta, counted)
+
+    def test_shards(self, grid):
+        keys = list(grid.cells.keys())
+        union = np.zeros(len(grid.points), dtype=bool)
+        for shard in (keys[0::3], keys[1::3], keys[2::3]):
+            before = counters.snapshot()
+            part = label_cores(grid, self.MIN_PTS, cells=shard)
+            delta = counters.delta_since(before)
+            assert np.array_equal(
+                part, loops.label_cores(grid, self.MIN_PTS, cells=shard)
+            )
+            counted = sum(
+                len(grid.cells[c]) for c in shard
+                if len(grid.cells[c]) < self.MIN_PTS
+            )
+            _assert_core_funnel(delta, counted)
             union |= part
         assert np.array_equal(union, loops.label_cores(grid, self.MIN_PTS))
 
@@ -361,20 +448,27 @@ class TestKernelInternals:
         assert out == loops.assign_borders(grid, core, labels)
 
     def test_table_and_tile_slot_counters_by_hand(self):
-        # A 1-D grid with eps = side = 1: cells 0, 1, 2 holding 1, 2 and 1
-        # points.  Offset table {-2..2}, so every cell neighbours both
-        # others.
+        # A 1-D grid with eps = side = 1: points 0.9 | 1.2, 1.8 | 2.1 in
+        # cells 0, 1, 2.  Offset table {-2..2}, so every cell neighbours
+        # both others; the +-1 offsets are the inner ring.
         #   adjacency: 3 cells x 5 offsets = 15 probe lookups; the coarse
         #     buckets (coords // 2) hold 2 and 1 cells, 9 join candidates
         #     >= 0.2 * 15, so the probe runs.  Packed-key span = 2 + 2 * 2
         #     + 1 = 7 <= 3 x 4 non-zero offsets = 12, so the direct table
-        #     answers: adjacency_table = 1.
-        #   cores, MinPts = 4 (every cell sparse): neighbour lengths 3, 2,
-        #     3 and query counts 1, 2, 1 give two classes.  Cells 0 and 2:
-        #     2 rows x 1 query x 3 neighbours = 6 slots; cell 1: 1 row x 2
-        #     queries x 2 neighbours = 4 slots.  core_tile_slots = 10
-        #     (classing by neighbour length alone padded 3 x 2 x 3 = 18).
-        pts = np.array([[0.5], [1.2], [1.8], [2.5]])
+        #     answers: adjacency_table = 1.  Inner-ring entries: 0 -> 1,
+        #     1 -> 0, 1 -> 2, 2 -> 1 = 4 of the 6.
+        #   cores, MinPts = 4 (every cell sparse), pass 1 (inner ring):
+        #     inner lengths 2, 2, 2 and query counts 1, 2, 1 give two
+        #     classes.  Cells 0 and 2: 2 rows x 1 query x 2 neighbours = 4
+        #     slots; cell 1: 1 row x 2 queries x 2 neighbours = 4 slots.
+        #     Counts: 0.9 -> 3, 1.2 -> 4, 1.8 -> 4, 2.1 -> 3, so cell 1's
+        #     two points retire on the inner ring (core_retired_points = 2,
+        #     core_retired_cells = 1).
+        #   pass 2 (outer shell): 0.9 and 2.1 sit at 3 with one outer
+        #     point each, so 3 + 1 >= 4 keeps both open: 2 rows x 1 query
+        #     x 1 neighbour = 2 slots (0.9 and 2.1 are 1.2 apart: no
+        #     hit).  core_tile_slots = 4 + 4 + 2 = 10.
+        pts = np.array([[0.9], [1.2], [1.8], [2.1]])
         grid = Grid(pts, 1.0)
         before = counters.snapshot()
         core = label_cores(grid, 4)
@@ -383,7 +477,12 @@ class TestKernelInternals:
         assert delta["adjacency_probe_work"] == 15
         assert delta["adjacency_candidates"] == 9
         assert delta["adjacency_table"] == 1
+        assert delta["adjacency_entries"] == 6
+        assert delta["adjacency_inner_entries"] == 4
         assert delta["core_tile_slots"] == 10
+        assert delta["core_retired_points"] == 2
+        assert delta["core_retired_cells"] == 1
+        assert np.array_equal(core, [False, True, True, False])
         assert np.array_equal(core, loops.label_cores(grid, 4))
 
     def test_grid_soa_is_cached_and_consistent(self):

@@ -124,6 +124,74 @@ class TestParallelOracle:
         assert np.array_equal(par[0], ref[0]) and par[1] == ref[1]
 
 
+class TestRingBatches:
+    """Inner-ring batch first, then everything else, against the loop.
+
+    ``eps = 1`` in 2-D (side ``1/sqrt(2)``), ``MinPts = 1``.  Batch 1's
+    inner-ring accepts leave three components — X = cells (0,0)+(0,1),
+    Y = (2,0)+(3,0), Z = (5,0) — plus a far singleton W, and only
+    outer-shell pairs join X, Y and Z:
+
+    * (3,0)-(5,0): representatives 0.8 apart, a batch-2 stage A accept;
+    * (0,0)-(2,0): representatives 2.05 apart and far corners too, but
+      the boxes sit 0.72 apart, so the pair survives to the predicate,
+      which finds the 0.72 pair (0.70, 0.35)-(1.42, 0.35): an edge;
+    * (0,1)-(2,0): boxes 1.19 apart, a stage B reject.
+    """
+
+    POINTS = np.array([
+        [0.05, 0.05], [0.70, 0.35],  # cell (0,0); the first is its rep
+        [0.30, 0.75],                # cell (0,1)
+        [2.10, 0.05], [1.42, 0.35],  # cell (2,0)
+        [2.80, 0.10],                # cell (3,0)
+        [3.60, 0.10],                # cell (5,0)
+        [20.0, 20.0],                # cell (28,28), alone
+    ])
+    FUNNEL = {
+        "edge_pairs_total": 5,
+        "edge_quick_accept": 3,  # 2 inner-ring + 1 outer-shell
+        "edge_quick_reject": 1,
+        "edge_survivors": 1,
+        "edge_predicate_tests": 1,
+        "edge_predicate_hits": 1,
+    }
+
+    @pytest.mark.parametrize("rule", ["exact", "approx"])
+    def test_outer_pairs_join_inner_components(self, rule):
+        from repro.grid import counters
+
+        grid = Grid(self.POINTS, 1.0)
+        keys = list(grid.cells)
+        assert keys == [
+            (0, 0), (0, 1), (2, 0), (3, 0), (5, 0), (28, 28)
+        ]
+        _, ii, jj, inner = grid.neighbor_cell_pair_arrays()
+        assert sorted(
+            (keys[i], keys[j]) for i, j in zip(ii[inner].tolist(), jj[inner].tolist())
+        ) == [((0, 0), (0, 1)), ((2, 0), (3, 0))]
+        core = label_cores(grid, 1)
+        assert core.all()
+        before = counters.snapshot()
+        if rule == "exact":
+            staged = cg.exact_components(grid, core)
+            loop = loops.exact_components(grid, core)
+        else:
+            staged = cg.approx_components(grid, core, 0.001)
+            loop = loops.approx_components(grid, core, 0.001)
+        delta = counters.delta_since(before)
+        assert np.array_equal(staged[0], loop[0]) and staged[1] == loop[1] == 2
+        assert np.array_equal(staged[0], [0, 0, 0, 0, 0, 0, 0, 1])
+        assert {k: delta.get(k, 0) for k in self.FUNNEL} == self.FUNNEL
+        assert delta.get("edge_connected_skip", 0) == 0
+        assert delta["edge_pairs_total"] == (
+            delta["edge_quick_accept"] + delta["edge_quick_reject"]
+            + delta["edge_survivors"] + delta.get("edge_connected_skip", 0)
+        )
+        assert delta["edge_survivors"] == (
+            delta.get("edge_scheduled_skip", 0) + delta["edge_predicate_tests"]
+        )
+
+
 class TestStageCertificates:
     """Stage A accepts only true edges; stage B rejects only non-edges."""
 
@@ -132,7 +200,7 @@ class TestStageCertificates:
         grid, core = _dataset(seed, 600, d, 8.0, 4)
         cells = cg.core_cells(grid, core)
         arrays = cell_arrays(grid.points, cells)
-        keys, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+        keys, ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.keys())
         true_edges = set()
         for c1, c2 in loops.edge_list_exact(grid, core):
             true_edges.add((c1, c2))
@@ -150,7 +218,7 @@ class TestStageCertificates:
         grid, core = _dataset(12, 600, 2, 8.0, 4)
         cells = cg.core_cells(grid, core)
         arrays = cell_arrays(grid.points, cells)
-        _, ii, jj = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+        _, ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.keys())
         _, reject_exact = classify_pairs(grid.points, grid.eps, arrays, ii, jj)
         _, reject_approx = classify_pairs(
             grid.points, grid.eps, arrays, ii, jj,

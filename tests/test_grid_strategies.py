@@ -45,10 +45,26 @@ def rows_of(pairs, cell):
     return sorted(b for a, b in pairs if a == cell)
 
 
+def assert_ring_order(grid, truth):
+    """Each CSR row lists exactly its Chebyshev-1 neighbours first."""
+    adjacency = grid.adjacency()
+    keys, indptr = adjacency.keys, adjacency.indptr
+    assert len(adjacency.inner) == len(keys)
+    for t, cell in enumerate(keys):
+        row = [keys[j] for j in adjacency.indices[indptr[t]:indptr[t + 1]].tolist()]
+        ring = {
+            b for b in rows_of(truth, cell)
+            if max(abs(x - y) for x, y in zip(cell, b)) == 1
+        }
+        assert set(row[:adjacency.inner[t]]) == ring, cell
+        assert len(row) == len(set(row))
+
+
 def assert_matches_oracle(grid, subset=None):
     truth = box_gap_pairs(grid)
     for cell in grid.cells:
         assert sorted(grid.neighbor_cells(cell)) == rows_of(truth, cell), cell
+    assert_ring_order(grid, truth)
     allowed = set(grid.cells) if subset is None else set(subset)
     expected = {(a, b) for a, b in truth if a < b and a in allowed and b in allowed}
     got = list(grid.neighbor_cell_pairs(subset=subset))
@@ -80,7 +96,7 @@ def test_neighbor_cell_pairs_agree(d):
     pts = make_blobs(120, d, 3, spread=1.2, domain=25.0, seed=3)
     for builder in BUILDERS:
         grid = forced(pts, 3.0, builder)
-        keys, ii, jj = grid.neighbor_cell_pair_arrays()
+        keys, ii, jj, _ = grid.neighbor_cell_pair_arrays()
         # Orientation contract: the i-side cell precedes its partner.
         assert all(keys[i] < keys[j] for i, j in zip(ii.tolist(), jj.tolist()))
         assert_matches_oracle(grid)
@@ -140,6 +156,38 @@ def forced_lookup(points, eps, builder, lookup, *, packed=True):
 def test_offset_lookups_agree(d, lookup, builder):
     pts = make_blobs(150, d, 3, spread=1.0, domain=30.0, seed=10 + d)
     assert_matches_oracle(forced_lookup(pts, 3.0, builder, lookup))
+
+
+#: Cells per axis of the compact grids below: few enough at high ``d``
+#: that a forced direct table (one int32 per packed key, padded by the
+#: reach on each side) stays within ~40 MB.
+COMPACT_CELLS = {1: 12, 2: 10, 3: 8, 4: 6, 5: 5, 6: 4, 7: 4}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("lookup", LOOKUPS)
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_ring_ordered_rows(d, lookup, builder):
+    """Inner ring first, under every builder, lookup and dimension.
+
+    Points fill a box of ``COMPACT_CELLS[d]`` cells per axis, so every
+    row has both rings and the outer shell is cut by the box gap.
+    """
+    eps = 3.0
+    side = eps / np.sqrt(d)
+    rng = np.random.default_rng(20 + d)
+    pts = rng.uniform(0, COMPACT_CELLS[d] * side, size=(60 if d >= 6 else 120, d))
+    grid = forced_lookup(pts, eps, builder, lookup)
+    adjacency = grid.adjacency()
+    lengths = np.diff(adjacency.indptr)
+    assert (adjacency.inner > 0).any() and (adjacency.inner < lengths).any()
+    assert_matches_oracle(grid)
+    # The pair arrays flag exactly the inner-ring pairs.
+    keys, ii, jj, inner = grid.neighbor_cell_pair_arrays()
+    cheb = np.abs(
+        np.asarray(keys)[ii] - np.asarray(keys)[jj]
+    ).reshape(len(ii), d).max(axis=1)
+    assert np.array_equal(inner, cheb == 1)
 
 
 def test_wide_span_takes_searchsorted():
