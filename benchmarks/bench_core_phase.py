@@ -158,8 +158,8 @@ def measure(config, report=print):
     # must be byte-identical between kernels on the serial path...
     assert np.array_equal(core_staged, core_loop), "serial core mask drifted"
     assert b_staged == b_loop, "serial border assignment drifted"
-    # ...on the parallel cores path (workers > 1; staged kernel inside
-    # shards; borders always run in the parent)...
+    # ...on the parallel cores path (workers > 1; staged kernel in the
+    # pooled count ranges; borders always run in the parent)...
     pcfg = ParallelConfig(workers=2, min_points=0)
     par_core = parallel_label_cores(grid, min_pts, pcfg)
     assert np.array_equal(par_core, core_loop), "parallel cores drifted"

@@ -108,7 +108,10 @@ def _bare_fan_out(cfg, n_workers, payload, kind, items, consume, *,
     with executor._pool(cfg, n_workers, payload) as pool:
         for result in pool.imap_unordered(worker._TASKS[kind], items):
             consume(result)
-            executor._check_guards(deadline, memory, phase)
+            if deadline is not None:
+                deadline.check()
+            if memory is not None:
+                memory.check(phase)
         pool.close()
         pool.join()
 

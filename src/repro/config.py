@@ -113,15 +113,16 @@ def default_workers() -> int:
 
 
 def parallel_min_points() -> int:
-    """Serial-fallback threshold from ``REPRO_PARALLEL_MIN_POINTS``.
+    """Cores fan-out gate from ``REPRO_PARALLEL_MIN_POINTS``, in open queries.
 
-    Below this cardinality the parallel layer runs serially — pool startup
-    and payload pickling dwarf the work on small inputs.  The environment
-    override exists so CI can set it to 0 and force every run through the
-    sharded path.  A set-but-invalid value raises
+    A core plan leaving fewer open counting queries (not input points) is
+    counted in the parent: pool start-up outweighs that much counting.
+    The default comes from the serial-vs-pooled table in
+    ``docs/PARALLEL.md``; CI sets 0 to force every plan with work through
+    the pool.  A set-but-invalid value raises
     :class:`~repro.errors.ConfigError`.
     """
-    return _env_int("REPRO_PARALLEL_MIN_POINTS", 4096, 0)
+    return _env_int("REPRO_PARALLEL_MIN_POINTS", 150_000, 0)
 
 
 def max_shard_retries() -> int:

@@ -23,7 +23,7 @@ Both passes compute exactly the predicate of the per-cell references in
 cluster with a core point within ``eps``" for borders — against the
 shared :func:`repro.geometry.distance.sq_radius` decision boundary, so
 the results are byte-identical to them on every path that runs these
-phases (serial pipeline, the parallel cores shard workers, the
+phases (serial pipeline, the parallel cores range workers, the
 engine sweep's ``known_core`` carry, the resilient cascade, and the
 fully-approximate extension).  The kernels report their funnels through
 :mod:`repro.grid.counters` (``core_*`` / ``border_*``), which the
@@ -47,8 +47,8 @@ _EMPTY = np.empty(0, dtype=np.int64)
 
 #: Attribute name under which the per-grid dense arrays are cached on the
 #: :class:`Grid` instance.  A grid's cells are immutable
-#: once built, so the cache never invalidates; shard workers calling the
-#: kernel once per shard reuse it instead of rebuilding per task.
+#: once built, so the cache never invalidates; pool workers forked after
+#: the parent's core plan inherit it instead of rebuilding it.
 _SOA_ATTR = "_corekernel_soa"
 
 
@@ -67,7 +67,6 @@ class GridSoA:
     """
 
     keys: List[CellCoord]
-    index: Dict[CellCoord, int]
     sizes: np.ndarray
     offsets: np.ndarray
     cat: np.ndarray
@@ -90,48 +89,16 @@ def grid_soa(grid: Grid) -> GridSoA:
         return soa
     keys = list(grid.cells.keys())
     m = len(keys)
-    index = {c: t for t, c in enumerate(keys)}
     points = grid.points
-    point_sq = np.einsum("ij,ij->i", points, points)
-    if m == 0:
-        soa = GridSoA(keys, index, _EMPTY, _EMPTY.copy(), _EMPTY.copy(), point_sq)
-        setattr(grid, _SOA_ATTR, soa)
-        return soa
     sizes = np.fromiter(
         (len(idx) for idx in grid.cells.values()), dtype=np.int64, count=m
     )
     offsets = np.zeros(m, dtype=np.int64)
     np.cumsum(sizes[:-1], out=offsets[1:])
-    cat = np.concatenate(list(grid.cells.values()))
-    soa = GridSoA(keys, index, sizes, offsets, cat, point_sq)
+    cat = np.concatenate(list(grid.cells.values())) if m else _EMPTY
+    soa = GridSoA(keys, sizes, offsets, cat, np.einsum("ij,ij->i", points, points))
     setattr(grid, _SOA_ATTR, soa)
     return soa
-
-
-def _work_cell_ids(
-    grid: Grid,
-    soa: GridSoA,
-    cells,
-    known_core: Optional[np.ndarray],
-) -> Tuple[np.ndarray, bool]:
-    """Dense ids of the cells one pass must visit, plus the carry flag.
-
-    Mirrors the work-selection of the reference loops: an explicit
-    ``cells`` iterable (shard restriction) wins; otherwise a ``known_core``
-    carry restricts the pass to cells holding at least one unknown point;
-    otherwise every cell is visited.  The carry flag is True exactly when
-    the caller must pre-seed the mask with ``known_core`` wholesale.
-    """
-    if cells is not None:
-        ids = [soa.index.get(tuple(c)) for c in cells]
-        found = [t for t in ids if t is not None]
-        return np.asarray(found, dtype=np.int64), False
-    if known_core is not None and known_core.any():
-        unknown = np.nonzero(~known_core)[0]
-        if len(unknown) == 0:
-            return _EMPTY, True
-        return np.unique(soa.point_cells()[unknown]), True
-    return np.arange(len(soa), dtype=np.int64), False
 
 
 def _size_classes(

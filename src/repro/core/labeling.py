@@ -25,23 +25,31 @@ shared machinery in :mod:`repro.core.corekernel`):
   reaches ``MinPts`` drops out of every later tile, and a cell whose
   points all retired contributes no further rows.
 
+* **Plan once, count in ranges.**  Stage A, the carry, the per-row ring
+  totals and the upper-bound reject form a :class:`CorePlan`
+  (:func:`plan_cores`); stage B (:func:`count_cores`) then counts any
+  contiguous range of the plan's live cells.  The serial call counts
+  them all; :mod:`repro.parallel` builds the plan once in the parent
+  and hands ranges to its workers, so they redo none of the plan.
+
 The per-cell loop this replaced is kept as the differential oracle in
 ``tests/oracles/loops.py``; the mask is byte-identical to it.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.corekernel import (
+    _EMPTY,
     GridSoA,
     _padded_rows,
     _size_classes,
     _take_ranges,
     _tile_width,
-    _work_cell_ids,
     grid_soa,
 )
 from repro.errors import AlgorithmError
@@ -58,7 +66,6 @@ def label_cores(
     min_pts: int,
     *,
     deadline: Optional["Deadline"] = None,
-    cells=None,
     known_core: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Boolean core mask for every point of ``grid.points``.
@@ -66,12 +73,6 @@ def label_cores(
     ``deadline`` (if given) is polled once per batched tile, so a labeling
     pass over a huge grid aborts promptly with
     :class:`~repro.errors.TimeoutExceeded`.
-
-    ``cells`` optionally restricts the pass to an iterable of cell
-    coordinates (a *shard*); positions outside those cells stay ``False``.
-    The per-cell decision only reads the cell's eps-neighbour cells, so a
-    union of shard passes over a partition of the grid equals the full
-    pass — this is what :mod:`repro.parallel` fans out over workers.
 
     ``known_core`` optionally marks points *already known* to be core — a
     sound lower bound, e.g. the core mask of a smaller ``eps`` at the same
@@ -90,21 +91,91 @@ def label_cores(
     evaluated, so its ratio to the real neighbour work shows the padding
     overhead.
     """
+    plan = plan_cores(grid, min_pts, deadline=deadline, known_core=known_core)
+    return plan.merge([count_cores(grid, plan, deadline=deadline)])
+
+
+def _empty() -> np.ndarray:
+    return _EMPTY
+
+
+@dataclass
+class CorePlan:
+    """A core-labeling call after stage A, the known-core carry and the reject.
+
+    ``core`` holds the verdicts the plan settled (dense cells, known
+    points); counting only adds to it.  The queries left are the live
+    sparse cells' unknown points: ``q_all`` (point indices) with their
+    live-cell positions ``q_cell`` (ascending, so a range of live cells
+    owns a contiguous block of queries), and ``open_q`` the query
+    positions that survived the upper-bound reject.  Per live cell: its
+    dense id ``live_ids`` and the point totals ``inner_len`` /
+    ``outer_len`` of its inner ring and outer shell.
+    """
+
+    min_pts: int
+    core: np.ndarray
+    q_all: np.ndarray = field(default_factory=_empty)
+    q_cell: np.ndarray = field(default_factory=_empty)
+    open_q: np.ndarray = field(default_factory=_empty)
+    live_ids: np.ndarray = field(default_factory=_empty)
+    inner_len: np.ndarray = field(default_factory=_empty)
+    outer_len: np.ndarray = field(default_factory=_empty)
+
+    def ranges(self, n_tasks: int) -> List[Tuple[int, int]]:
+        """Up to ``n_tasks`` contiguous live-cell ranges of about equal planned slots.
+
+        A live cell plans ``open queries x neighbour points`` slots.
+        Ranges without an open query are left out (their points stay
+        non-core).
+        """
+        if not len(self.open_q):
+            return []
+        slots = np.bincount(self.q_cell[self.open_q], minlength=len(self.live_ids))
+        cum = np.zeros(len(slots) + 1, dtype=np.int64)
+        np.cumsum(slots * (self.inner_len + self.outer_len), out=cum[1:])
+        cuts = np.searchsorted(cum[1:], cum[-1] * np.arange(1, n_tasks) / n_tasks) + 1
+        bounds = np.unique(np.concatenate(([0], cuts, [len(slots)])))
+        return [
+            (int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])
+            if cum[hi] > cum[lo]
+        ]
+
+    def merge(self, results: Iterable[Tuple[np.ndarray, Dict[str, int]]]) -> np.ndarray:
+        """Write :func:`count_cores` results into ``core``; publish their counters."""
+        for idx, tally in results:
+            self.core[idx] = True
+            for name, value in tally.items():
+                counters.add(name, value)
+        return self.core
+
+
+def plan_cores(
+    grid: Grid,
+    min_pts: int,
+    *,
+    deadline: Optional["Deadline"] = None,
+    known_core: Optional[np.ndarray] = None,
+) -> CorePlan:
+    """Stage A, the known-core carry and the upper-bound reject; publishes their counters."""
     if grid.side > grid.eps / np.sqrt(grid.dim) * (1.0 + 1e-9):
         raise AlgorithmError(
             "core labeling requires cell side <= eps/sqrt(d) so that same-cell "
             f"points are within eps (side={grid.side}, eps={grid.eps}, d={grid.dim})"
         )
-    points = grid.points
-    sq_eps = dm.sq_radius(grid.eps)
-    core = np.zeros(len(points), dtype=bool)
+    min_pts = int(min_pts)
+    core = np.zeros(len(grid.points), dtype=bool)
     soa = grid_soa(grid)
-    work, carry = _work_cell_ids(grid, soa, cells, known_core)
-    if carry:
+    if known_core is not None and known_core.any():
+        # The carry pre-seeds the mask and visits only the cells holding
+        # an unknown point, like the reference loop.
         core[:] = known_core
+        work = np.unique(soa.point_cells()[~core])
+    else:
+        work = np.arange(len(soa), dtype=np.int64)
     counters.add("core_cells_total", len(work))
     if len(work) == 0:
-        return core
+        return CorePlan(min_pts, core)
     if deadline is not None:
         deadline.check()
     work_sizes = soa.sizes[work]
@@ -120,7 +191,7 @@ def label_cores(
     sparse_ids = work[~dense]
     counters.add("core_sparse_cells", len(sparse_ids))
     if len(sparse_ids) == 0:
-        return core
+        return CorePlan(min_pts, core)
 
     # Queries: the sparse cells' points that still need a counting pass.
     q_all = _take_ranges(soa.cat, soa.offsets[sparse_ids], soa.sizes[sparse_ids])
@@ -133,7 +204,7 @@ def label_cores(
             q_all, q_cell = q_all[~already], q_cell[~already]
     counters.add("core_counted_points", len(q_all))
     if len(q_all) == 0:
-        return core
+        return CorePlan(min_pts, core)
     # Cells whose points were all known drop out before any neighbour work.
     live = np.unique(q_cell)
     remap = np.full(len(sparse_ids), -1, dtype=np.int64)
@@ -152,45 +223,82 @@ def label_cores(
     row_hi = adjacency.indptr[live_ids + 1]
     inner_len = size_sum[row_mid] - size_sum[row_lo]
     outer_len = size_sum[row_hi] - size_sum[row_mid]
-    own = soa.sizes[live_ids]
 
     # Upper-bound quick-reject: a sparse cell whose occupancy plus entire
     # neighbourhood stays below ``MinPts`` cannot make any point core —
     # no distance work needed (the per-cell reference pays the full scan).
-    rejected = own + inner_len + outer_len < min_pts
+    rejected = soa.sizes[live_ids] + inner_len + outer_len < min_pts
     if rejected.any():
         counters.add(
             "core_upperbound_reject_points", int(rejected[q_cell].sum())
         )
+    return CorePlan(
+        min_pts, core, q_all=q_all, q_cell=q_cell,
+        open_q=np.nonzero(~rejected[q_cell])[0], live_ids=live_ids,
+        inner_len=inner_len, outer_len=outer_len,
+    )
+
+
+def count_cores(
+    grid: Grid,
+    plan: CorePlan,
+    lo: int = 0,
+    hi: Optional[int] = None,
+    *,
+    deadline: Optional["Deadline"] = None,
+) -> Tuple[np.ndarray, Dict[str, int]]:
+    """Stage B over the live cells ``lo:hi`` of ``plan`` (default: all).
+
+    Returns the range's core point indices and its ``core_tile_slots`` /
+    ``core_retired_*`` counters, unpublished; ``plan`` is left untouched.
+    Ranges that partition the live cells return disjoint index sets whose
+    union is the full pass's (tile slots differ: tiles form per range).
+    """
+    min_pts = plan.min_pts
+    hi = len(plan.live_ids) if hi is None else hi
+    tally = {"core_tile_slots": 0, "core_retired_points": 0, "core_retired_cells": 0}
+    q_lo, q_hi = np.searchsorted(plan.q_cell, (lo, hi))
+    o_lo, o_hi = np.searchsorted(plan.open_q, (q_lo, q_hi))
+    if o_lo == o_hi:
+        return _EMPTY, tally
+    q_all = plan.q_all[q_lo:q_hi]
+    q_cell = plan.q_cell[q_lo:q_hi] - lo
+    open_q = plan.open_q[o_lo:o_hi] - q_lo
+    live = plan.live_ids[lo:hi]
+    inner_len, outer_len = plan.inner_len[lo:hi], plan.outer_len[lo:hi]
+    soa = grid_soa(grid)
+    adjacency = grid.adjacency()
+    row_lo = adjacency.indptr[live]
+    row_mid = row_lo + adjacency.inner[live]
+    own = soa.sizes[live]
     # Counts start at the full cell occupancy (same-cell points are all
     # within eps), exactly like the reference.
     counts = own[q_cell]
 
-    # Stage B, nearest ring first.  Pass 1 counts every query against its
-    # cell's inner ring; the queries that reach MinPts there retire
-    # without ever touching the outer shell.
-    open_q = np.nonzero(~rejected[q_cell])[0]
+    # Nearest ring first.  Pass 1 counts every query against its cell's
+    # inner ring; the queries that reach MinPts there retire without ever
+    # touching the outer shell.
     _count_pass(
         grid, soa, adjacency, min_pts, q_all, q_cell, counts, open_q,
-        row_lo, row_mid - row_lo, inner_len, deadline,
+        row_lo, row_mid - row_lo, inner_len, deadline, tally,
     )
     settled = counts[open_q] >= min_pts
     open_q = open_q[~settled]
     if settled.any():
-        counters.add("core_retired_points", int(settled.sum()))
-        still = np.bincount(q_cell[open_q], minlength=len(live_ids))
-        counters.add("core_retired_cells", int((~rejected & (still == 0)).sum()))
+        tally["core_retired_points"] += int(settled.sum())
+        still = np.bincount(q_cell[open_q], minlength=hi - lo)
+        kept = own + inner_len + outer_len >= min_pts  # not upper-bound rejected
+        tally["core_retired_cells"] += int((kept & (still == 0)).sum())
     # Pass 2: the outer shell, only for the queries still below MinPts
     # that the shell's point total can still carry there.
     open_q = open_q[counts[open_q] + outer_len[q_cell[open_q]] >= min_pts]
     retired_points, retired_cells = _count_pass(
         grid, soa, adjacency, min_pts, q_all, q_cell, counts, open_q,
-        row_mid, row_hi - row_mid, outer_len, deadline,
+        row_mid, adjacency.indptr[live + 1] - row_mid, outer_len, deadline, tally,
     )
-    counters.add("core_retired_points", retired_points)
-    counters.add("core_retired_cells", retired_cells)
-    core[q_all] = counts >= min_pts
-    return core
+    tally["core_retired_points"] += retired_points
+    tally["core_retired_cells"] += retired_cells
+    return q_all[counts >= min_pts], tally
 
 
 def _count_pass(
@@ -206,6 +314,7 @@ def _count_pass(
     entry_len: np.ndarray,
     nlen: np.ndarray,
     deadline: Optional["Deadline"],
+    tally: Dict[str, int],
 ) -> Tuple[int, int]:
     """Add one ring's neighbour counts to the queries ``open_q``, in place.
 
@@ -217,8 +326,9 @@ def _count_pass(
     of both their neighbour-list length and their open-query count, and
     each class is a (cells, max queries/cell, tile) block settled by one
     batched matmul per tile, with whole cells retiring from later tiles
-    once all their points reach MinPts.  Returns the points and cells
-    retired before the end of their rows.
+    once all their points reach MinPts.  Adds the evaluated tile slots to
+    ``tally`` and returns the points and cells retired before the end of
+    their rows.
     """
     n_live = len(entry_start)
     q_counts = np.bincount(q_cell[open_q], minlength=n_live).astype(np.int64)
@@ -251,7 +361,7 @@ def _count_pass(
             if deadline is not None:
                 deadline.check()  # one poll per tile, not per cell
             w = _tile_width(len(active) * q_max, grid.dim, width - pos)
-            counters.add("core_tile_slots", len(active) * q_max * w)
+            tally["core_tile_slots"] += len(active) * q_max * w
             # Advanced row index plus a column slice: copies only the tile.
             nbr_idx = nbr_pad[active, pos:pos + w]
             q_idx = q_pad[active]

@@ -4,17 +4,17 @@ The paper's Theorem 2 decomposition has three shardable phases: core
 determination is per-cell, the core-cell graph is per-edge, and border
 assignment is per-cell again.  Only core labeling pays for a worker pool
 (measured in ``docs/PARALLEL.md``, "Phase by phase"), so this package
-shards the grid into spatially contiguous cell blocks, fans core labeling
-out over a supervised pool and merges the flags by index writes; the
-other phases run serially in the parent.  The output is *identical* to
-the serial pipeline (``tests/test_parallel_equivalence.py`` is the
-differential oracle).
+plans core labeling in the parent, fans the count of the plan's live-cell
+ranges out over a supervised pool when enough queries are left open, and
+merges the core indices by index writes; the other phases run serially
+in the parent.  The output is *identical* to the serial pipeline
+(``tests/test_parallel_equivalence.py`` is the differential oracle).
 
 Public entry points accept ``workers=`` (an int or a
 :class:`ParallelConfig`); ``repro-dbscan --workers N`` exposes it on the
 command line, and the ``REPRO_WORKERS`` environment variable sets the
 fleet-wide default.  Workers inherit the grid under ``fork`` and return
-their shard results pickled (see ``docs/PARALLEL.md``, "Transport").
+their range results pickled (see ``docs/PARALLEL.md``, "Transport").
 """
 
 from repro.parallel.executor import (
@@ -31,7 +31,6 @@ from repro.parallel.executor import (
     track_copy_bytes,
     unpublish_grid,
 )
-from repro.parallel.shard import shard_cells
 from repro.parallel.supervisor import (
     SupervisorStats,
     collect_stats,
@@ -49,7 +48,6 @@ __all__ = [
     "parallel_approx_components",
     "parallel_assign_borders",
     "parallel_warm_neighbors",
-    "shard_cells",
     "OVERSHARD",
     "track_copy_bytes",
     "unpublish_grid",

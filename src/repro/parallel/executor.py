@@ -1,20 +1,22 @@
 """Parent-process orchestration of the parallel grid pipeline.
 
-One phase fans out: core labeling.  It is per-cell work over read-only
-inputs, so spatially contiguous cell shards run the serial
-:func:`~repro.core.labeling.label_cores` independently over a supervised
-``multiprocessing.Pool`` and the parent writes each shard's flags into
-one global mask.  The core-cell connectivity, the border assignment and
-the cell-adjacency build run serially in the parent: measured on a
-2-CPU host with 2 workers, components and borders lost to serial on
-every input and the (then all-pairs) adjacency build on 4 of 5 grids,
-because shipping and merging their results costs more than the work
-itself (``docs/PARALLEL.md``, "Phase by phase").
+One phase fans out: core labeling.  The parent builds its plan once
+(:func:`~repro.core.labeling.plan_cores`), then forks a supervised
+``multiprocessing.Pool`` whose workers inherit it and run the serial
+:func:`~repro.core.labeling.count_cores` over ranges of its live cells;
+the parent writes each range's core indices into the plan's mask.  The
+core-cell connectivity, the border assignment and the cell-adjacency
+build run serially in the parent: measured on a 2-CPU host with 2
+workers, components and borders lost to serial on every input and the
+(then all-pairs) adjacency build on 4 of 5 grids, because shipping and
+merging their results costs more than the work itself
+(``docs/PARALLEL.md``, "Phase by phase").
 
-The fan-out falls back to the serial implementation when the resolved
-worker count is 1, the input is below :attr:`ParallelConfig.min_points`,
-or there are fewer cells than workers.  Workers poll the remaining time
-budget and the memory limit cooperatively (see ``repro.parallel.worker``).
+The count runs in the parent instead when the resolved worker count is
+1, when the plan leaves fewer than :attr:`ParallelConfig.min_points`
+queries open, or when it has a single range of work.  Workers poll the
+remaining time budget and the memory limit cooperatively (see
+``repro.parallel.worker``).
 
 It runs under the fault-tolerant supervisor
 (:mod:`repro.parallel.supervisor`): dead workers and hung shards are
@@ -24,7 +26,8 @@ errors raised *inside* workers still re-raise promptly.
 
 **Transport.** Pools start with ``fork`` where the platform has it, so
 workers inherit the parent's warm :class:`~repro.grid.cells.Grid`
-copy-on-write; task items (cell lists) and shard results travel pickled.
+copy-on-write, and the core plan with it; ``(lo, hi)`` task items and
+range results (core indices, counters) travel pickled.
 """
 
 from __future__ import annotations
@@ -41,11 +44,10 @@ import numpy as np
 from repro import config
 from repro.core.border import assign_borders
 from repro.core.cellgraph import approx_components, exact_components
-from repro.core.labeling import label_cores
+from repro.core.labeling import count_cores, plan_cores
 from repro.errors import ParameterError
 from repro.grid.cells import Grid
 from repro.parallel import worker
-from repro.parallel.shard import shard_cells
 from repro.parallel.supervisor import run_supervised
 from repro.runtime import faultinject
 from repro.runtime.deadline import Deadline
@@ -54,8 +56,8 @@ from repro.utils.log import get_logger
 
 _log = get_logger("parallel.executor")
 
-#: Shards per worker for the cores fan-out: mild over-sharding lets the
-#: pool rebalance skewed cell occupancy across its workers.
+#: Ranges per worker for the cores fan-out: mild over-sharding lets the
+#: pool absorb what the planned-slot balance misses.
 OVERSHARD = 4
 
 #: Pool start method: ``fork`` where available (workers inherit the grid
@@ -72,9 +74,10 @@ class ParallelConfig:
     workers:
         Worker-process count.  ``1`` disables the pool entirely.
     min_points:
-        Serial fallback threshold: inputs smaller than this never spawn a
-        pool (startup + payload transfer dominate the work there).  The
-        default follows ``REPRO_PARALLEL_MIN_POINTS`` (see
+        Fan-out gate: a core plan leaving fewer open counting queries
+        (after the dense quick-accept, the carry and the upper-bound
+        reject) is counted in the parent; ``0`` fans out every plan with
+        work.  Defaults to ``REPRO_PARALLEL_MIN_POINTS`` (see
         :func:`repro.config.parallel_min_points`).
     max_shard_retries:
         How many times a failed (or crash-lost) shard is resubmitted to
@@ -145,14 +148,12 @@ def as_parallel_config(workers: WorkersLike) -> Optional[ParallelConfig]:
 
 
 def effective_workers(
-    cfg: Optional[ParallelConfig], n_points: int, n_cells: int
+    cfg: Optional[ParallelConfig], open_points: int, n_ranges: int
 ) -> int:
-    """Resolved worker count for the cores fan-out (1 means run serial)."""
-    if cfg is None:
+    """Pool size for a plan with ``open_points`` queries in ``n_ranges`` ranges (1: none)."""
+    if cfg is None or open_points < cfg.min_points:
         return 1
-    if n_points < cfg.min_points:
-        return 1
-    return max(1, min(int(cfg.workers), n_cells))
+    return max(1, min(int(cfg.workers), n_ranges))
 
 
 def _base_payload(
@@ -243,7 +244,7 @@ def _fan_out(
     """Distribute one phase's tasks over the supervised pool and merge.
 
     ``consume`` must be order-independent and idempotent (the cores merge
-    is a disjoint index write), which is what lets the supervisor keep
+    keys each result by its range), which is what lets the supervisor keep
     completed work across pool respawns and tolerate a duplicate result
     from a torn-down pool.
     """
@@ -269,13 +270,6 @@ def _pool(cfg: ParallelConfig, n_workers: int, payload: Dict[str, object]):
     )
 
 
-def _check_guards(deadline: Optional[Deadline], memory: Optional[MemoryBudget], phase: str) -> None:
-    if deadline is not None:
-        deadline.check()
-    if memory is not None:
-        memory.check(phase)
-
-
 def parallel_label_cores(
     grid: Grid,
     min_pts: int,
@@ -285,37 +279,36 @@ def parallel_label_cores(
     memory: Optional[MemoryBudget] = None,
     known_core: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Phase-2 core determination, sharded over the pool (or serial).
+    """:func:`~repro.core.labeling.label_cores`, its count fanned out over the pool.
 
-    ``known_core`` is the monotone-sweep hint of
-    :func:`repro.core.labeling.label_cores`: points already known core skip
-    their counting pass.  It rides in the payload, so pooled shards profit
-    exactly like the serial path.
+    The plan is built once, before any fork; the count fans out only when
+    :func:`effective_workers` passes it, else it runs in the parent.  Each
+    range's result is kept under its ``(lo, hi)`` key, so a duplicated
+    result counts once, and merged after the fan-out.
     """
-    n_workers = effective_workers(cfg, len(grid.points), len(grid))
+    plan = plan_cores(grid, min_pts, deadline=deadline, known_core=known_core)
+    ranges = plan.ranges(cfg.workers * OVERSHARD) if cfg is not None else []
+    n_workers = effective_workers(cfg, len(plan.open_q), len(ranges))
     if n_workers <= 1:
-        return label_cores(grid, min_pts, deadline=deadline, known_core=known_core)
-    _check_guards(deadline, memory, "cores")
-    # Warm the adjacency map before forking so every worker inherits it
-    # instead of rebuilding it (a no-op when the pipeline already did).
-    grid.warm_neighbors()
-    weights = {c: len(idx) for c, idx in grid.cells.items()}
-    shards = shard_cells(grid.cells.keys(), n_workers * OVERSHARD, weights)
+        return plan.merge([count_cores(grid, plan, deadline=deadline)])
+    if deadline is not None:
+        deadline.check()
+    if memory is not None:
+        memory.check("cores")
     payload = _base_payload(grid, "cores", deadline, memory)
-    payload["min_pts"] = int(min_pts)
-    payload["known_core"] = known_core
-    core = np.zeros(len(grid.points), dtype=bool)
-    _log.debug("cores phase: %d shards over %d workers", len(shards), n_workers)
+    payload["plan"] = plan
+    results: Dict[Tuple[int, int], object] = {}
+    _log.debug("cores phase: %d ranges over %d workers", len(ranges), n_workers)
 
-    def merge_cores(result) -> None:
-        idx, flags = result
-        core[idx] = flags
+    def keep(result) -> None:
+        cell_range, idx, tally = result
+        results[cell_range] = (idx, tally)
 
     _fan_out(
-        cfg, n_workers, payload, "cores", shards, merge_cores,
+        cfg, n_workers, payload, "cores", ranges, keep,
         deadline=deadline, memory=memory,
     )
-    return core
+    return plan.merge(results.values())
 
 
 # -------------------------------------------------- serial pass-throughs

@@ -156,6 +156,10 @@ class SupervisorStats:
     timeouts: int = 0
     #: Shards executed serially in the parent after the pool was abandoned.
     serial_requeued: int = 0
+    #: Shard submissions to a worker pool, retries included.
+    submitted: int = 0
+    #: Largest worker pool a fan-out of the run started (0: none).
+    pool_workers: int = 0
 
     def record_retry(self, phase: str, seq: int, attempt: int, reason: str) -> None:
         self.retries.append(
@@ -165,17 +169,6 @@ class SupervisorStats:
     def record_quarantine(self, phase: str, seq: int, attempts: int, reason: str) -> None:
         self.quarantined.append(
             {"phase": phase, "shard": int(seq), "attempts": int(attempts), "reason": reason}
-        )
-
-    @property
-    def events(self) -> int:
-        """Total recovery actions (0 means a fault-free run)."""
-        return (
-            len(self.retries)
-            + len(self.quarantined)
-            + self.respawns
-            + self.timeouts
-            + self.serial_requeued
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -304,6 +297,7 @@ def run_supervised(
             pool_pids = frozenset(p.pid for p in pool._pool)
         except Exception:  # pragma: no cover - interpreter-internal layout
             pool_pids = frozenset()
+        stats.pool_workers = max(stats.pool_workers, len(pool_pids))
 
     def _submit(shard: _Shard) -> None:
         seq = shard.seq
@@ -314,6 +308,7 @@ def run_supervised(
             error_callback=lambda exc, seq=seq: _on_result(seq, False, exc),
         )
         inflight[seq] = time.monotonic()
+        stats.submitted += 1
 
     def _run_in_parent(shard: _Shard, *, why: str) -> None:
         nonlocal n_done

@@ -13,21 +13,20 @@ hot loops, and a worker that trips one re-raises the library's own error
 across the pool boundary (the errors are pickle-safe; see
 ``repro.errors``).
 
-The one task, :func:`cores_task`, reuses the *serial* ``label_cores``
-restricted to a shard's cells, so there is a single source of truth for
-the per-cell decision and serial/parallel drift is impossible by
-construction.  Each task returns its shard's result pickled; the parent
-merges them.
+The one task, :func:`cores_task`, runs the *serial* ``count_cores`` over
+one range of the parent's :class:`~repro.core.labeling.CorePlan` (in the
+payload, inherited like the grid), so serial/parallel drift is impossible
+by construction.  It returns only the range's core point indices and
+counters, pickled; the parent merges them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.core.labeling import label_cores
-from repro.grid.cells import CellCoord, Grid
+from repro.core.labeling import count_cores
 from repro.runtime.deadline import Deadline
 from repro.runtime.memory import MemoryBudget
 
@@ -50,11 +49,10 @@ def build_context(payload: Dict[str, object], *, in_worker: bool = True) -> Dict
         "grid": payload["grid"],
         "deadline": None if time_remaining is None else Deadline(float(time_remaining)),
         "memory": None if memory_limit_mb is None else MemoryBudget(float(memory_limit_mb)),
-        "min_pts": payload.get("min_pts"),
+        "plan": payload.get("plan"),
         "phase": payload.get("phase", ""),
         "fault_spec": payload.get("fault_spec"),
         "in_worker": bool(in_worker),
-        "known_core": payload.get("known_core"),
     }
 
 
@@ -70,23 +68,17 @@ def _ctx() -> Dict[str, object]:
     return _CTX
 
 
-def cores_task(cell_block: Sequence[CellCoord]) -> Tuple[np.ndarray, np.ndarray]:
-    """Core determination for one shard: its ``(point_indices, core_flags)``."""
+def cores_task(
+    cell_range: Tuple[int, int]
+) -> Tuple[Tuple[int, int], np.ndarray, Dict[str, int]]:
+    """Count one ``(lo, hi)`` range of the plan: ``(range, core indices, counters)``."""
     ctx = _ctx()
-    grid: Grid = ctx["grid"]
-    mask = label_cores(
-        grid,
-        int(ctx["min_pts"]),
-        deadline=ctx["deadline"],
-        cells=cell_block,
-        known_core=ctx.get("known_core"),
-    )
+    lo, hi = cell_range
+    idx, tally = count_cores(ctx["grid"], ctx["plan"], lo, hi, deadline=ctx["deadline"])
     memory: Optional[MemoryBudget] = ctx["memory"]
     if memory is not None:
         memory.check(str(ctx["phase"]))
-    blocks = [grid.points_in(c) for c in cell_block]
-    idx = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
-    return idx, mask[idx]
+    return (lo, hi), idx, tally
 
 
 #: Task-kind dispatch used by the supervised executor.

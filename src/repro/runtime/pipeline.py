@@ -36,11 +36,7 @@ from repro.core.result import Clustering, build_clustering
 from repro.errors import ParameterError
 from repro.grid import counters
 from repro.grid.cells import CellCoord, Grid
-from repro.parallel.executor import (
-    ParallelConfig,
-    effective_workers,
-    parallel_label_cores,
-)
+from repro.parallel.executor import ParallelConfig, parallel_label_cores
 from repro.parallel.supervisor import collect_stats
 from repro.runtime.checkpoint import CheckpointStore, fingerprint_points, phase_index
 from repro.runtime.deadline import Deadline
@@ -120,8 +116,8 @@ def run_grid_pipeline(
     """Run the four-phase grid pipeline and assemble the result.
 
     ``meta`` must already contain the algorithm identity and parameters;
-    the pipeline adds ``grid_cells``, ``workers`` (the *effective* worker
-    count — 1 when the serial fallback applied), ``phase_seconds`` (the
+    the pipeline adds ``grid_cells``, ``workers`` (the pool size the cores
+    phase ran on — 1 when it ran in the parent), ``phase_seconds`` (the
     wall-clock spent per phase, result assembly included as ``result``) and (when a resume happened)
     ``resumed_from_phase``.
 
@@ -254,16 +250,16 @@ def run_grid_pipeline(
     meta = dict(meta)
     meta["grid_cells"] = len(grid)
     meta["phase_seconds"] = phase_seconds
-    # Kernel work this run triggered in this process.  Under ``workers>1``
-    # the core_* counters of pooled shards stay in the worker processes.
+    # Kernel work this run triggered, pooled core ranges included (the
+    # cores fan-out publishes their tallies in the parent).
     kernel_counters = counters.delta_since(counters_before)
     if kernel_counters:
         meta["kernel_counters"] = kernel_counters
     if parallel is not None:
         meta["supervisor"] = sup_stats.as_dict()
-    # Record the *effective* worker count: 1 when the serial fallback
-    # kicked in (small n, or fewer cells than workers), else the pool size.
-    meta["workers"] = effective_workers(parallel, len(pts), len(grid))
+    # The workers the cores phase actually used: 1 when its plan was
+    # counted in the parent (gated, restored or adopted), else the pool size.
+    meta["workers"] = max(1, sup_stats.pool_workers)
     if state is not None:
         meta["resumed_from_phase"] = str(state["phase"])
     # ``meta`` holds this very ``phase_seconds`` dict, so the assembly time

@@ -44,22 +44,18 @@ def label_cores(
     min_pts: int,
     *,
     deadline=None,
-    cells=None,
     known_core: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Boolean core mask, one cell at a time with early termination.
 
-    Same contract as :func:`repro.core.labeling.label_cores`: ``cells``
-    restricts the pass to a shard (positions outside stay ``False``) and
+    Same contract as :func:`repro.core.labeling.label_cores`:
     ``known_core`` marks points already known to be core.
     """
     _check_side(grid, "core labeling")
     points = grid.points
     sq_eps = dm.sq_radius(grid.eps)
     core = np.zeros(len(points), dtype=bool)
-    if cells is not None:
-        work = ((tuple(c), grid.points_in(c)) for c in cells)
-    elif known_core is not None and known_core.any():
+    if known_core is not None and known_core.any():
         # Monotone carry: only cells holding a not-yet-known point can
         # change anything; every other cell's verdict is the hint itself.
         core[:] = known_core

@@ -4,9 +4,9 @@ The contract under test (see ``repro/core/corekernel.py``): the staged,
 batched core-labeling and border-assignment kernels must produce results
 **byte-identical** to the reference per-cell loops
 (``tests/oracles/loops.py``) on every path that consumes them — serial
-across dims and ``MinPts``, ``known_core`` sweep carry, core shard
-restriction (``cells=``), ``workers>1`` pipeline runs, and the degenerate
-empty/singleton grids.
+across dims and ``MinPts``, ``known_core`` sweep carry, the count split
+into live-cell ranges of one plan (what ``workers>1`` fans out),
+``workers>1`` pipeline runs, and the degenerate empty/singleton grids.
 ``loops.neighbor_counts`` stays the brute oracle grounding both in the
 raw ``|B(p, eps)| >= MinPts`` predicate.  On top of the end-to-end oracle: the ``core_*``/``border_*``
 counter funnels must partition cleanly, and a deadline must abort the
@@ -23,7 +23,7 @@ from repro.algorithms.exact_grid import exact_grid_dbscan
 from repro.core import cellgraph as cg
 from repro.core.border import assign_borders
 from repro.core.corekernel import BorderAssignments, grid_soa
-from repro.core.labeling import label_cores
+from repro.core.labeling import count_cores, label_cores, plan_cores
 from repro.errors import TimeoutExceeded
 from repro.geometry import distance as dm
 from repro.grid import counters
@@ -96,25 +96,46 @@ class TestCoreOracle:
         assert label_cores(grid, 3, known_core=known).all()
 
     def test_shard_restriction(self):
+        # Plan once, count each live-cell range on its own: the ranges'
+        # core indices are disjoint and lie in their own cells, and their
+        # union is the full pass.
         grid = _dataset(7, 600, 2, 6.0)
-        keys = list(grid.cells.keys())
-        for shard in (keys[: len(keys) // 2], keys[::3], []):
-            assert np.array_equal(
-                label_cores(grid, 5, cells=shard),
-                loops.label_cores(grid, 5, cells=shard),
-            )
+        full = loops.label_cores(grid, 5)
+        for n_tasks in (1, 2, 3, 8, 10**6):
+            plan = plan_cores(grid, 5)
+            ranges = plan.ranges(n_tasks)
+            assert 1 <= len(ranges) <= n_tasks
+            results = [count_cores(grid, plan, lo, hi) for lo, hi in ranges]
+            owner = np.zeros(len(grid.points), dtype=np.int64)
+            for (lo, hi), (idx, _) in zip(ranges, results):
+                inside = plan.q_all[(plan.q_cell >= lo) & (plan.q_cell < hi)]
+                assert np.isin(idx, inside).all()
+                owner[idx] += 1
+            assert owner.max() <= 1
+            assert np.array_equal(plan.merge(results), full), n_tasks
+        # An empty range counts nothing; a range may run twice.
+        plan = plan_cores(grid, 5)
+        assert len(count_cores(grid, plan, 3, 3)[0]) == 0
+        lo, hi = plan.ranges(4)[1]
+        first, second = count_cores(grid, plan, lo, hi), count_cores(grid, plan, lo, hi)
+        assert np.array_equal(first[0], second[0]) and first[1] == second[1]
 
     def test_shard_with_known_core_stays_inside_shard(self):
-        # The loop leaves known points outside the shard's cells False;
-        # the staged kernel must not mark them either.
-        grid = _dataset(8, 500, 2, 6.0)
-        known = loops.label_cores(grid, 5)
-        keys = list(grid.cells.keys())
-        half = keys[: len(keys) // 2]
-        assert np.array_equal(
-            label_cores(grid, 5, cells=half, known_core=known),
-            loops.label_cores(grid, 5, cells=half, known_core=known),
-        )
+        # Under the known-core carry the plan settles the known points;
+        # the ranges count only unknown ones, and their union with the
+        # plan's mask is the full pass.
+        grid_small = _dataset(8, 500, 2, 4.0)
+        known = loops.label_cores(grid_small, 5)
+        grid = Grid(grid_small.points, 6.0)
+        full = loops.label_cores(grid, 5)
+        assert known.any() and not np.array_equal(known, full)
+        plan = plan_cores(grid, 5, known_core=known)
+        ranges = plan.ranges(3)
+        assert len(ranges) == 3
+        results = [count_cores(grid, plan, lo, hi) for lo, hi in ranges]
+        for idx, _ in results:
+            assert not known[idx].any()
+        assert np.array_equal(plan.merge(results), full)
 
     def test_empty_and_singleton_grids(self):
         empty = Grid(np.empty((0, 2)), 1.0)
@@ -134,6 +155,25 @@ def _assert_core_funnel(delta, counted):
     assert delta.get("core_counted_points", 0) == counted
     assert 0 < delta.get("core_retired_points", 0) <= counted
     assert delta["core_tile_slots"] > 0
+
+
+def _assert_range_split(grid: Grid, min_pts: int, n_tasks: int) -> None:
+    """One plan counted in ``n_tasks`` ranges: each range's tallies keep
+    the funnel, and the merged mask and counters match the loop and the
+    full pass's funnel."""
+    before = counters.snapshot()
+    plan = plan_cores(grid, min_pts)
+    ranges = plan.ranges(n_tasks)
+    assert len(ranges) == n_tasks
+    results = []
+    for lo, hi in ranges:
+        idx, tally = count_cores(grid, plan, lo, hi)
+        in_range = int(((plan.q_cell >= lo) & (plan.q_cell < hi)).sum())
+        assert 0 < tally["core_retired_points"] <= in_range
+        assert tally["core_tile_slots"] > 0
+        results.append((idx, tally))
+    assert np.array_equal(plan.merge(results), loops.label_cores(grid, min_pts))
+    _assert_core_funnel(counters.delta_since(before), len(plan.q_all))
 
 
 def _mixed_sparse(min_pts: int, seed: int) -> Grid:
@@ -204,20 +244,7 @@ class TestQuerySizedTiles:
         _assert_core_funnel(delta, delta["core_points_total"] - known_visited)
 
     def test_shards(self, grid):
-        keys = list(grid.cells.keys())
-        shards = [keys[0::2], keys[1::2]]
-        union = np.zeros(len(grid.points), dtype=bool)
-        for shard in shards:
-            before = counters.snapshot()
-            part = label_cores(grid, self.MIN_PTS, cells=shard)
-            delta = counters.delta_since(before)
-            assert np.array_equal(
-                part, loops.label_cores(grid, self.MIN_PTS, cells=shard)
-            )
-            in_shard = sum(len(grid.cells[c]) for c in shard)
-            _assert_core_funnel(delta, in_shard)
-            union |= part
-        assert np.array_equal(union, loops.label_cores(grid, self.MIN_PTS))
+        _assert_range_split(grid, self.MIN_PTS, 2)
 
 
 def _ring_counts(grid: Grid):
@@ -287,22 +314,7 @@ class TestRingPasses:
         _assert_core_funnel(delta, counted)
 
     def test_shards(self, grid):
-        keys = list(grid.cells.keys())
-        union = np.zeros(len(grid.points), dtype=bool)
-        for shard in (keys[0::3], keys[1::3], keys[2::3]):
-            before = counters.snapshot()
-            part = label_cores(grid, self.MIN_PTS, cells=shard)
-            delta = counters.delta_since(before)
-            assert np.array_equal(
-                part, loops.label_cores(grid, self.MIN_PTS, cells=shard)
-            )
-            counted = sum(
-                len(grid.cells[c]) for c in shard
-                if len(grid.cells[c]) < self.MIN_PTS
-            )
-            _assert_core_funnel(delta, counted)
-            union |= part
-        assert np.array_equal(union, loops.label_cores(grid, self.MIN_PTS))
+        _assert_range_split(grid, self.MIN_PTS, 3)
 
 
 class TestBorderOracle:
@@ -495,7 +507,7 @@ class TestKernelInternals:
         for t, (cell, idx) in enumerate(grid.cells.items()):
             start = soa.offsets[t]
             assert np.array_equal(soa.cat[start:start + soa.sizes[t]], idx)
-            assert soa.index[cell] == t
+            assert soa.keys[t] == cell
 
 
 class TestDeadline:

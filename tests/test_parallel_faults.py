@@ -9,16 +9,22 @@ firings across processes, so the retry after recovery succeeds
 deterministically.  Core labeling is the only phase that fans out, so
 every fault is aimed at ``cores`` shards — a fault aimed at any other
 phase would never fire — and each test also checks that the supervisor
-ledger recorded it.  :class:`TestRandomizedStress` adds seeded random
-datasets under random kill / hang / poison schedules.
+ledger recorded it.  The cores fan-out is gated on its plan, so the
+:func:`pooled` fixture also fails any fault test whose runs submitted no
+shard to a worker pool (it would have tested the serial path).
+:class:`TestRandomizedStress` adds seeded random datasets under random
+kill / hang / poison schedules.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from repro.api import dbscan
 from repro.errors import MemoryBudgetExceeded, WorkerPoolError
-from repro.parallel import ParallelConfig, leaked_segments
+from repro.parallel import ParallelConfig, leaked_segments, supervisor
+from repro.runtime import pipeline
 from repro.runtime.faultinject import inject_faults
 from repro.runtime.resilient import ResiliencePolicy, run_resilient
 
@@ -61,12 +67,36 @@ def ledger_names(sup, phase, shard):
     )
 
 
+@pytest.fixture
+def pooled(monkeypatch):
+    """Fail the test unless its runs really submitted shards to a pool.
+
+    Records the supervisor ledger of every pipeline run in the test and
+    checks their ``submitted`` counts afterwards.
+    """
+    ledgers = []
+
+    @contextmanager
+    def recording():
+        with supervisor.collect_stats() as stats:
+            ledgers.append(stats)
+            yield stats
+
+    monkeypatch.setattr(pipeline, "collect_stats", recording)
+    yield ledgers
+    assert ledgers, "no pipeline run in this test"
+    assert sum(stats.submitted for stats in ledgers) > 0, (
+        "no shard reached a worker pool: the fault test ran serially"
+    )
+
+
 def cfg(**overrides):
     defaults = dict(workers=2, min_points=0, shard_timeout=5.0)
     defaults.update(overrides)
     return ParallelConfig(**defaults)
 
 
+@pytest.mark.usefixtures("pooled")
 class TestWorkerCrashRecovery:
     def test_kill_one_worker_per_phase(self, points, serial):
         # Cores is the one fan-out phase: kill a worker on two of its shards.
@@ -91,6 +121,7 @@ class TestWorkerCrashRecovery:
         }
 
 
+@pytest.mark.usefixtures("pooled")
 class TestHangDetection:
     def test_hung_shard_times_out_and_retry_succeeds(self, points, serial):
         with inject_faults(hang_shards=[("cores", 0)], hang_seconds=30.0) as plan:
@@ -108,6 +139,7 @@ class TestHangDetection:
         )
 
 
+@pytest.mark.usefixtures("pooled")
 class TestQuarantine:
     def test_poison_shard_is_quarantined(self, points, serial):
         # Poison fires on *every* worker attempt but computes fine in the
@@ -134,6 +166,7 @@ class TestQuarantine:
         assert recovered.meta["supervisor"]["serial_requeued"] >= 1
 
 
+@pytest.mark.usefixtures("pooled")
 class TestBudgetExhaustion:
     def test_exhausted_budgets_raise_worker_pool_error(self, points):
         broken = cfg(
@@ -169,6 +202,7 @@ class TestMemoryBudget:
             dbscan(points, EPS, MIN_PTS, workers=cfg(), memory_budget_mb=1)
 
 
+@pytest.mark.usefixtures("pooled")
 class TestRandomizedStress:
     """Seeded random datasets + random fault schedules.
 
