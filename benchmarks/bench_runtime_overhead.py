@@ -10,10 +10,12 @@ phase boundaries only (a handful of /proc reads per run), so it rides
 along in the budgeted timing.
 
 A second measurement holds the parallel *supervisor* to the same budget:
-on a fault-free run, tracked ``apply_async`` submission plus the hang /
-death sweeps must cost <5% over a bare ``imap_unordered`` fan-out.  The
-library only ships the supervised fan-out, so the bare baseline lives
-here (:func:`_bare_fan_out`) and is patched in for the baseline timing.
+on a fault-free run, its owned worker processes, one pipe each, and the
+wait on pipes and sentinels must cost <5% over a bare
+``multiprocessing.Pool.imap_unordered`` fan-out.  The library only ships
+the supervised fan-out, so the bare baseline, plain fork pool included,
+lives here (:func:`_bare_fan_out`) and is patched in for the baseline
+timing.
 
 Run standalone with ``python -m benchmarks.bench_runtime_overhead`` or via
 pytest like the other benches.
@@ -21,6 +23,7 @@ pytest like the other benches.
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import statistics
 import time
 from unittest import mock
@@ -99,14 +102,15 @@ def measure_overhead(report=print):
 
 def _bare_fan_out(cfg, n_workers, payload, kind, items, consume, *,
                   deadline, memory):
-    """Unsupervised stand-in for ``executor._fan_out``: one plain pool,
-    ``imap_unordered`` over the worker task functions, budget guards polled
-    between results — and any worker failure fatal to the run."""
-    from repro.parallel import executor, worker
+    """Unsupervised stand-in for ``executor._fan_out``: one plain fork
+    pool, ``imap_unordered`` over the worker task function, budget guards
+    polled between results — and any worker failure fatal to the run."""
+    from repro.parallel import worker
 
     phase = str(payload.get("phase", kind))
-    with executor._pool(cfg, n_workers, payload) as pool:
-        for result in pool.imap_unordered(worker._TASKS[kind], items):
+    ctx = mp.get_context("fork")
+    with ctx.Pool(n_workers, initializer=worker.init_worker, initargs=(payload,)) as pool:
+        for result in pool.imap_unordered(worker.cores_task, items):
             consume(result)
             if deadline is not None:
                 deadline.check()
@@ -119,12 +123,10 @@ def _bare_fan_out(cfg, n_workers, payload, kind, items, consume, *,
 def measure_supervisor_overhead(report=print, repeats=7):
     """Fault-free supervision cost versus the bare ``imap_unordered`` pool.
 
-    The supervisor replaces ``imap_unordered`` with tracked ``apply_async``
-    submissions plus a 50 ms sweep loop; on a fault-free run the only extra
-    work is the bookkeeping, which must stay under the same 5% budget.
-    Measured on a parallel-forced small run (pool startup dominates both
-    variants equally and is inside both timings, so it cancels in the
-    ratio).
+    The supervisor replaces the pool with owned processes, one task in
+    flight per worker and a wait on pipes and sentinels; on a fault-free
+    run that bookkeeping must stay under the same 5% budget.  Measured on
+    a parallel-forced small run (worker startup is inside both timings).
     """
     from repro.parallel import ParallelConfig, executor
 
@@ -169,7 +171,7 @@ def test_supervisor_overhead(report):
     overhead = measure_supervisor_overhead(report)
     assert overhead < OVERHEAD_BUDGET, (
         f"fault-free supervision costs {overhead:.2%} (> {OVERHEAD_BUDGET:.0%}); "
-        "the submit/sweep loop has regressed"
+        "the send/wait loop has regressed"
     )
 
 

@@ -92,14 +92,12 @@ def dbscan(
         :class:`~repro.errors.ParameterError`.  Defaults to the
         ``REPRO_WORKERS`` environment variable (see
         :func:`repro.config.default_workers`); the environment default is
-        silently ignored by algorithms that cannot parallelise.  The
-        supervisor recovers from crashed workers (pool respawn), hung
-        shards (soft timeouts) and repeatedly failing shards (retry with
-        backoff, then quarantined serial re-execution) — pass a
-        :class:`~repro.parallel.ParallelConfig` to tune
-        ``max_shard_retries``, ``shard_timeout``, ``quarantine`` and
-        ``max_pool_respawns``.
-        Recovery actions are recorded in ``result.meta["supervisor"]``.
+        silently ignored by algorithms that cannot parallelise.  On a
+        crashed, failing or hung worker (soft timeout: pass a
+        :class:`~repro.parallel.ParallelConfig` to set ``shard_timeout``)
+        the supervisor tears the workers down and counts every unfinished
+        range in the parent, so the output stays identical.  The ranges
+        re-run that way are recorded in ``result.meta["supervisor"]``.
     engine:
         Optional :class:`~repro.engine.ClusteringEngine` built over these
         same points.  The call is answered through the engine's structure

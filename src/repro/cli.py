@@ -54,7 +54,7 @@ EXIT_ERROR = 2  # any other library error (parameters, checkpoints, ...)
 EXIT_CONFIG = 3  # invalid configuration (flags or REPRO_* environment)
 EXIT_DATA = 4  # unreadable or invalid input data
 EXIT_BUDGET = 5  # time or memory budget exhausted
-EXIT_POOL = 6  # worker pool failed beyond the supervisor's recovery budget
+EXIT_POOL = 6  # a worker-pool failure reached the caller (WorkerPoolError)
 EXIT_SERVICE = 7  # service refused or lost the request (overload, quarantine)
 
 
@@ -62,22 +62,15 @@ def _parallel_workers(args):
     """The ``workers=`` argument for the run: an int/None, or a full config.
 
     Plain ``--workers N`` passes the integer through (the executor applies
-    env defaults).  Any supervision flag promotes it to a
-    :class:`~repro.parallel.ParallelConfig` carrying the retry policy.
+    env defaults).  ``--shard-timeout`` promotes it to a
+    :class:`~repro.parallel.ParallelConfig` carrying the timeout.
     """
-    overrides = {}
-    if getattr(args, "max_shard_retries", None) is not None:
-        overrides["max_shard_retries"] = args.max_shard_retries
-    if getattr(args, "shard_timeout", None) is not None:
-        overrides["shard_timeout"] = args.shard_timeout
-    if getattr(args, "no_quarantine", False):
-        overrides["quarantine"] = False
-    if not overrides:
+    if getattr(args, "shard_timeout", None) is None:
         return args.workers
     from repro.parallel import ParallelConfig
 
     workers = args.workers if args.workers is not None else config.default_workers()
-    return ParallelConfig(workers=workers, **overrides)
+    return ParallelConfig(workers=workers, shard_timeout=args.shard_timeout)
 
 
 def _run_algorithm(args, points):
@@ -410,20 +403,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="policy for invalid input rows (non-numeric, "
                           "ragged or non-finite): fail fast, drop them, or "
                           "quarantine them to a sidecar file")
-    clu.add_argument("--max-shard-retries", dest="max_shard_retries",
-                     type=int, default=None,
-                     help="worker-shard retry budget before quarantine "
-                          "(default $REPRO_MAX_SHARD_RETRIES or 2)")
     clu.add_argument("--shard-timeout", dest="shard_timeout",
                      type=float, default=None,
-                     help="seconds before an in-flight shard is declared "
-                          "hung and its pool respawned (default: derived "
-                          "from the time budget)")
-    clu.add_argument("--no-quarantine", dest="no_quarantine",
-                     action="store_true",
-                     help="disable serial re-execution of repeatedly "
-                          "failing shards; exhausted retries then fail "
-                          "the run (exit code 6)")
+                     help="seconds before an in-flight range is declared "
+                          "hung; the workers are then torn down and the "
+                          "parent counts the rest (default: derived from "
+                          "the time budget)")
     clu.add_argument("--resilience", action="store_true",
                      help="run the degradation cascade instead of one "
                           "algorithm: exact under budget, else "
@@ -579,9 +564,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     - ``5`` — a time or memory budget was exhausted
       (:class:`~repro.errors.TimeoutExceeded`,
       :class:`~repro.errors.MemoryBudgetExceeded`).
-    - ``6`` — the parallel worker pool failed beyond the supervisor's
-      retry / respawn budgets with quarantine disabled
-      (:class:`~repro.errors.WorkerPoolError`).
+    - ``6`` — a worker-pool failure reached the caller
+      (:class:`~repro.errors.WorkerPoolError`); the supervisor itself
+      finishes a faulted fan-out in the parent instead of raising it.
     - ``7`` — the clustering service refused or lost the request:
       load shedding (:class:`~repro.errors.ServiceOverloadError`), an
       open circuit breaker

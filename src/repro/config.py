@@ -125,16 +125,6 @@ def parallel_min_points() -> int:
     return _env_int("REPRO_PARALLEL_MIN_POINTS", 150_000, 0)
 
 
-def max_shard_retries() -> int:
-    """Per-shard retry budget from ``REPRO_MAX_SHARD_RETRIES`` (default 2).
-
-    The supervised executor retries a failed or requeued shard this many
-    times (with exponential backoff + jitter) before quarantining it — see
-    :mod:`repro.parallel.supervisor`.
-    """
-    return _env_int("REPRO_MAX_SHARD_RETRIES", 2, 0)
-
-
 def shard_timeout() -> Optional[float]:
     """Per-shard soft timeout in seconds from ``REPRO_SHARD_TIMEOUT``.
 

@@ -262,14 +262,15 @@ class RegistryStoreError(ServiceError):
 
 
 class WorkerPoolError(ReproError, RuntimeError):
-    """The supervised worker pool failed beyond its recovery budgets.
+    """A worker pool failed and the run could not finish.
 
-    Raised by :mod:`repro.parallel.supervisor` only after the whole
-    recovery ladder is spent: per-shard retries exhausted, pool respawns
-    exhausted, and quarantine (serial re-execution in the parent)
-    disabled.  Carries the supervisor's bookkeeping so callers — notably
+    :mod:`repro.parallel.supervisor` finishes a faulted fan-out in the
+    parent rather than raising this; it stays the error a caller-supplied
+    executor or wrapper raises for an unrecoverable pool.  It may carry
+    the supervisor's bookkeeping so callers — notably
     :func:`repro.runtime.run_resilient`, which treats this error as
-    degradable — can record what was attempted.
+    degradable, and the service's :func:`~repro.parallel.retry_transient`
+    — can record what was attempted.
     """
 
     def __init__(self, message: str, stats=None) -> None:

@@ -420,7 +420,8 @@ def _offset_hits(
     The hits come out row-major — ``i`` ascending, and inside a row in
     ``offsets`` order — so a caller that lists the offsets in the order it
     wants its CSR rows gets them with no sort; the flag says whether the
-    direct table answered them.  Rows are packed into mixed-radix int64
+    direct table answered them (its ``i`` and ``k`` are int32; ``j`` is
+    int64 on both paths).  Rows are packed into mixed-radix int64
     keys (the radix is padded by ``reach`` — at least every offset
     component's magnitude — so every shifted coordinate stays in range
     and a shift is a single scalar addition on the packed keys).  When
@@ -448,15 +449,23 @@ def _offset_hits(
             table[base] = np.arange(len(coords), dtype=np.int32)
             width = max(1, len(offsets))
             rows = max(1, min(chunk_budget(), _PROBE_BLOCK) // width)
+            # Blocks keep int32 hits (ids and offsets fit the int32 table),
+            # and each list is freed as soon as it is joined: the lists
+            # and the joined arrays set the grid phase's peak memory.
+            hit_i, hit_j, hit_k = ([np.empty(0, dtype=np.int32)] for _ in range(3))
             for start in range(0, len(coords), rows):
                 found = table[base[start:start + rows, None] + shifts].ravel()
                 flat = np.flatnonzero(found >= 0)
-                hit_j.append(found[flat].astype(np.int64))
+                hit_j.append(found[flat])
                 i, k = np.divmod(flat, width)
                 i += start
-                hit_i.append(i)
-                hit_k.append(k)
-            return np.concatenate(hit_i), np.concatenate(hit_j), np.concatenate(hit_k), True
+                hit_i.append(i.astype(np.int32))
+                hit_k.append(k.astype(np.int32))
+            j = np.concatenate(hit_j, dtype=np.int64)
+            del hit_j
+            i = np.concatenate(hit_i)
+            del hit_i
+            return i, j, np.concatenate(hit_k), True
     else:  # packed keys would overflow: fall back to structured rows
         base = _row_view(coords)
         shifts = None

@@ -5,9 +5,10 @@ determination is per-cell, the core-cell graph is per-edge, and border
 assignment is per-cell again.  Only core labeling pays for a worker pool
 (measured in ``docs/PARALLEL.md``, "Phase by phase"), so this package
 plans core labeling in the parent, fans the count of the plan's live-cell
-ranges out over a supervised pool when enough queries are left open, and
-merges the core indices by index writes; the other phases run serially
-in the parent.  The output is *identical* to the serial pipeline
+ranges out over supervised worker processes when enough queries are left
+open, and merges the core indices by index writes; the other phases run
+serially in the parent.  On a worker fault the parent tears the workers
+down and counts the unfinished ranges itself (:mod:`repro.parallel.supervisor`).  The output is *identical* to the serial pipeline
 (``tests/test_parallel_equivalence.py`` is the differential oracle).
 
 Public entry points accept ``workers=`` (an int or a

@@ -1,8 +1,8 @@
 """Parent-process orchestration of the parallel grid pipeline.
 
 One phase fans out: core labeling.  The parent builds its plan once
-(:func:`~repro.core.labeling.plan_cores`), then forks a supervised
-``multiprocessing.Pool`` whose workers inherit it and run the serial
+(:func:`~repro.core.labeling.plan_cores`), then forks supervised
+worker processes that inherit it and run the serial
 :func:`~repro.core.labeling.count_cores` over ranges of its live cells;
 the parent writes each range's core indices into the plan's mask.  The
 core-cell connectivity, the border assignment and the cell-adjacency
@@ -18,13 +18,13 @@ queries open, or when it has a single range of work.  Workers poll the
 remaining time budget and the memory limit cooperatively (see
 ``repro.parallel.worker``).
 
-It runs under the fault-tolerant supervisor
-(:mod:`repro.parallel.supervisor`): dead workers and hung shards are
-detected, the pool is respawned, failed shards are retried with backoff
-and ultimately quarantined to serial parent-side execution — while budget
-errors raised *inside* workers still re-raise promptly.
+It runs under the one-rung supervisor
+(:mod:`repro.parallel.supervisor`): the parent owns its worker processes,
+and on any fault (a worker error, a dead worker, a hung range) it tears
+them down in bounded time and counts every unfinished range itself —
+while budget errors raised *inside* workers still re-raise promptly.
 
-**Transport.** Pools start with ``fork`` where the platform has it, so
+**Transport.** Workers start with ``fork`` where the platform has it, so
 workers inherit the parent's warm :class:`~repro.grid.cells.Grid`
 copy-on-write, and the core plan with it; ``(lo, hi)`` task items and
 range results (core indices, counters) travel pickled.
@@ -32,7 +32,6 @@ range results (core indices, counters) travel pickled.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import os
 import pickle
 from contextlib import contextmanager
@@ -57,12 +56,8 @@ from repro.utils.log import get_logger
 _log = get_logger("parallel.executor")
 
 #: Ranges per worker for the cores fan-out: mild over-sharding lets the
-#: pool absorb what the planned-slot balance misses.
+#: workers absorb what the planned-slot balance misses.
 OVERSHARD = 4
-
-#: Pool start method: ``fork`` where available (workers inherit the grid
-#: copy-on-write), else the platform default.
-_START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else None
 
 
 @dataclass(frozen=True)
@@ -72,56 +67,31 @@ class ParallelConfig:
     Parameters
     ----------
     workers:
-        Worker-process count.  ``1`` disables the pool entirely.
+        Worker-process count.  ``1`` disables the fan-out entirely.
     min_points:
         Fan-out gate: a core plan leaving fewer open counting queries
         (after the dense quick-accept, the carry and the upper-bound
         reject) is counted in the parent; ``0`` fans out every plan with
         work.  Defaults to ``REPRO_PARALLEL_MIN_POINTS`` (see
         :func:`repro.config.parallel_min_points`).
-    max_shard_retries:
-        How many times a failed (or crash-lost) shard is resubmitted to
-        the pool before quarantine.  Defaults to ``REPRO_MAX_SHARD_RETRIES``
-        (see :func:`repro.config.max_shard_retries`).
     shard_timeout:
-        Per-shard soft timeout in seconds; a shard in flight longer than
-        this is declared hung, the pool is respawned, and the lost shards
-        retried.  ``None`` (the ``REPRO_SHARD_TIMEOUT`` default) derives
-        the threshold from the run's deadline, falling back to a generous
-        built-in liveness bound.
-    quarantine:
-        Whether a shard that exhausts its retries (or outlives the pool's
-        respawn budget) is re-executed serially in the parent.  With
-        ``False`` the supervisor raises
-        :class:`~repro.errors.WorkerPoolError` instead — which
-        :func:`repro.runtime.run_resilient` treats as degradable.
-    max_pool_respawns:
-        How many times a broken pool (dead worker / hung shard) is
-        rebuilt before the supervisor abandons it and serially requeues
-        the remaining shards in the parent.
+        Per-range soft timeout in seconds; a range in flight longer than
+        this is a fault: the workers are torn down and the parent counts
+        every unfinished range.  ``None`` (the ``REPRO_SHARD_TIMEOUT``
+        default) derives the threshold from the run's deadline, falling
+        back to a generous built-in liveness bound.
     """
 
     workers: int = 1
     min_points: int = field(default_factory=config.parallel_min_points)
-    max_shard_retries: int = field(default_factory=config.max_shard_retries)
     shard_timeout: Optional[float] = field(default_factory=config.shard_timeout)
-    quarantine: bool = True
-    max_pool_respawns: int = 2
 
     def __post_init__(self) -> None:
         if int(self.workers) < 1:
             raise ParameterError(f"workers must be >= 1; got {self.workers}")
-        if int(self.max_shard_retries) < 0:
-            raise ParameterError(
-                f"max_shard_retries must be >= 0; got {self.max_shard_retries}"
-            )
         if self.shard_timeout is not None and not float(self.shard_timeout) > 0:
             raise ParameterError(
                 f"shard_timeout must be positive (or None); got {self.shard_timeout}"
-            )
-        if int(self.max_pool_respawns) < 0:
-            raise ParameterError(
-                f"max_pool_respawns must be >= 0; got {self.max_pool_respawns}"
             )
 
 
@@ -150,7 +120,7 @@ def as_parallel_config(workers: WorkersLike) -> Optional[ParallelConfig]:
 def effective_workers(
     cfg: Optional[ParallelConfig], open_points: int, n_ranges: int
 ) -> int:
-    """Pool size for a plan with ``open_points`` queries in ``n_ranges`` ranges (1: none)."""
+    """Worker count for a plan with ``open_points`` queries in ``n_ranges`` ranges (1: none)."""
     if cfg is None or open_points < cfg.min_points:
         return 1
     return max(1, min(int(cfg.workers), n_ranges))
@@ -184,10 +154,10 @@ def _base_payload(
 # ------------------------------------------------------------ copy ledger
 
 #: Active copy-bytes ledger (None outside :func:`track_copy_bytes`).  The
-#: pools run under ``fork``, so the initializer payload is inherited, not
+#: workers run under ``fork``, so the phase payload is inherited, not
 #: pickled — what actually crosses the process boundary per run are the
 #: task items going out and the results coming back, and that is what the
-#: ledger measures (via ``pickle.dumps``, the same encoder the pool uses).
+#: ledger measures (via ``pickle.dumps``, the same encoder the pipes use).
 _COPY_LEDGER: Optional[Dict[str, int]] = None
 
 
@@ -241,32 +211,18 @@ def _fan_out(
     deadline: Optional[Deadline],
     memory: Optional[MemoryBudget],
 ) -> None:
-    """Distribute one phase's tasks over the supervised pool and merge.
+    """Distribute one phase's tasks over supervised workers and merge.
 
-    ``consume`` must be order-independent and idempotent (the cores merge
-    keys each result by its range), which is what lets the supervisor keep
-    completed work across pool respawns and tolerate a duplicate result
-    from a torn-down pool.
+    ``consume`` must be idempotent (the cores merge keys each result by
+    its range), so a range finished in the parent after a fault counts
+    once however far a worker got with it.
     """
     items, consume = _count_copies(items, consume)
     run_supervised(
-        pool_factory=lambda: _pool(cfg, n_workers, payload),
-        task=worker.supervised_task,
-        kind=kind,
+        worker.serve, payload, n_workers, items, consume,
         phase=str(payload.get("phase", kind)),
-        items=items,
-        consume=consume,
-        cfg=cfg,
-        deadline=deadline,
-        memory=memory,
         local_runner=worker.make_local_runner(payload),
-    )
-
-
-def _pool(cfg: ParallelConfig, n_workers: int, payload: Dict[str, object]):
-    ctx = mp.get_context(_START_METHOD)
-    return ctx.Pool(
-        processes=n_workers, initializer=worker.init_worker, initargs=(payload,)
+        shard_timeout=cfg.shard_timeout, deadline=deadline, memory=memory,
     )
 
 
@@ -279,7 +235,7 @@ def parallel_label_cores(
     memory: Optional[MemoryBudget] = None,
     known_core: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """:func:`~repro.core.labeling.label_cores`, its count fanned out over the pool.
+    """:func:`~repro.core.labeling.label_cores`, its count fanned out over workers.
 
     The plan is built once, before any fork; the count fans out only when
     :func:`effective_workers` passes it, else it runs in the parent.  Each

@@ -1,17 +1,16 @@
 """Worker-process side of the parallel grid pipeline.
 
-Each pool worker is initialised once per fan-out with a *payload* dict
-carrying the parent's :class:`~repro.grid.cells.Grid` itself — under the
-preferred ``fork`` start method the object (including its neighbour
-adjacency table, which the parent warms first) is inherited
-copy-on-write for free; under ``spawn`` it is pickled once per worker.
-The payload also carries the *remaining* time budget and the memory
-limit, from which the worker builds its own cooperative
-:class:`~repro.runtime.Deadline` and :class:`~repro.runtime.MemoryBudget`
-— budgets are polled inside workers exactly as they are in the serial
-hot loops, and a worker that trips one re-raises the library's own error
-across the pool boundary (the errors are pickle-safe; see
-``repro.errors``).
+Each worker process runs :func:`serve` with a *payload* dict carrying the
+parent's :class:`~repro.grid.cells.Grid` itself — under the preferred
+``fork`` start method the object (including its neighbour adjacency
+table, which the parent warms first) is inherited copy-on-write for free;
+under ``spawn`` it is pickled once per worker.  The payload also carries
+the *remaining* time budget and the memory limit, from which the worker
+builds its own cooperative :class:`~repro.runtime.Deadline` and
+:class:`~repro.runtime.MemoryBudget` — budgets are polled inside workers
+exactly as they are in the serial hot loops, and a worker that trips one
+sends the library's own error back to the parent (the errors are
+pickle-safe; see ``repro.errors``).
 
 The one task, :func:`cores_task`, runs the *serial* ``count_cores`` over
 one range of the parent's :class:`~repro.core.labeling.CorePlan` (in the
@@ -27,22 +26,16 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.labeling import count_cores
+from repro.runtime import faultinject
 from repro.runtime.deadline import Deadline
 from repro.runtime.memory import MemoryBudget
 
-#: Per-process context, set by :func:`init_worker` (pool initializer).
+#: Per-process context, set by :func:`init_worker`.
 _CTX: Optional[Dict[str, object]] = None
 
 
-def build_context(payload: Dict[str, object], *, in_worker: bool = True) -> Dict[str, object]:
-    """Build a task context from a phase payload.
-
-    ``in_worker`` distinguishes a pool worker from the parent process
-    re-executing a quarantined shard: injected worker faults (see
-    :mod:`repro.runtime.faultinject`) only fire when it is true, because a
-    poison shard is by definition one that crashes *workers* but computes
-    fine serially.
-    """
+def build_context(payload: Dict[str, object]) -> Dict[str, object]:
+    """Build a task context (grid, plan, per-process guards) from a phase payload."""
     time_remaining = payload.get("time_remaining")
     memory_limit_mb = payload.get("memory_limit_mb")
     return {
@@ -51,15 +44,13 @@ def build_context(payload: Dict[str, object], *, in_worker: bool = True) -> Dict
         "memory": None if memory_limit_mb is None else MemoryBudget(float(memory_limit_mb)),
         "plan": payload.get("plan"),
         "phase": payload.get("phase", ""),
-        "fault_spec": payload.get("fault_spec"),
-        "in_worker": bool(in_worker),
     }
 
 
 def init_worker(payload: Dict[str, object]) -> None:
-    """Pool initializer: adopt the parent's grid, build per-process guards."""
+    """Adopt the parent's grid and plan, build per-process guards."""
     global _CTX
-    _CTX = build_context(payload, in_worker=True)
+    _CTX = build_context(payload)
 
 
 def _ctx() -> Dict[str, object]:
@@ -68,11 +59,9 @@ def _ctx() -> Dict[str, object]:
     return _CTX
 
 
-def cores_task(
-    cell_range: Tuple[int, int]
+def _count(
+    ctx: Dict[str, object], cell_range: Tuple[int, int]
 ) -> Tuple[Tuple[int, int], np.ndarray, Dict[str, int]]:
-    """Count one ``(lo, hi)`` range of the plan: ``(range, core indices, counters)``."""
-    ctx = _ctx()
     lo, hi = cell_range
     idx, tally = count_cores(ctx["grid"], ctx["plan"], lo, hi, deadline=ctx["deadline"])
     memory: Optional[MemoryBudget] = ctx["memory"]
@@ -81,49 +70,48 @@ def cores_task(
     return (lo, hi), idx, tally
 
 
-#: Task-kind dispatch used by the supervised executor.
-_TASKS = {"cores": cores_task}
+def cores_task(
+    cell_range: Tuple[int, int]
+) -> Tuple[Tuple[int, int], np.ndarray, Dict[str, int]]:
+    """Count one ``(lo, hi)`` range of the plan: ``(range, core indices, counters)``."""
+    return _count(_ctx(), cell_range)
 
 
-def supervised_task(kind: str, seq: int, item):
-    """Run one tracked shard: fault check, then dispatch on ``kind``.
+def serve(conn, payload: Dict[str, object], inherited=()) -> None:
+    """Worker-process loop: answer each ``(seq, range)`` on ``conn`` with ``(seq, ok, value)``.
 
-    The supervisor submits every shard through this wrapper so each task
-    carries a stable ``(phase, seq)`` identity — the address injected
-    worker faults (kill / hang / poison) are keyed on, and the unit the
-    parent's retry and quarantine bookkeeping tracks.
+    ``inherited`` are the parent's pipe ends this process got through the
+    fork; closing them means the worker sees EOF (or a broken pipe), and
+    returns, once the parent is gone.  Injected worker faults (see
+    :mod:`repro.runtime.faultinject`) fire here, keyed on ``(phase, seq)``,
+    and never in the parent, because a poison range is by definition one
+    that fails in workers but computes fine serially.
     """
-    ctx = _ctx()
-    spec = ctx.get("fault_spec")
-    if spec is not None and ctx.get("in_worker", True):
-        from repro.runtime import faultinject
-
-        faultinject.trigger_worker_fault(spec, str(ctx["phase"]), int(seq))
-    return _TASKS[kind](item)
+    for end in inherited:
+        end.close()
+    init_worker(payload)
+    phase = str(payload.get("phase", ""))
+    spec = payload.get("fault_spec")
+    try:
+        while True:
+            seq, item = conn.recv()
+            try:
+                if spec is not None:
+                    faultinject.trigger_worker_fault(spec, phase, seq)
+                reply = (seq, True, cores_task(item))
+            except Exception as exc:  # sent back: the parent decides
+                reply = (seq, False, exc)
+            conn.send(reply)
+    except (EOFError, BrokenPipeError):
+        return  # the parent is gone
 
 
 def make_local_runner(payload: Dict[str, object]):
-    """A parent-process shard executor for quarantine / serial requeue.
+    """A parent-process range runner for the ranges a fault left unfinished.
 
-    Builds the task context lazily, once per fan-out (its deadline starts
-    counting when the first shard runs in the parent), then runs the
-    *same* task functions the workers run — a single source of truth, so a
-    quarantined shard's result is indistinguishable from a pooled one.
-    The module-global worker context is swapped in around each call and
-    restored after, so parent-side execution cannot leak state into a
-    later ``init_worker``.
+    Runs the *same* task function the workers run — a single source of
+    truth, so a range counted in the parent is indistinguishable from a
+    pooled one — over a context built once, from the same payload.
     """
-    state: Dict[str, object] = {}
-
-    def run(kind: str, item):
-        global _CTX
-        if "ctx" not in state:
-            state["ctx"] = build_context(payload, in_worker=False)
-        prev = _CTX
-        _CTX = state["ctx"]
-        try:
-            return _TASKS[kind](item)
-        finally:
-            _CTX = prev
-
-    return run
+    ctx = build_context(payload)
+    return lambda cell_range: _count(ctx, cell_range)

@@ -21,11 +21,11 @@ checkpoint written by a parallel run is only resumed by an invocation
 requesting the same parallelism, so a resume never silently mixes shard
 layouts with serial state (phases are whole-output snapshots either way,
 but the fingerprint keeps provenance honest and reproducible).  The
-*supervision* knobs (``max_shard_retries``, ``shard_timeout``,
-``quarantine``, ``max_pool_respawns``) deliberately do **not** join the
-fingerprint: they only change how failures are recovered, never the phase
-outputs — a supervised run's result is byte-identical to the serial one —
-so checkpoints written under different retry policies are interchangeable.
+supervision knob (``shard_timeout``) deliberately does **not** join the
+fingerprint: it only changes when a hung range is finished in the parent,
+never the phase outputs — a supervised run's result is byte-identical to
+the serial one — so checkpoints written under different timeouts are
+interchangeable.
 """
 
 from __future__ import annotations

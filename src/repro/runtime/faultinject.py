@@ -25,16 +25,15 @@ Faults supported:
 * **checkpoint corruption** — every checkpoint file is damaged right
   after being written (truncated or overwritten with garbage), exercising
   the recover-from-corruption path of the resume logic;
-* **worker faults** — shards of the supervised parallel pipeline
+* **worker faults** — tasks of the supervised parallel pipeline
   (:mod:`repro.parallel.supervisor`), addressed as ``(phase, shard_seq)``,
   can be made to **kill** their worker process (``os._exit``, the
   observable shape of an OOM kill or segfault), **hang** it
   (a long sleep the supervisor's soft timeout must catch), or be
   **poisoned** (raise on every worker attempt while computing fine in the
-  parent — the quarantine path's reason to exist).  Kill and hang fire a
-  bounded number of times, coordinated across processes through token
-  files in a temp directory, so the retry that follows recovery succeeds
-  deterministically.
+  parent, where the supervisor finishes a faulted fan-out).  Kill and
+  hang fire a bounded number of times, coordinated across processes
+  through token files in a temp directory, so tests can count firings.
 
 Injection is process-global (the hooks live in the respective modules)
 but strictly scoped to the ``with`` block, re-entrant use is rejected, and
@@ -259,10 +258,10 @@ def inject_faults(
         supervisor's soft timeout); fires ``shard_fault_times`` times.
     poison_shards:
         Addresses that raise on *every* worker attempt while computing
-        normally in the parent — the quarantine path's test vector.
+        normally in the parent — the worker-error fault's test vector.
     shard_fault_times:
         Total firings per kill/hang address, coordinated across worker
-        processes, so the post-recovery retry deterministically succeeds.
+        processes.
     hang_seconds:
         Sleep length of a hung shard (should exceed the shard timeout
         under test by a wide margin).

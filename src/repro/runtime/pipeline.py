@@ -14,12 +14,12 @@ control flow once, and is where the robustness guarantees attach:
   from the latest phase whose output is on disk (corrupt or mismatched
   checkpoints degrade to a fresh start with a WARNING);
 * when a :class:`~repro.parallel.ParallelConfig` is attached, core
-  labeling fans out over a *supervised* worker pool
-  (:mod:`repro.parallel`) that recovers from worker crashes and hangs
-  (shard retry, quarantine, pool respawn — see
+  labeling fans out over *supervised* worker processes
+  (:mod:`repro.parallel`); on a worker crash, error or hang the parent
+  tears them down and counts the unfinished ranges itself (see
   :mod:`repro.parallel.supervisor`), checkpoints stay phase-granular, and
   the worker count joins the checkpoint parameters so resumes never mix
-  shard layouts.  Supervisor recovery actions for the whole run are
+  shard layouts.  The ranges the parent re-ran for the whole run are
   recorded under ``meta["supervisor"]``.
 """
 
@@ -153,7 +153,7 @@ def run_grid_pipeline(
             checkpoint.save(phase, fingerprint, ckpt_params, **kwargs)
 
     # All four phases run under one ambient supervisor-stats ledger: the
-    # cores fan-out's retries / quarantines / respawns accumulate here
+    # cores fan-out's parent-side re-runs and timeouts accumulate here
     # (see repro.parallel.supervisor).
     phase_seconds: Dict[str, float] = {}
     counters_before = counters.snapshot()

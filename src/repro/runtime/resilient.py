@@ -148,7 +148,7 @@ def run_resilient(
     :class:`~repro.errors.TimeoutExceeded`,
     :class:`~repro.errors.MemoryBudgetExceeded` or
     :class:`~repro.errors.WorkerPoolError` (a parallel tier whose worker
-    pool failed beyond the supervisor's retry / respawn budgets) is logged
+    pool failed and could not finish) is logged
     as a WARNING and the next tier is tried with fresh budgets.  The final tier runs
     unbudgeted, so with the default cascade this function always returns a
     labelled :class:`~repro.core.result.Clustering`.  The returned
@@ -219,8 +219,8 @@ def run_resilient(
                 "workers": repr(policy.workers),
             },
         }
-        # Surface the winning tier's supervisor ledger (retries, quarantined
-        # shards, pool respawns) next to the attempt history, so one dict
+        # Surface the winning tier's supervisor ledger (ranges re-run in the
+        # parent, timeouts) next to the attempt history, so one dict
         # tells the whole recovery story of the run.
         supervisor = result.meta.get("supervisor")
         if supervisor is not None:

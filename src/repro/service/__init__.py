@@ -5,7 +5,7 @@ SIGMOD 2015) to heavy multi-tenant traffic: one process, one warm
 :class:`~repro.engine.ClusteringEngine` per dataset, many concurrent
 callers.  The pieces built by the earlier PRs — cooperative
 :class:`~repro.runtime.Deadline` / :class:`~repro.runtime.MemoryBudget`
-guards, the supervisor recovery ladder of :mod:`repro.parallel`, the
+guards, the worker supervisor of :mod:`repro.parallel`, the
 fingerprint-keyed :class:`~repro.engine.cache.StructureCache` — keep one
 *run* honest; this package keeps the *system* honest when requests arrive
 faster than they can be served:

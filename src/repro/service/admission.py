@@ -21,7 +21,7 @@ unexplained hang:
   recorded in the response metadata.
 * **the circuit breaker** — a dataset whose requests keep failing for
   *infrastructure* reasons (poisoned worker pools, crashing shards) is
-  quarantined for a cooldown so it cannot keep burning pool respawns that
+  quarantined for a cooldown so it cannot keep burning executions that
   other tenants need; after the cooldown a single probe request is let
   through (half-open) and its outcome closes or re-opens the breaker.  A
   probe that exits without a verdict (shed, invalid parameters, budget

@@ -465,11 +465,12 @@ class ClusteringService:
 
         A plain synchronous method on purpose: the fault-injection tests
         monkeypatch it to stage deterministic overload, and subclasses can
-        wrap it.  Parallel ``workers`` runs inherit the full PR 3
-        supervisor (retry -> respawn -> quarantine) through the engine's
-        pipeline; on top of that the dispatcher's
-        :func:`~repro.parallel.retry_transient` retries whole executions
-        that die of :class:`~repro.errors.WorkerPoolError`.
+        wrap it.  Parallel ``workers`` runs inherit the supervisor
+        (on a worker fault: bounded teardown, then the parent finishes the
+        unfinished ranges) through the engine's pipeline; on top of that
+        the dispatcher's :func:`~repro.parallel.retry_transient` retries
+        whole executions that die of
+        :class:`~repro.errors.WorkerPoolError`.
         """
         engine = entry.engine
         deadline: Optional[Deadline] = job["deadline"]

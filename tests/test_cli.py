@@ -163,15 +163,20 @@ class TestExitCodes:
         assert "budget" in capsys.readouterr().err
 
     def test_worker_pool_error_is_6(self, dataset, monkeypatch, capsys):
-        from repro.runtime.faultinject import inject_faults
+        # The supervisor finishes a faulted fan-out in the parent, so the
+        # error is injected in place of the cores fan-out.
+        from repro.errors import WorkerPoolError
+        from repro.parallel import executor
+
+        def fan_out(*_args, **_kwargs):
+            raise WorkerPoolError("injected: pool lost")
 
         monkeypatch.setenv("REPRO_PARALLEL_MIN_POINTS", "0")
-        with inject_faults(poison_shards=[("cores", 0)]):
-            code = main([
-                "cluster", dataset, "--eps", "2000", "--min-pts", "5",
-                "--algorithm", "grid", "--workers", "2",
-                "--max-shard-retries", "0", "--no-quarantine",
-            ])
+        monkeypatch.setattr(executor, "_fan_out", fan_out)
+        code = main([
+            "cluster", dataset, "--eps", "2000", "--min-pts", "5",
+            "--algorithm", "grid", "--workers", "2",
+        ])
         assert code == EXIT_POOL == 6
         assert "worker pool" in capsys.readouterr().err
 
@@ -180,7 +185,7 @@ class TestExitCodes:
         code = main([
             "cluster", dataset, "--eps", "2000", "--min-pts", "5",
             "--algorithm", "grid", "--workers", "2",
-            "--max-shard-retries", "1", "--shard-timeout", "60",
+            "--shard-timeout", "60",
         ])
         assert code == 0
 

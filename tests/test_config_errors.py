@@ -104,18 +104,6 @@ class TestStrictEnvParsing:
         with pytest.raises(ConfigError, match="REPRO_PARALLEL_MIN_POINTS"):
             config.parallel_min_points()
 
-    @pytest.mark.parametrize("value", ["abc", "-1"])
-    def test_shard_retries_invalid(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_MAX_SHARD_RETRIES", value)
-        with pytest.raises(ConfigError, match="REPRO_MAX_SHARD_RETRIES"):
-            config.max_shard_retries()
-
-    def test_shard_retries_default_and_valid(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MAX_SHARD_RETRIES", raising=False)
-        assert config.max_shard_retries() == 2
-        monkeypatch.setenv("REPRO_MAX_SHARD_RETRIES", "0")
-        assert config.max_shard_retries() == 0
-
     @pytest.mark.parametrize("value", ["abc", "0", "-1.5"])
     def test_shard_timeout_invalid(self, monkeypatch, value):
         monkeypatch.setenv("REPRO_SHARD_TIMEOUT", value)

@@ -222,7 +222,7 @@ class TestSerialFallback:
         assert as_parallel_config(1) is None
         assert as_parallel_config(ParallelConfig(workers=1)) is None
         assert as_parallel_config(3).workers == 3
-        cfg = ParallelConfig(workers=2, max_pool_respawns=7)
+        cfg = ParallelConfig(workers=2, shard_timeout=7.0)
         assert as_parallel_config(cfg) is cfg
         with pytest.raises(ParameterError):
             as_parallel_config(0)
@@ -376,14 +376,17 @@ class TestKernelCountersUnderWorkers:
             assert pooled.get(key, 0) == value, key
 
     def test_core_counters_count_each_range_once_under_faults(self):
-        # A killed worker tears the pool down and its ranges are retried;
-        # every range's tallies must still be published exactly once.
+        # A killed worker ends the fan-out and the parent counts every
+        # unfinished range; every range's tallies must still be published
+        # exactly once, whether a worker or the parent counted it.
         pts = np.random.default_rng(62).uniform(0.0, 400.0, size=(6000, 3))
         cfg = ParallelConfig(workers=2, min_points=1, shard_timeout=5.0)
         with inject_faults(kill_shards=[("cores", 0), ("cores", 3)]) as plan:
             result = dbscan(pts, 25.0, 10, algorithm="grid", workers=cfg)
-            assert plan.worker_faults_fired("kill") == 2
-        assert result.meta["supervisor"]["respawns"] >= 1
+            assert plan.worker_faults_fired("kill") >= 1
+        retries = result.meta["supervisor"]["retries"]
+        assert any(r["shard"] == 0 for r in retries)
+        assert any(r["reason"] == "worker-death" for r in retries)
         pooled = self._core(result)
         for key, value in self._range_tallies(pts, 25.0, 10, 2).items():
             assert pooled.get(key, 0) == value, key
@@ -436,7 +439,7 @@ class TestPlanGate:
         def refuse(*_args, **_kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr(executor_mod, "_pool", refuse)
+        monkeypatch.setattr(executor_mod, "_fan_out", refuse)
 
     @staticmethod
     def _same(serial, other, name):
