@@ -92,11 +92,11 @@ def measure(config, report=print):
     grid = _workload(n_clustered, n_noise, d, eps)
     report(
         f"core+border phases — SS{d}D + noise, n={len(grid.points)}, "
-        f"eps={eps:g}, min_pts={min_pts}, {len(grid.cells)} cells [{name}]"
+        f"eps={eps:g}, min_pts={min_pts}, {len(grid)} cells [{name}]"
     )
 
     # Untimed warm-up of both kernels: charges one-time costs (BLAS
-    # initialisation, the grid's SoA cache, allocator growth) to neither
+    # initialisation, the grid's adjacency, allocator growth) to neither
     # side, so the timings compare steady-state kernel work.
     label_cores(grid, min_pts)
     loops.label_cores(grid, min_pts)
@@ -176,7 +176,7 @@ def measure(config, report=print):
         "d": d,
         "eps": eps,
         "min_pts": min_pts,
-        "grid_cells": int(len(grid.cells)),
+        "grid_cells": int(len(grid)),
         "clusters": int(n_clusters),
         "core_loop_seconds": t_core_loop,
         "core_staged_seconds": t_core_staged,

@@ -89,7 +89,7 @@ def measure(config, report=print):
     name, n_clustered, n_noise, d, eps, min_pts, rho = config
     grid, core = _workload(n_clustered, n_noise, d, eps, min_pts)
     cells = cg.core_cells(grid, core)
-    _, ii, _, _ = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+    ii, _, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
     report(
         f"edge phase — SS{d}D + noise, n={len(grid.points)}, eps={eps:g}, "
         f"min_pts={min_pts}, {len(cells)} core cells, "

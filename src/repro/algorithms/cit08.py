@@ -18,6 +18,7 @@ from repro.core.params import DBSCANParams
 from repro.core.result import Clustering
 from repro.algorithms.expansion import expand_dbscan
 from repro.geometry import distance as dm
+from repro.grid.cells import group_rows
 from repro.runtime.deadline import Deadline, as_deadline
 from repro.runtime.memory import MemoryBudget
 from repro.utils.validation import as_points
@@ -33,12 +34,9 @@ class _EpsGrid:
         coords = np.floor(points / eps).astype(np.int64)
         self.coords = coords
         self.cells: Dict[Tuple[int, ...], np.ndarray] = {}
-        order = np.lexsort(coords.T[::-1])
-        sorted_coords = coords[order]
-        change = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
-        bounds = np.concatenate([[0], np.nonzero(change)[0] + 1, [len(points)]])
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            self.cells[tuple(int(v) for v in sorted_coords[a])] = np.sort(order[a:b])
+        order, bounds = group_rows(coords)
+        for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            self.cells[tuple(coords[order[a]].tolist())] = order[a:b]
         d = points.shape[1]
         axes = [np.array([-1, 0, 1])] * d
         mesh = np.meshgrid(*axes, indexing="ij")

@@ -33,7 +33,6 @@ from repro.core.corekernel import (
     _size_classes,
     _take_ranges,
     _tile_width,
-    grid_soa,
 )
 from repro.geometry import distance as dm
 from repro.grid import counters
@@ -67,16 +66,15 @@ def assign_borders(
     points = grid.points
     sq_eps = dm.sq_radius(grid.eps)
     core_mask = np.asarray(core_mask, dtype=bool)
-    soa = grid_soa(grid)
-    work = np.arange(len(soa), dtype=np.int64)
+    work = np.arange(len(grid), dtype=np.int64)
     if len(work) == 0:
         return BorderAssignments.empty()
     if deadline is not None:
         deadline.check()
 
     # Non-core queries per visited cell.
-    q_all = _take_ranges(soa.cat, soa.offsets[work], soa.sizes[work])
-    q_cell = np.repeat(np.arange(len(work)), soa.sizes[work])
+    q_all = _take_ranges(grid.order, grid.offsets[work], grid.sizes[work])
+    q_cell = np.repeat(np.arange(len(work)), grid.sizes[work])
     non_core = ~core_mask[q_all]
     q_all, q_cell = q_all[non_core], q_cell[non_core]
     counters.add("border_points_total", len(q_all))
@@ -91,15 +89,11 @@ def assign_borders(
     # Candidate cores per live cell: own cores first, then each
     # eps-neighbour cell's cores in adjacency order (order never reaches
     # the output — memberships are reduced to sorted unique labels).
-    core_flags = core_mask[soa.cat]
-    core_counts = np.zeros(len(soa), dtype=np.int64)
-    if len(soa.cat):
-        core_counts = np.add.reduceat(core_flags, soa.offsets).astype(np.int64)
-        core_counts[soa.sizes == 0] = 0
-    core_cat = soa.cat[core_flags]
-    core_offsets = np.zeros(len(soa), dtype=np.int64)
-    if len(soa) > 1:
-        np.cumsum(core_counts[:-1], out=core_offsets[1:])
+    core_flags = core_mask[grid.order]
+    core_counts = np.bincount(grid.point_cell[core_mask], minlength=len(grid))
+    core_cat = grid.order[core_flags]
+    core_offsets = np.zeros(len(grid), dtype=np.int64)
+    np.cumsum(core_counts[:-1], out=core_offsets[1:])
 
     adjacency = grid.adjacency()
     adj_counts = adjacency.counts(live_ids)
@@ -154,7 +148,7 @@ def assign_borders(
             # Advanced row index plus a column slice: copies only the tile.
             nbr_idx = padmat[q_rows, pos:pos + w]
             within = _gathered_sq_dists(
-                points, soa.point_sq, q_all[sel], nbr_idx
+                points, grid.point_sq, q_all[sel], nbr_idx
             ) <= sq_eps
             within &= valid[q_rows, pos:pos + w]
             r, c = np.nonzero(within)

@@ -28,7 +28,8 @@ loop this replaced is kept as the differential oracle in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -39,35 +40,58 @@ from repro.core.edgekernel import apply_preunion_dense, cell_arrays, resolve_edg
 from repro.errors import ParameterError
 from repro.geometry import distance as dm
 from repro.geometry.bcp import bcp_within
-from repro.grid.cells import CellCoord, Grid
+from repro.grid.cells import Grid
 from repro.grid.hierarchy import FlatHierarchy
 from repro.index.kdtree import KDTree
 from repro.utils.unionfind import DenseUnionFind
 
 
-def core_cells(grid: Grid, core_mask: np.ndarray) -> Dict[CellCoord, np.ndarray]:
-    """Map each core cell to the indices of its core points."""
-    out: Dict[CellCoord, np.ndarray] = {}
-    for cell, idx in grid.cells.items():
-        cores = idx[core_mask[idx]]
-        if len(cores):
-            out[cell] = cores
-    return out
+@dataclass
+class CoreCells:
+    """The core cells of a grid and their core points, in CSR form.
+
+    ``ids`` are the grid cell ids of the core cells (ascending); core cell
+    ``t`` — position ``t``, the id the edge kernel and the edge
+    predicates use — holds the core points
+    ``members[indptr[t] : indptr[t + 1]]`` (ascending).
+    """
+
+    ids: np.ndarray
+    indptr: np.ndarray
+    members: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def of(self, t: int) -> np.ndarray:
+        """Core point indices of core cell ``t``."""
+        return self.members[self.indptr[t]:self.indptr[t + 1]]
+
+
+def core_cells(grid: Grid, core_mask: np.ndarray) -> CoreCells:
+    """The cells covering at least one core point, with those core points."""
+    members = grid.order[core_mask[grid.order]]
+    counts = np.bincount(grid.point_cell[members], minlength=len(grid))
+    ids = np.flatnonzero(counts)
+    indptr = np.zeros(len(ids) + 1, dtype=np.int64)
+    np.cumsum(counts[ids], out=indptr[1:])
+    return CoreCells(ids, indptr, members)
 
 
 def exact_edge_predicate(
     grid: Grid,
-    cells: Dict[CellCoord, np.ndarray],
+    cells: CoreCells,
     bcp_strategy: str = "auto",
-    structures: Optional[Dict[CellCoord, object]] = None,
+    structures: Optional[Dict[int, object]] = None,
 ):
-    """Build the exact edge test ``edge(c1, c2) -> bool`` over core cells.
+    """Build the exact edge test ``edge(a, b) -> bool`` over core cells.
 
-    The closure is a *pure, deterministic* function of ``(grid, cells)``,
-    so the staged kernel may skip any pair a spanning subset of the true
-    edges already connects without changing the components.  Per-cell
-    search structures (kd-trees, Voronoi diagrams) are cached inside the
-    closure and reused across calls.
+    ``a`` and ``b`` are positions in ``cells``.  The closure is a *pure,
+    deterministic* function of ``(grid, cells)``, so the staged kernel may
+    skip any pair a spanning subset of the true edges already connects
+    without changing the components.  Per-cell search structures
+    (kd-trees, Voronoi diagrams) are cached inside the closure, keyed by
+    grid cell id, and reused across calls.
 
     ``structures`` optionally seeds that per-cell cache — the same seam
     :func:`approx_edge_predicate` offers for Lemma 5 structures, used by
@@ -78,50 +102,48 @@ def exact_edge_predicate(
     per-cell state.
     """
     points = grid.points
-    if bcp_strategy == "kdtree":
+    sizes = np.diff(cells.indptr)
+    if bcp_strategy in ("kdtree", "voronoi"):
         # Gunawan-style: one search structure per core cell, reused across
-        # all of the cell's pairs (instead of a fresh BCP per pair).
-        trees: Dict[CellCoord, KDTree] = (
-            {} if structures is None else structures  # type: ignore[assignment]
-        )
-        sq_eps = dm.sq_radius(grid.eps)
+        # all of the cell's pairs (instead of a fresh BCP per pair); the
+        # query runs from the smaller cell into the larger cell's
+        # structure.
+        if bcp_strategy == "kdtree":
+            sq_eps = dm.sq_radius(grid.eps)
 
-        def edge(c1: CellCoord, c2: CellCoord) -> bool:
-            # Query from the smaller cell into the larger cell's tree.
-            if len(cells[c1]) > len(cells[c2]):
-                c1, c2 = c2, c1
-            tree = trees.get(c2)
-            if tree is None:
-                tree = trees[c2] = KDTree(points[cells[c2]])
-            for p in points[cells[c1]]:
-                idx, _sq = tree.nearest(p, bound_sq=sq_eps)
-                if idx >= 0:
-                    return True
-            return False
-    elif bcp_strategy == "voronoi":
-        # Gunawan's verbatim 2D machinery: a Voronoi diagram (Delaunay
-        # dual) per core cell, nearest neighbours by greedy walking.
-        from repro.geometry.delaunay import VoronoiNN
+            def build(pts):
+                return KDTree(pts)
 
-        if grid.dim != 2:
-            raise ParameterError("the voronoi edge strategy requires 2-D points")
-        diagrams: Dict[CellCoord, VoronoiNN] = (
-            {} if structures is None else structures  # type: ignore[assignment]
-        )
+            def near(structure, p) -> bool:
+                return structure.nearest(p, bound_sq=sq_eps)[0] >= 0
+        else:
+            # Gunawan's verbatim 2D machinery: a Voronoi diagram (Delaunay
+            # dual) per core cell, nearest neighbours by greedy walking.
+            from repro.geometry.delaunay import VoronoiNN
 
-        def edge(c1: CellCoord, c2: CellCoord) -> bool:
-            if len(cells[c1]) > len(cells[c2]):
-                c1, c2 = c2, c1
-            diagram = diagrams.get(c2)
-            if diagram is None:
-                diagram = diagrams[c2] = VoronoiNN(points[cells[c2]])
-            return any(
-                diagram.nearest_within(p, grid.eps) for p in points[cells[c1]]
-            )
+            if grid.dim != 2:
+                raise ParameterError("the voronoi edge strategy requires 2-D points")
+
+            def build(pts):
+                return VoronoiNN(pts)
+
+            def near(structure, p) -> bool:
+                return structure.nearest_within(p, grid.eps)
+
+        cache: Dict[int, object] = {} if structures is None else structures
+
+        def edge(a: int, b: int) -> bool:
+            if sizes[a] > sizes[b]:
+                a, b = b, a
+            key = int(cells.ids[b])
+            structure = cache.get(key)
+            if structure is None:
+                structure = cache[key] = build(points[cells.of(b)])
+            return any(near(structure, p) for p in points[cells.of(a)])
     else:
-        def edge(c1: CellCoord, c2: CellCoord) -> bool:
+        def edge(a: int, b: int) -> bool:
             return bcp_within(
-                points[cells[c1]], points[cells[c2]], grid.eps, strategy=bcp_strategy
+                points[cells.of(a)], points[cells.of(b)], grid.eps, strategy=bcp_strategy
             )
 
     return edge
@@ -129,52 +151,54 @@ def exact_edge_predicate(
 
 def approx_edge_predicate(
     grid: Grid,
-    cells: Dict[CellCoord, np.ndarray],
+    cells: CoreCells,
     rho: float,
     exact_leaf_size: int | None = None,
-    structures: Optional[Dict[CellCoord, FlatHierarchy]] = None,
+    structures: Optional[Dict[int, FlatHierarchy]] = None,
     deadline: Optional["Deadline"] = None,
 ):
-    """Build the rho-approximate edge test ``edge(c1, c2) -> bool``.
+    """Build the rho-approximate edge test ``edge(a, b) -> bool``.
 
-    Queries the Lemma 5 structure of ``c2`` with the core points of ``c1``
-    under the paper's yes / no / don't-care contract — *all* of ``c1``'s
-    core points in a single batched :meth:`FlatHierarchy.any_contains`
-    call, which short-circuits the moment any query is decided yes.  The
-    answer for an *oriented* pair is deterministic (the structure build
-    is), which is why every run agrees with the per-pair loop exactly as
-    long as pairs are evaluated in the orientation
-    :meth:`Grid.neighbor_cell_pairs` emits them.
+    Queries the Lemma 5 structure of core cell ``b`` with the core points
+    of ``a`` (positions in ``cells``) under the paper's yes / no /
+    don't-care contract — *all* of ``a``'s core points in a single
+    batched :meth:`FlatHierarchy.any_contains` call, which
+    short-circuits the moment any query is decided yes.  The answer for
+    an *oriented* pair is deterministic (the structure build is), which
+    is why every run agrees with the per-pair loop exactly as long as
+    pairs are evaluated in the orientation
+    :meth:`Grid.neighbor_cell_pair_arrays` emits them.
 
-    ``structures`` optionally seeds the per-cell structure cache (the
-    engine's warm cache); missing entries are built lazily, only for the
-    cells a per-pair probe actually touches.  A bounded ``deadline`` is handed to every
-    batched query, so even one pathologically large edge test is cancelled
-    promptly.
+    ``structures`` optionally seeds the per-cell structure cache, keyed by
+    grid cell id (the engine's warm cache); missing entries are built
+    lazily, only for the cells a per-pair probe actually touches.  A
+    bounded ``deadline`` is handed to every batched query, so even one
+    pathologically large edge test is cancelled promptly.
     """
     points = grid.points
     kwargs = {} if exact_leaf_size is None else {"exact_leaf_size": exact_leaf_size}
-    cache: Dict[CellCoord, FlatHierarchy] = {} if structures is None else structures
+    cache: Dict[int, FlatHierarchy] = {} if structures is None else structures
 
-    def edge(c1: CellCoord, c2: CellCoord) -> bool:
-        structure = cache.get(c2)
+    def edge(a: int, b: int) -> bool:
+        key = int(cells.ids[b])
+        structure = cache.get(key)
         if structure is None:
-            structure = cache[c2] = FlatHierarchy(
-                points[cells[c2]], grid.eps, rho, **kwargs
+            structure = cache[key] = FlatHierarchy(
+                points[cells.of(b)], grid.eps, rho, **kwargs
             )
-        return structure.any_contains(points[cells[c1]], deadline=deadline)
+        return structure.any_contains(points[cells.of(a)], deadline=deadline)
 
     return edge
 
 
 def _connected_components(
     grid: Grid,
-    cells: Dict[CellCoord, np.ndarray],
+    cells: CoreCells,
     edge,
     *,
     reject_eps: Optional[float] = None,
     deadline: Optional["Deadline"] = None,
-    preunion: Optional[List[Tuple[CellCoord, CellCoord]]] = None,
+    preunion: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, int]:
     """Run the staged edge kernel over ``cells`` and scatter labels.
 
@@ -184,15 +208,10 @@ def _connected_components(
     :func:`resolve_edges` pass over all candidate pairs, and a single
     vectorised label scatter (see :mod:`repro.core.edgekernel`).
     """
-    arrays = cell_arrays(grid.points, cells)
-    uf = DenseUnionFind(len(arrays))
-    apply_preunion_dense(uf, arrays.index, preunion)
-    keys, ii, jj, inner = grid.neighbor_cell_pair_arrays(subset=cells.keys())
-    if keys != arrays.keys:  # pragma: no cover - orders coincide in practice
-        remap = np.fromiter(
-            (arrays.index[c] for c in keys), dtype=np.int64, count=len(keys)
-        )
-        ii, jj = remap[ii], remap[jj]
+    arrays = cell_arrays(grid.points, cells.members, cells.indptr)
+    uf = DenseUnionFind(len(cells))
+    apply_preunion_dense(uf, cells.ids, preunion)
+    ii, jj, inner = grid.neighbor_cell_pair_arrays(subset=cells.ids)
     resolve_edges(
         grid.points,
         grid.eps,
@@ -214,8 +233,8 @@ def exact_components(
     bcp_strategy: str = "auto",
     *,
     deadline: Optional["Deadline"] = None,
-    preunion: Optional[List[Tuple[CellCoord, CellCoord]]] = None,
-    structures: Optional[Dict[CellCoord, object]] = None,
+    preunion: Optional[np.ndarray] = None,
+    structures: Optional[Dict[int, object]] = None,
 ) -> Tuple[np.ndarray, int]:
     """Connected components of the exact graph ``G``.
 
@@ -223,12 +242,12 @@ def exact_components(
     core positions; ``-1`` elsewhere) and the number of components ``k``.
     ``deadline`` is polled between the kernel's batched stages and before
     each surviving per-pair BCP computation.  ``preunion`` optionally
-    seeds the union-find with known-true edges — pairs already known to
-    lie in one component of ``G`` (e.g. carried from a smaller ``eps`` in
-    a monotone sweep: Theorem 3, clusters only merge as ``eps`` grows);
-    seeded pairs short-circuit their BCP tests without changing the
-    result.  ``structures`` seeds the per-cell search-structure cache
-    (:func:`exact_edge_predicate`).
+    seeds the union-find with known-true edges — a ``(k, 2)`` array of
+    grid cell ids already known to lie in one component of ``G`` (e.g.
+    carried from a smaller ``eps`` in a monotone sweep: Theorem 3,
+    clusters only merge as ``eps`` grows); seeded pairs short-circuit
+    their BCP tests without changing the result.  ``structures`` seeds the
+    per-cell search-structure cache (:func:`exact_edge_predicate`).
     """
     cells = core_cells(grid, core_mask)
     edge = exact_edge_predicate(grid, cells, bcp_strategy, structures=structures)
@@ -242,8 +261,8 @@ def approx_components(
     exact_leaf_size: int | None = None,
     *,
     deadline: Optional["Deadline"] = None,
-    preunion: Optional[List[Tuple[CellCoord, CellCoord]]] = None,
-    structures: Optional[Dict[CellCoord, FlatHierarchy]] = None,
+    preunion: Optional[np.ndarray] = None,
+    structures: Optional[Dict[int, FlatHierarchy]] = None,
 ) -> Tuple[np.ndarray, int]:
     """Connected components of the rho-approximate graph ``G``.
 
@@ -253,12 +272,12 @@ def approx_components(
     Definition 5 (see the correctness argument in Section 4.4).
 
     ``preunion`` seeds known-true edges (as in :func:`exact_components`);
-    ``structures`` seeds the per-cell Lemma 5 structure map — cells already
-    present are not rebuilt, and the map is updated in place so a caller
-    (the clustering engine) can keep it warm across runs.  Lemma 5
-    structures are built *lazily* — only for cells that actually reach a
-    per-pair probe — so cells settled entirely by the vectorised stages
-    never pay for a structure build.
+    ``structures`` seeds the per-cell Lemma 5 structure map, keyed by grid
+    cell id — cells already present are not rebuilt, and the map is
+    updated in place so a caller (the clustering engine) can keep it warm
+    across runs.  Lemma 5 structures are built *lazily* — only for cells
+    that actually reach a per-pair probe — so cells settled entirely by
+    the vectorised stages never pay for a structure build.
     """
     cells = core_cells(grid, core_mask)
     edge = approx_edge_predicate(
@@ -275,23 +294,14 @@ def approx_components(
 
 
 def labels_from_dense(
-    grid: Grid,
-    cells: Dict[CellCoord, np.ndarray],
-    uf: DenseUnionFind,
+    grid: Grid, cells: CoreCells, uf: DenseUnionFind
 ) -> Tuple[np.ndarray, int]:
-    """Per-point labels from a dense forest over ``cells`` in id order.
+    """Per-point labels from a dense forest over ``cells``.
 
-    ``uf``'s element ``t`` must be the ``t``-th cell of ``cells`` in
-    insertion order; labels are assigned by first appearance in id order,
-    so any forest with the same partition labels identically.  One ``np.repeat`` + fancy-index
-    assignment, no per-cell Python loop.
+    ``uf``'s element ``t`` must be core cell ``t``; labels are assigned by
+    first appearance in id order, so any forest with the same partition
+    labels identically.  One scatter through the CSR, no per-cell loop.
     """
     labels = np.full(len(grid.points), -1, dtype=np.int64)
-    if cells:
-        sizes = np.fromiter(
-            (len(idx) for idx in cells.values()), dtype=np.int64, count=len(cells)
-        )
-        labels[np.concatenate(list(cells.values()))] = np.repeat(
-            uf.component_labels(), sizes
-        )
+    labels[cells.members] = np.repeat(uf.component_labels(), np.diff(cells.indptr))
     return labels, uf.n_components

@@ -7,12 +7,11 @@ Following the phase structure of Wang/Gu/Shun ("Theoretically-Efficient
 and Practical Parallel DBSCAN": mark-core -> cluster-core -> cluster-
 border), :func:`repro.core.labeling.label_cores` and
 :func:`repro.core.border.assign_borders` instead settle their phases with
-staged, vectorised passes over the grid's dense cell arrays.  This module
-holds what both passes share:
+staged, vectorised passes over the grid's sorted cell arrays
+(:class:`~repro.grid.cells.Grid`: ``order`` / ``offsets`` / ``sizes``,
+the per-point ``point_sq`` norms, and the CSR eps-neighbour adjacency in
+the same cell ids).  This module holds what both passes share:
 
-* :class:`GridSoA` / :func:`grid_soa` — the dense structure-of-arrays view
-  of a grid's cells, cached per grid (the eps-neighbour adjacency is the
-  grid's own CSR, :meth:`Grid.adjacency`, in the same cell ids);
 * the size-class and tile helpers that turn CSR rows into padded,
   batched distance blocks (padding waste < 2x, tiles bounded by the
   shared chunk budget), next to the grid's ``_take_ranges``;
@@ -35,70 +34,14 @@ traversal — not per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry import distance as dm
-from repro.grid.cells import CellCoord, Grid, _take_ranges
+from repro.grid.cells import _take_ranges
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-#: Attribute name under which the per-grid dense arrays are cached on the
-#: :class:`Grid` instance.  A grid's cells are immutable
-#: once built, so the cache never invalidates; pool workers forked after
-#: the parent's core plan inherit it instead of rebuilding it.
-_SOA_ATTR = "_corekernel_soa"
-
-
-@dataclass
-class GridSoA:
-    """Dense structure-of-arrays view of a grid's cells.
-
-    Cell ids are positions in the grid's cell insertion order — the id
-    space of the grid's CSR adjacency (:meth:`Grid.adjacency`), which the
-    kernels read from the grid itself, so a caller that only needs the
-    cell layout (the sweep's pre-union carry) never triggers the
-    adjacency build.  ``cat`` is the concatenation of every cell's
-    point-index array in that order (cell ``t`` owns
-    ``cat[offsets[t] : offsets[t] + sizes[t]]``).  ``point_sq`` caches
-    every point's squared norm for the expanded-form distance tiles.
-    """
-
-    keys: List[CellCoord]
-    sizes: np.ndarray
-    offsets: np.ndarray
-    cat: np.ndarray
-    point_sq: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def point_cells(self) -> np.ndarray:
-        """Dense cell id of every point, inverted from the ``cat`` layout."""
-        out = np.empty(len(self.point_sq), dtype=np.int64)
-        out[self.cat] = np.repeat(np.arange(len(self.keys), dtype=np.int64), self.sizes)
-        return out
-
-
-def grid_soa(grid: Grid) -> GridSoA:
-    """The (cached) dense arrays for ``grid`` — built once per grid."""
-    soa = getattr(grid, _SOA_ATTR, None)
-    if soa is not None:
-        return soa
-    keys = list(grid.cells.keys())
-    m = len(keys)
-    points = grid.points
-    sizes = np.fromiter(
-        (len(idx) for idx in grid.cells.values()), dtype=np.int64, count=m
-    )
-    offsets = np.zeros(m, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    cat = np.concatenate(list(grid.cells.values())) if m else _EMPTY
-    soa = GridSoA(keys, sizes, offsets, cat, np.einsum("ij,ij->i", points, points))
-    setattr(grid, _SOA_ATTR, soa)
-    return soa
 
 
 def _size_classes(

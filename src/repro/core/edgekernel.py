@@ -4,8 +4,8 @@ The component phase of both grid algorithms must decide, for every
 eps-neighbouring pair of core cells, whether the pair is an edge of ``G``
 (Lemma 1).  The classic implementation walks the candidate pairs in a
 Python loop and pays a full per-pair decision — a BCP computation
-(Theorem 2) or a batched Lemma 5 probe (Theorem 4) — plus closure-call,
-tuple-hash and union-find overhead for *every* pair.  Following the
+(Theorem 2) or a batched Lemma 5 probe (Theorem 4) — plus closure-call
+and union-find overhead for *every* pair.  Following the
 observation of Wang/Gu/Shun that the edge phase dominates grid DBSCAN and
 that only a spanning forest of ``G`` is actually needed, this kernel
 settles the bulk of the pairs in two batches, nearest ring first:
@@ -47,7 +47,7 @@ settles the bulk of the pairs in two batches, nearest ring first:
 
 Every stage only skips work whose outcome is already determined, so the
 resolved component structure — and therefore the final labels, which are
-assigned by cell insertion order — is byte-identical to the per-pair
+assigned by cell id order — is byte-identical to the per-pair
 loop's (kept as the differential oracle in ``tests/oracles/loops.py``).  The kernel reports its funnel through :mod:`repro.grid.counters`
 (``edge_*``), which the pipeline publishes under
 ``meta["kernel_counters"]``.
@@ -56,13 +56,12 @@ loop's (kept as the differential oracle in ``tests/oracles/loops.py``).  The ker
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry import distance as dm
 from repro.grid import counters
-from repro.grid.cells import CellCoord
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.runtime.deadline import Deadline
@@ -79,51 +78,40 @@ _REJECT_SLACK = 1e-9
 
 @dataclass
 class CellArrays:
-    """Dense per-core-cell arrays for one edge phase.
+    """Dense per-core-cell arrays for one edge phase, indexed by core cell.
 
-    The tuple-keyed ``cells`` dict is consulted once, here; every kernel
-    stage afterwards works on dense int ids (positions in ``keys``).
-    ``reps`` holds one representative core point per cell (its first, in
-    the deterministic per-cell index order), ``lo`` / ``hi`` the
-    coordinate-wise bounding box of each cell's *core* points — tighter
-    than the grid cell itself wherever the cell is sparsely occupied.
+    ``sizes`` counts each core cell's core points, ``reps`` holds one
+    representative core point per cell (its first, in ascending index
+    order), ``lo`` / ``hi`` the coordinate-wise bounding box of each
+    cell's *core* points — tighter than the grid cell itself wherever the
+    cell is sparsely occupied.
     """
 
-    keys: List[CellCoord]
-    index: Dict[CellCoord, int]
     sizes: np.ndarray
     reps: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.sizes)
 
 
-def cell_arrays(points: np.ndarray, cells: Dict[CellCoord, np.ndarray]) -> CellArrays:
-    """Build the dense per-cell arrays for ``cells`` (insertion order).
+def cell_arrays(points: np.ndarray, members: np.ndarray, indptr: np.ndarray) -> CellArrays:
+    """Dense arrays for the cells whose points are the CSR ``members`` / ``indptr``.
 
-    One concatenation + two ``reduceat`` passes replace any per-cell
-    Python work: the bounding boxes of all cells' core points come out of
-    a single segmented min/max over the stacked coordinate block.
+    Two ``reduceat`` passes replace any per-cell Python work: the bounding
+    boxes of all cells' core points come out of a single segmented
+    min/max over the stacked coordinate block.
     """
-    keys = list(cells.keys())
-    m = len(keys)
-    index = {c: t for t, c in enumerate(keys)}
-    d = points.shape[1] if points.ndim == 2 else 0
-    if m == 0:
-        empty = np.empty(0, dtype=np.int64)
-        box = np.empty((0, d), dtype=np.float64)
-        return CellArrays(keys, index, empty, empty.copy(), box, box.copy())
-    sizes = np.fromiter((len(cells[c]) for c in keys), dtype=np.int64, count=m)
-    cat = np.concatenate([cells[c] for c in keys])
-    offsets = np.zeros(m, dtype=np.int64)
-    np.cumsum(sizes[:-1], out=offsets[1:])
-    block = points[cat]
-    lo = np.minimum.reduceat(block, offsets, axis=0)
-    hi = np.maximum.reduceat(block, offsets, axis=0)
-    reps = cat[offsets]
-    return CellArrays(keys, index, sizes, reps, lo, hi)
+    sizes = np.diff(indptr)
+    starts = indptr[:-1]
+    if len(sizes) == 0:
+        box = np.empty((0, points.shape[1]), dtype=np.float64)
+        return CellArrays(sizes, starts, box, box.copy())
+    block = points[members]
+    lo = np.minimum.reduceat(block, starts, axis=0)
+    hi = np.maximum.reduceat(block, starts, axis=0)
+    return CellArrays(sizes, members[starts], lo, hi)
 
 
 def quick_accept(
@@ -133,7 +121,7 @@ def quick_accept(
     ii: np.ndarray,
     jj: np.ndarray,
 ) -> np.ndarray:
-    """Stage A alone: the pairs ``(keys[ii[t]], keys[jj[t]])`` proven edges.
+    """Stage A alone: the cell pairs ``(ii[t], jj[t])`` proven edges.
 
     Two certificates, both sound for the exact *and* the approximate
     rule: the cells' representative core points lie within ``eps``, or
@@ -166,8 +154,8 @@ def classify_pairs(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stage A / B verdicts for a batch of candidate pairs, vectorised.
 
-    Returns ``(accept, reject)`` boolean masks over the pairs
-    ``(keys[ii[t]], keys[jj[t]])``.  ``accept`` marks proven edges
+    Returns ``(accept, reject)`` boolean masks over the cell pairs
+    ``(ii[t], jj[t])``.  ``accept`` marks proven edges
     (:func:`quick_accept`); ``reject`` marks pairs the edge predicate is
     guaranteed to answer no for — separation beyond ``reject_eps``
     (default ``eps``; pass ``eps * (1 + rho)`` for the approximate rule's
@@ -192,7 +180,7 @@ def resolve_edges(
     jj: np.ndarray,
     inner: np.ndarray,
     uf: "DenseUnionFind",
-    edge: Callable[[CellCoord, CellCoord], bool],
+    edge: Callable[[int, int], bool],
     *,
     reject_eps: Optional[float] = None,
     deadline: Optional["Deadline"] = None,
@@ -210,9 +198,10 @@ def resolve_edges(
     pay for a test.  Only a spanning forest matters, so skipping a pair
     whose endpoints are already connected never changes the partition.
 
-    The per-pair orientation handed to ``edge`` is exactly the caller's,
-    so deterministic oriented predicates (the Lemma 5 probe) answer as
-    they would in the plain loop.
+    ``edge`` takes two cell ids of ``arrays``.  The per-pair orientation
+    handed to it is exactly the caller's, so deterministic oriented
+    predicates (the Lemma 5 probe) answer as they would in the plain
+    loop.
     """
     n_pairs = len(ii)
     counters.add("edge_pairs_total", n_pairs)
@@ -271,7 +260,6 @@ def resolve_edges(
     # their candidate order and the schedule is deterministic.
     order = np.argsort(arrays.sizes[si] * arrays.sizes[sj], kind="stable")
     si, sj = si[order].tolist(), sj[order].tolist()
-    keys = arrays.keys
     tests = hits = 0
     for a, b in zip(si, sj):
         if deadline is not None:
@@ -280,7 +268,7 @@ def resolve_edges(
             skipped += 1
             continue
         tests += 1
-        if edge(keys[a], keys[b]):
+        if edge(a, b):
             hits += 1
             uf.union(a, b)
     counters.add("edge_scheduled_skip", skipped)
@@ -289,23 +277,21 @@ def resolve_edges(
 
 
 def apply_preunion_dense(
-    uf: "DenseUnionFind",
-    index: Dict[CellCoord, int],
-    preunion,
+    uf: "DenseUnionFind", ids: np.ndarray, preunion: Optional[np.ndarray]
 ) -> None:
-    """Seed a dense forest with known same-component cell pairs.
+    """Seed a dense forest over the cells ``ids`` with known same-component pairs.
 
-    Each ``preunion`` pair must lie in one connected component of the
-    graph being built (e.g. carried forward from a smaller ``eps`` in a
-    monotone sweep — Theorem 3: clusters only merge as ``eps`` grows).
-    Pairs naming cells outside ``index`` are skipped, and seeding
-    same-component pairs never changes the final partition or its labels
-    (labels come from id order, fixed at construction).
+    ``preunion`` is a ``(k, 2)`` array of grid cell ids, each pair known
+    to lie in one connected component of the graph being built (e.g.
+    carried forward from a smaller ``eps`` in a monotone sweep — Theorem
+    3: clusters only merge as ``eps`` grows).  Element ``t`` of ``uf`` is
+    cell ``ids[t]`` (``ids`` ascending); pairs naming a cell outside
+    ``ids`` are skipped.  Seeding same-component pairs never changes the
+    final partition or its labels (labels come from id order).
     """
-    if not preunion:
+    if preunion is None or len(preunion) == 0 or len(ids) == 0:
         return
-    for c1, c2 in preunion:
-        i = index.get(c1)
-        j = index.get(c2)
-        if i is not None and j is not None:
-            uf.union(i, j)
+    pairs = np.asarray(preunion, dtype=np.int64).reshape(-1, 2)
+    pos = np.minimum(np.searchsorted(ids, pairs), len(ids) - 1)
+    found = (ids[pos] == pairs).all(axis=1)
+    uf.union_many(pos[found, 0], pos[found, 1])

@@ -45,12 +45,10 @@ import numpy as np
 
 from repro.core.corekernel import (
     _EMPTY,
-    GridSoA,
     _padded_rows,
     _size_classes,
     _take_ranges,
     _tile_width,
-    grid_soa,
 )
 from repro.errors import AlgorithmError
 from repro.geometry import distance as dm
@@ -165,37 +163,36 @@ def plan_cores(
         )
     min_pts = int(min_pts)
     core = np.zeros(len(grid.points), dtype=bool)
-    soa = grid_soa(grid)
     if known_core is not None and known_core.any():
         # The carry pre-seeds the mask and visits only the cells holding
         # an unknown point, like the reference loop.
         core[:] = known_core
-        work = np.unique(soa.point_cells()[~core])
+        work = np.unique(grid.point_cell[~core])
     else:
-        work = np.arange(len(soa), dtype=np.int64)
+        work = np.arange(len(grid), dtype=np.int64)
     counters.add("core_cells_total", len(work))
     if len(work) == 0:
         return CorePlan(min_pts, core)
     if deadline is not None:
         deadline.check()
-    work_sizes = soa.sizes[work]
+    work_sizes = grid.sizes[work]
     counters.add("core_points_total", int(work_sizes.sum()))
 
     # Stage A: dense quick-accept over every visited cell at once.
     dense = work_sizes >= min_pts
     dense_ids = work[dense]
     if len(dense_ids):
-        core[_take_ranges(soa.cat, soa.offsets[dense_ids], soa.sizes[dense_ids])] = True
+        core[_take_ranges(grid.order, grid.offsets[dense_ids], grid.sizes[dense_ids])] = True
         counters.add("core_dense_cells", len(dense_ids))
-        counters.add("core_dense_points", int(soa.sizes[dense_ids].sum()))
+        counters.add("core_dense_points", int(grid.sizes[dense_ids].sum()))
     sparse_ids = work[~dense]
     counters.add("core_sparse_cells", len(sparse_ids))
     if len(sparse_ids) == 0:
         return CorePlan(min_pts, core)
 
     # Queries: the sparse cells' points that still need a counting pass.
-    q_all = _take_ranges(soa.cat, soa.offsets[sparse_ids], soa.sizes[sparse_ids])
-    q_cell = np.repeat(np.arange(len(sparse_ids)), soa.sizes[sparse_ids])
+    q_all = _take_ranges(grid.order, grid.offsets[sparse_ids], grid.sizes[sparse_ids])
+    q_cell = np.repeat(np.arange(len(sparse_ids)), grid.sizes[sparse_ids])
     if known_core is not None:
         already = known_core[q_all]
         if already.any():
@@ -217,7 +214,7 @@ def plan_cores(
     # cell sizes, without flattening a single neighbour point.
     adjacency = grid.adjacency()
     size_sum = np.zeros(len(adjacency.indices) + 1, dtype=np.int64)
-    np.cumsum(soa.sizes[adjacency.indices], out=size_sum[1:])
+    np.cumsum(grid.sizes[adjacency.indices], out=size_sum[1:])
     row_lo = adjacency.indptr[live_ids]
     row_mid = row_lo + adjacency.inner[live_ids]
     row_hi = adjacency.indptr[live_ids + 1]
@@ -227,7 +224,7 @@ def plan_cores(
     # Upper-bound quick-reject: a sparse cell whose occupancy plus entire
     # neighbourhood stays below ``MinPts`` cannot make any point core —
     # no distance work needed (the per-cell reference pays the full scan).
-    rejected = soa.sizes[live_ids] + inner_len + outer_len < min_pts
+    rejected = grid.sizes[live_ids] + inner_len + outer_len < min_pts
     if rejected.any():
         counters.add(
             "core_upperbound_reject_points", int(rejected[q_cell].sum())
@@ -266,11 +263,10 @@ def count_cores(
     open_q = plan.open_q[o_lo:o_hi] - q_lo
     live = plan.live_ids[lo:hi]
     inner_len, outer_len = plan.inner_len[lo:hi], plan.outer_len[lo:hi]
-    soa = grid_soa(grid)
     adjacency = grid.adjacency()
     row_lo = adjacency.indptr[live]
     row_mid = row_lo + adjacency.inner[live]
-    own = soa.sizes[live]
+    own = grid.sizes[live]
     # Counts start at the full cell occupancy (same-cell points are all
     # within eps), exactly like the reference.
     counts = own[q_cell]
@@ -279,7 +275,7 @@ def count_cores(
     # inner ring; the queries that reach MinPts there retire without ever
     # touching the outer shell.
     _count_pass(
-        grid, soa, adjacency, min_pts, q_all, q_cell, counts, open_q,
+        grid, adjacency, min_pts, q_all, q_cell, counts, open_q,
         row_lo, row_mid - row_lo, inner_len, deadline, tally,
     )
     settled = counts[open_q] >= min_pts
@@ -293,7 +289,7 @@ def count_cores(
     # that the shell's point total can still carry there.
     open_q = open_q[counts[open_q] + outer_len[q_cell[open_q]] >= min_pts]
     retired_points, retired_cells = _count_pass(
-        grid, soa, adjacency, min_pts, q_all, q_cell, counts, open_q,
+        grid, adjacency, min_pts, q_all, q_cell, counts, open_q,
         row_mid, adjacency.indptr[live + 1] - row_mid, outer_len, deadline, tally,
     )
     tally["core_retired_points"] += retired_points
@@ -303,7 +299,6 @@ def count_cores(
 
 def _count_pass(
     grid: Grid,
-    soa: GridSoA,
     adjacency: _CSRAdjacency,
     min_pts: int,
     q_all: np.ndarray,
@@ -339,7 +334,7 @@ def _count_pass(
     np.cumsum(q_counts[:-1], out=q_starts[1:])
     entry_len = np.where(nlen > 0, entry_len, 0)
     nb_cells = _take_ranges(adjacency.indices, entry_start, entry_len)
-    nbr_flat = _take_ranges(soa.cat, soa.offsets[nb_cells], soa.sizes[nb_cells])
+    nbr_flat = _take_ranges(grid.order, grid.offsets[nb_cells], grid.sizes[nb_cells])
     nbr_starts = np.zeros(n_live, dtype=np.int64)
     np.cumsum(nlen[:-1], out=nbr_starts[1:])
 
@@ -368,8 +363,8 @@ def _count_pass(
             # Expanded-form distances as one batched matmul per tile:
             # (cells, q_max, d) @ (cells, d, w) -> (cells, q_max, w).
             sq = (
-                soa.point_sq[q_idx][:, :, None]
-                + soa.point_sq[nbr_idx][:, None, :]
+                grid.point_sq[q_idx][:, :, None]
+                + grid.point_sq[nbr_idx][:, None, :]
                 - 2.0 * np.matmul(points[q_idx], points[nbr_idx].transpose(0, 2, 1))
             )
             np.maximum(sq, 0.0, out=sq)

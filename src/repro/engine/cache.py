@@ -31,6 +31,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ParameterError
+from repro.grid.cells import Grid
 from repro.runtime.memory import MemoryBudget, current_rss, estimate_grid_bytes
 
 #: Fraction of an attached memory budget the cache may occupy.
@@ -48,9 +49,8 @@ def estimate_structure_bytes(value: object) -> int:
     to keep the byte caps meaningful.  Unknown objects cost a nominal 1 KB
     so a cache of unestimatable values still honours its entry cap.
     """
-    # Grid: points + per-cell index arrays + dict overhead.
     points = getattr(value, "points", None)
-    if points is not None and hasattr(value, "eps") and hasattr(value, "cells"):
+    if isinstance(value, Grid):
         return estimate_grid_bytes(len(points), points.shape[1])
     # Flat Lemma 5 hierarchies account for their own arrays exactly.  This
     # check must precede the generic points-array branch below — the flat

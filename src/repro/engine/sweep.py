@@ -29,16 +29,13 @@ by the monotonicity underlying the Sandwich Theorem (Theorem 3):
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.corekernel import grid_soa
 from repro.core.result import Clustering
 from repro.errors import ParameterError
-from repro.grid.cells import CellCoord, Grid
-
-Pair = Tuple[CellCoord, CellCoord]
+from repro.grid.cells import Grid
 
 
 def ascending_order(eps_list: Sequence[float]) -> List[int]:
@@ -63,33 +60,25 @@ def approx_carry_ok(prev_eps: float, eps: float, rho: float) -> bool:
     return eps >= prev_eps * (1.0 + rho)
 
 
-def preunion_pairs(prev: Clustering, grid: Grid) -> List[Pair]:
+def preunion_pairs(prev: Clustering, grid: Grid) -> np.ndarray:
     """Cell pairs of ``grid`` known connected from a previous sweep step.
 
-    For each cluster of ``prev``, the cells of ``grid`` covering the
-    cluster's *core* points all belong to one component of the current
-    core-cell graph (see the module docstring for when a caller may rely
-    on this).  A chain of consecutive-cell pairs per cluster is the
-    cheapest seed spanning that knowledge — ``k`` distinct cells produce
-    ``k - 1`` pairs.
+    Returns a ``(k, 2)`` array of grid cell ids.  For each cluster of
+    ``prev``, the cells of ``grid`` covering the cluster's *core* points
+    all belong to one component of the current core-cell graph (see the
+    module docstring for when a caller may rely on this).  A chain of
+    consecutive-cell pairs per cluster is the cheapest seed spanning that
+    knowledge — ``k`` distinct cells produce ``k - 1`` pairs.
 
     Only core points are used: border points may sit in cells with no core
     point at all, and carry no connectivity of their own.
     """
     core_idx = np.nonzero(prev.core_mask)[0]
-    if len(core_idx) == 0:
-        return []
-    # One sort of packed (label, cell id) keys replaces the per-point
-    # Python loop: cell ids follow lexicographic cell order, so the keys
-    # sort exactly like (label, cell-coord) rows, each cluster's distinct
-    # cells come out contiguous, and chaining them is a pair per
-    # consecutive same-label key.
-    soa = grid_soa(grid)
-    m = len(soa)
+    # One sort of packed (label, cell id) keys: each cluster's distinct
+    # cells come out contiguous and ascending, and chaining them is a
+    # pair per consecutive same-label key.
+    m = len(grid)
     labels = prev.labels[core_idx].astype(np.int64)
-    packed = np.unique(labels * m + soa.point_cells()[core_idx])
-    label, cell = np.divmod(packed, m)
+    label, cell = np.divmod(np.unique(labels * m + grid.point_cell[core_idx]), m)
     same_label = np.nonzero(label[1:] == label[:-1])[0]
-    keys = soa.keys
-    cell = cell.tolist()
-    return [(keys[cell[i]], keys[cell[i + 1]]) for i in same_label.tolist()]
+    return np.column_stack((cell[same_label], cell[same_label + 1]))

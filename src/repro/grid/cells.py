@@ -9,27 +9,30 @@ hyper-squares with side length ``eps / sqrt(d)``.  Two facts drive every use:
   there are only ``O((sqrt(d)+2)^d) = O(1)`` of those for fixed ``d``
   (21 in 2D, as the paper notes).
 
-:class:`Grid` maps points to integer cell coordinates, groups point indices
-per non-empty cell, and builds the eps-neighbour adjacency of the non-empty
-cells once, in CSR form, with whichever of two builders has less to do:
-the *offset probe* (packed-key lookups of every cell against every entry
-of the cached offset table) or the *coarse-bucket join* (cells bucketed
-by ``coords // reach``, candidate pairs drawn only from adjacent
-buckets).  Each row lists its inner ring (Chebyshev-distance-1 cells)
-first, so the kernels can work nearest ring first.
+:class:`Grid` maps points to integer cell coordinates and stores the
+non-empty cells as sorted arrays: one stable lexsort of the coordinates
+(:func:`group_rows`) numbers the cells in lexicographic coordinate order
+and lists the points cell by cell, so a cell is an int id into
+``cell_start`` / ``cell_coords`` / ``sizes`` and every point knows its
+cell id (``point_cell``).  The grid also builds the eps-neighbour
+adjacency of the non-empty cells once, in CSR form over the same ids,
+with whichever of two builders has less to do: the *offset probe*
+(packed-key lookups of every cell against every entry of the cached
+offset table) or the *coarse-bucket join* (cells bucketed by
+``coords // reach``, candidate pairs drawn only from adjacent buckets).
+Each row lists its inner ring (Chebyshev-distance-1 cells) first, so the
+kernels can work nearest ring first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.config import chunk_budget
 from repro.errors import ParameterError
 from repro.grid import counters
-
-CellCoord = Tuple[int, ...]
 
 #: Cache of neighbour-offset tables keyed by ``(d, reach, ratio_key)``.
 _OFFSET_CACHE: Dict[Tuple[int, int, int], np.ndarray] = {}
@@ -71,7 +74,16 @@ def neighbor_offsets(eps: float, side: float, d: int) -> np.ndarray:
 
 
 class Grid:
-    """A grid over a point set, with per-cell point groups.
+    """A grid over a point set, stored as its sorted cell arrays.
+
+    The non-empty cells are numbered ``0 .. m-1`` in lexicographic
+    coordinate order, and that id is the only name a cell has below the
+    constructor.  Cell ``t`` lies at integer coordinate ``cell_coords[t]``
+    and owns the ``sizes[t]`` point indices
+    ``order[cell_start[t] : cell_start[t + 1]]`` (ascending);
+    ``offsets`` is ``cell_start[:-1]``, ``point_cell[i]`` is point ``i``'s
+    cell id and ``point_sq[i]`` its squared norm, which the kernels'
+    expanded-form distance tiles read.
 
     Parameters
     ----------
@@ -97,44 +109,37 @@ class Grid:
         self.dim = d
 
         coords = np.floor(points / self.side).astype(np.int64)
-        self.point_cells = coords
-        self._cells: Dict[CellCoord, np.ndarray] = _group_by_rows(coords)
-        self._offsets = neighbor_offsets(self.eps, self.side, d)
+        # One stable lexsort: lexicographic cell ids, and each cell's
+        # points ascending.
+        self.order, self.cell_start = group_rows(coords)
+        self.offsets = self.cell_start[:-1]
+        self.sizes = np.diff(self.cell_start)
+        self.cell_coords = coords[self.order[self.offsets]]
+        self.point_cell = np.empty(len(points), dtype=np.int64)
+        self.point_cell[self.order] = np.repeat(
+            np.arange(len(self.sizes), dtype=np.int64), self.sizes
+        )
+        self.point_sq = np.einsum("ij,ij->i", points, points)
+        self._offset_table = neighbor_offsets(self.eps, self.side, d)
         # The offset table grows fast with d (841 entries at d = 4, 6,095
         # at d = 5, 257,675 at d = 7) whatever the number of non-empty
         # cells; :meth:`_build_adjacency` picks the builder that scales
         # with the cells instead.  Built lazily on first neighbour query.
         self._adjacency: _CSRAdjacency | None = None
 
-    # ------------------------------------------------------------- inspection
-
     def __len__(self) -> int:
         """Number of non-empty cells."""
-        return len(self._cells)
-
-    def __contains__(self, cell: CellCoord) -> bool:
-        return tuple(cell) in self._cells
-
-    @property
-    def cells(self) -> Dict[CellCoord, np.ndarray]:
-        """Mapping of non-empty cell coordinate -> array of point indices."""
-        return self._cells
-
-    def cell_of(self, i: int) -> CellCoord:
-        """Cell coordinate of point ``i``."""
-        return tuple(int(c) for c in self.point_cells[i])
-
-    def points_in(self, cell: CellCoord) -> np.ndarray:
-        """Indices of the points covered by ``cell`` (empty array if none)."""
-        return self._cells.get(tuple(cell), _EMPTY_IDX)
+        return len(self.sizes)
 
     # ------------------------------------------------------------- neighbours
 
     def adjacency(self) -> _CSRAdjacency:
         """The eps-neighbour cell adjacency in CSR form, built once per grid.
 
-        Cell ids are positions in the grid's cell order (lexicographic by
-        coordinate), the id space of the staged kernels' ``GridSoA``.
+        Row ``t`` lists the ids of cell ``t``'s eps-neighbour cells.  The
+        guarantee is one-sided, as in the paper: every cell that could
+        hold a point within ``eps`` of a point of cell ``t`` is listed; a
+        listed cell may still hold no qualifying point.
         """
         if self._adjacency is None:
             self._adjacency = self._build_adjacency()
@@ -163,30 +168,28 @@ class Grid:
         (row, ring).  Reported through the ``adjacency_*`` kernel
         counters.
         """
-        keys = list(self._cells.keys())
-        index = {c: t for t, c in enumerate(keys)}
-        m = len(keys)
+        m = len(self)
         if m < 2:
             return _CSRAdjacency(
-                keys, np.zeros(m + 1, dtype=np.int64), _EMPTY_IDX, index,
-                np.zeros(m, dtype=np.int64),
+                np.zeros(m + 1, dtype=np.int64), _EMPTY_IDX, np.zeros(m, dtype=np.int64)
             )
-        coords = np.asarray(keys, dtype=np.int64).reshape(m, self.dim)
-        reach = int(np.abs(self._offsets).max())
+        coords = self.cell_coords
+        table = self._offset_table
+        reach = int(np.abs(table).max())
         plan = _BucketPlan(coords, reach)
-        probe_work = m * len(self._offsets)
+        probe_work = m * len(table)
         counters.add("adjacency_candidates", plan.candidates)
         counters.add("adjacency_probe_work", probe_work)
         if plan.candidates < _JOIN_RATIO * probe_work:
             counters.add("adjacency_join", 1)
-            ii, jj, outer = plan.join(coords, self._offsets)
+            ii, jj, outer = plan.join(coords, table)
         else:
             counters.add("adjacency_probe", 1)
-            ring = np.abs(self._offsets).max(axis=1)
+            ring = np.abs(table).max(axis=1)
             # Non-zero offsets, inner ring first; stable, so each ring
             # keeps table order.
             order = np.argsort(ring[ring > 0] > 1, kind="stable")
-            nonzero = self._offsets[ring > 0][order]
+            nonzero = table[ring > 0][order]
             ii, jj, kk, direct = _offset_hits(coords, nonzero, reach)
             outer = kk >= np.count_nonzero(ring == 1)
             if direct:
@@ -196,7 +199,7 @@ class Grid:
         counters.add("adjacency_inner_entries", int(inner.sum()))
         indptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(ii, minlength=m), out=indptr[1:])
-        return _CSRAdjacency(keys, indptr, jj, index, inner)
+        return _CSRAdjacency(indptr, jj, inner)
 
     @property
     def uses_allpairs_adjacency(self) -> bool:
@@ -217,85 +220,33 @@ class Grid:
         """
         self.adjacency()
 
-    def neighbor_cells(self, cell: CellCoord, *, include_self: bool = False) -> Iterator[CellCoord]:
-        """Yield the non-empty eps-neighbour cells of ``cell``.
-
-        The guarantee is one-sided, as in the paper: every cell that could
-        hold a point within ``eps`` of a point of ``cell`` is yielded; a
-        yielded cell may still turn out to hold no qualifying point.
-        """
-        cell = tuple(cell)
-        if cell in self._cells:
-            if include_self:
-                yield cell
-            yield from self.adjacency().row(cell)
-            return
-        # A coordinate with no points has no adjacency row; probe offsets.
-        base = np.asarray(cell, dtype=np.int64)
-        cells = self._cells
-        for off in self._offsets:
-            if not off.any():
-                continue
-            other = tuple((base + off).tolist())
-            if other in cells:
-                yield other
-
-    def neighbor_points(self, cell: CellCoord, *, include_self: bool = False) -> np.ndarray:
-        """Indices of all points in the eps-neighbour cells of ``cell``."""
-        blocks = [self.points_in(c) for c in self.neighbor_cells(cell, include_self=include_self)]
-        if not blocks:
-            return _EMPTY_IDX
-        return np.concatenate(blocks)
-
     def neighbor_cell_pair_arrays(
-        self, subset=None
-    ) -> Tuple[List[CellCoord], np.ndarray, np.ndarray, np.ndarray]:
-        """Index-array form of :meth:`neighbor_cell_pairs`.
+        self, subset: np.ndarray | None = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each unordered pair of distinct eps-neighbour cells, once.
 
-        Returns ``(keys, i, j, inner)`` where the pairs are
-        ``(keys[i[t]], keys[j[t]])`` — the representation callers want when
-        they post-filter pairs vectorised (e.g. dropping pairs whose
-        endpoints a carried pre-union already connects) instead of paying
-        a Python-level yield per pair — and ``inner[t]`` is True when the
+        Returns ``(i, j, inner)``: the pairs ``(i[t], j[t])`` with
+        ``i[t] < j[t]`` — cells are numbered in lexicographic coordinate
+        order, so the smaller cell comes first, the orientation the
+        oriented Lemma 5 probe relies on — and ``inner[t]`` True when the
         two cells are inner-ring neighbours (Chebyshev distance 1).
-        ``keys`` lists the cells (of ``subset``, if given) in grid order.
+        ``subset`` (an array of cell ids) restricts both endpoints, and
+        the pairs then name positions in the subset's ascending id list.
         The pairs are the cached adjacency's entries ``a -> b`` with
-        ``b > a``; cells are numbered in lexicographic coordinate order, so
-        every ``i``-side cell precedes its ``j`` partner lexicographically
-        — the orientation contract of :meth:`neighbor_cell_pairs`.
+        ``b > a``.
         """
         adjacency = self.adjacency()
-        m = len(adjacency.keys)
-        if subset is None:
-            ids = np.arange(m, dtype=np.int64)
-        else:
-            index = adjacency.index
-            ids = np.unique(np.fromiter(
-                (index[c] for c in map(tuple, subset) if c in index), dtype=np.int64
-            ))
-        sub_keys = [adjacency.keys[t] for t in ids.tolist()]
-        if len(ids) < 2:
-            return sub_keys, _EMPTY_IDX, _EMPTY_IDX, np.zeros(0, dtype=bool)
         src, inner = adjacency.entries()
         dst = adjacency.indices
         keep = dst > src
-        if len(ids) < m:
-            position = np.full(m, -1, dtype=np.int64)
-            position[ids] = np.arange(len(ids))
-            keep &= (position[src] >= 0) & (position[dst] >= 0)
-            return sub_keys, position[src[keep]], position[dst[keep]], inner[keep]
-        return sub_keys, src[keep], dst[keep], inner[keep]
-
-    def neighbor_cell_pairs(self, subset=None) -> Iterator[Tuple[CellCoord, CellCoord]]:
-        """Yield each unordered pair of distinct eps-neighbour cells once.
-
-        ``subset`` optionally restricts both endpoints to a collection of
-        cells (e.g. the core cells when building the graph ``G``).  Each
-        pair comes out once, lexicographically smaller cell first.
-        """
-        keys, ii, jj, _ = self.neighbor_cell_pair_arrays(subset)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            yield keys[i], keys[j]
+        src, dst, inner = src[keep], dst[keep], inner[keep]
+        if subset is None:
+            return src, dst, inner
+        member = np.zeros(len(self), dtype=bool)
+        member[subset] = True
+        keep = member[src] & member[dst]
+        position = np.cumsum(member) - 1
+        return position[src[keep]], position[dst[keep]], inner[keep]
 
 
 #: The coarse-bucket join builds the adjacency when its candidate count is
@@ -322,20 +273,18 @@ class _BucketPlan:
     """
 
     def __init__(self, coords: np.ndarray, reach: int) -> None:
-        m, d = coords.shape
+        d = coords.shape[1]
         self.reach = reach
         buckets = coords // reach
-        self.order = np.lexsort(buckets.T[::-1])
-        ordered = buckets[self.order]
-        change = np.any(ordered[1:] != ordered[:-1], axis=1)
-        self.starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
-        self.counts = np.diff(np.append(self.starts, m))
+        self.order, bounds = group_rows(buckets)
+        self.starts = bounds[:-1]
+        self.counts = np.diff(bounds)
         # The 3^d bucket steps in lexicographic order; those after the zero
         # step (the middle row) are the positive half, one per +/- pair.
         steps = np.array(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"))
         deltas = steps.reshape(d, -1).T[3 ** d // 2 + 1:]
         within = np.arange(len(self.starts), dtype=np.int64)
-        hit_u, hit_v, _, _ = _offset_hits(ordered[self.starts], deltas, 1)
+        hit_u, hit_v, _, _ = _offset_hits(buckets[self.order[self.starts]], deltas, 1)
         self.pu = np.concatenate([within, hit_u])
         self.pv = np.concatenate([within, hit_v])
         counts = self.counts
@@ -531,27 +480,16 @@ def _take_ranges(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) ->
 class _CSRAdjacency:
     """Cell adjacency in compressed-sparse-row form, inner ring first.
 
-    ``indices[indptr[t]:indptr[t + 1]]`` are the positions (into ``keys``)
-    of cell ``keys[t]``'s neighbours; the first ``inner[t]`` of them are
-    its inner-ring (Chebyshev distance 1) neighbours, the rest its outer
-    shell.  Index arrays instead of per-cell Python lists keep the build
-    fully vectorised.
+    ``indices[indptr[t]:indptr[t + 1]]`` are the ids of cell ``t``'s
+    neighbours; the first ``inner[t]`` of them are its inner-ring
+    (Chebyshev distance 1) neighbours, the rest its outer shell.
     """
 
-    __slots__ = ("keys", "indptr", "indices", "index", "inner")
+    __slots__ = ("indptr", "indices", "inner")
 
-    def __init__(
-        self,
-        keys: List[CellCoord],
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        index: Dict[CellCoord, int],
-        inner: np.ndarray,
-    ) -> None:
-        self.keys = keys
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, inner: np.ndarray) -> None:
         self.indptr = indptr
         self.indices = indices
-        self.index = index
         self.inner = inner
 
     def counts(self, ids: np.ndarray) -> np.ndarray:
@@ -567,12 +505,6 @@ class _CSRAdjacency:
         )
         return src, inner
 
-    def row(self, cell: CellCoord) -> Iterator[CellCoord]:
-        t = self.index[cell]
-        keys = self.keys
-        for j in self.indices[self.indptr[t]:self.indptr[t + 1]].tolist():
-            yield keys[j]
-
 
 def _row_view(a: np.ndarray) -> np.ndarray:
     """A 1-D structured view of a 2-D integer array, one element per row.
@@ -585,26 +517,22 @@ def _row_view(a: np.ndarray) -> np.ndarray:
     return a.view([("", a.dtype)] * a.shape[1]).ravel()
 
 
-def _group_by_rows(coords: np.ndarray) -> Dict[CellCoord, np.ndarray]:
-    """Group row indices of an integer matrix by identical rows.
+def group_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Group the rows of an integer matrix by identical rows.
 
-    One stable ``np.lexsort`` is the whole bucketing pass: stability makes
-    the indices inside each group come out already ascending (what the
-    old code re-sorted per group), and the group bodies are zero-copy
-    views into the single sorted index array.
+    Returns ``(order, starts)``: the row indices in lexicographic row
+    order, and the ``g + 1`` boundaries of the ``g`` groups in it (group
+    ``t`` is ``order[starts[t] : starts[t + 1]]``).  One stable
+    ``np.lexsort`` does it all: groups come out in lexicographic order and
+    the indices inside each group ascending.
     """
-    if len(coords) == 0:
-        return {}
-    order = np.lexsort(coords.T[::-1])
-    sorted_coords = coords[order]
-    change = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
-    starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
-    bounds = np.append(starts, len(coords))
-    keys = sorted_coords[starts].tolist()
-    groups: Dict[CellCoord, np.ndarray] = {}
-    for i, key in enumerate(keys):
-        groups[tuple(key)] = order[bounds[i]:bounds[i + 1]]
-    return groups
+    n = len(keys)
+    if n == 0:
+        return _EMPTY_IDX, np.zeros(1, dtype=np.int64)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    change = np.flatnonzero(np.any(ordered[1:] != ordered[:-1], axis=1)) + 1
+    return order, np.concatenate(([0], change, [n])).astype(np.int64)
 
 
 _EMPTY_IDX = np.empty(0, dtype=np.int64)

@@ -43,7 +43,7 @@ import numpy as np
 from repro.errors import DataError
 from repro.geometry import distance as dm
 from repro.grid import counters
-from repro.grid.cells import _group_by_rows
+from repro.grid.cells import group_rows
 from repro.runtime.deadline import Deadline
 from repro.utils.validation import check_eps, check_rho
 
@@ -138,15 +138,14 @@ class FlatHierarchy:
     def _build_levels(self) -> None:
         """Non-recursive, level-synchronous build.
 
-        Each level is one :func:`_group_by_rows` pass: level 0 groups the
-        points by their level-0 cell, and level ``l+1`` groups the points
-        of every *subdivided* level-``l`` node by ``(parent node id, child
-        cell coordinate)`` — the parent id column keeps each parent's
-        children contiguous (CSR rows), and the grouper's lexsort orders
-        them by coordinate within the parent, exactly like the reference
-        builder's per-node grouping.
+        Each level is one :func:`~repro.grid.cells.group_rows` pass: level
+        0 groups the points by their level-0 cell, and level ``l+1`` groups
+        the points of every *subdivided* level-``l`` node by ``(parent node
+        id, child cell coordinate)`` — the parent id column keeps each
+        parent's children contiguous (CSR rows), and the grouper's lexsort
+        orders them by coordinate within the parent, exactly like the
+        reference builder's per-node grouping.
         """
-        d = self.dim
         leaf = self._exact_leaf_size
         self._coords: List[np.ndarray] = []
         self._counts: List[np.ndarray] = []
@@ -158,13 +157,8 @@ class FlatHierarchy:
         leaf_base = 0
 
         coords0 = np.floor(self.points / self.side0).astype(np.int64)
-        groups = _group_by_rows(coords0)
-        coords = np.array(list(groups.keys()), dtype=np.int64).reshape(len(groups), d)
-        members = np.concatenate(list(groups.values()))
-        lengths = np.fromiter(
-            (len(g) for g in groups.values()), dtype=np.int64, count=len(groups)
-        )
-        ptr = np.concatenate([[0], np.cumsum(lengths)])
+        members, ptr = group_rows(coords0)
+        coords = coords0[members[ptr[:-1]]]
 
         for level in range(self.n_levels):
             m = len(coords)
@@ -205,11 +199,9 @@ class FlatHierarchy:
             child_coords = np.floor(
                 self.points[active] / child_side
             ).astype(np.int64)
-            cgroups = _group_by_rows(np.column_stack([pid, child_coords]))
-            keys = np.array(list(cgroups.keys()), dtype=np.int64).reshape(
-                len(cgroups), d + 1
-            )
-            child_pid = keys[:, 0]
+            corder, ptr = group_rows(np.column_stack([pid, child_coords]))
+            first = corder[ptr[:-1]]
+            child_pid = pid[first]
             # Children arrive sorted by (parent, coordinate): each parent's
             # children are one contiguous CSR row of the next level.
             child_n = np.bincount(child_pid, minlength=m).astype(np.int64)
@@ -217,13 +209,8 @@ class FlatHierarchy:
             self._child_off.append(child_off)
             self._child_n.append(child_n)
 
-            clengths = np.fromiter(
-                (len(g) for g in cgroups.values()), dtype=np.int64,
-                count=len(cgroups),
-            )
-            members = active[np.concatenate(list(cgroups.values()))]
-            ptr = np.concatenate([[0], np.cumsum(clengths)])
-            coords = keys[:, 1:]
+            members = active[corder]
+            coords = child_coords[first]
 
         self._leaf_point_idx = (
             np.concatenate(leaf_blocks) if leaf_blocks else _EMPTY

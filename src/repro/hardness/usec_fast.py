@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.geometry import distance as dm
-from repro.grid.cells import Grid
+from repro.grid.cells import Grid, _take_ranges, group_rows
 from repro.hardness.usec import USECInstance
 
 
@@ -34,25 +34,14 @@ def usec_grid(instance: USECInstance) -> bool:
     # vectorised box-distance comparison against the (few) non-empty
     # centre cells — query cells are generally not centre cells, so the
     # grid's own neighbour machinery does not apply.
-    center_cells = list(grid.cells.items())
-    cell_coords = np.asarray([c for c, _idx in center_cells], dtype=np.int64)
-    cell_points = [idx for _c, idx in center_cells]
-
     coords = np.floor(points / grid.side).astype(np.int64)
-    order = np.lexsort(coords.T[::-1])
-    start = 0
-    while start < len(points):
-        stop = start
-        while stop < len(points) and np.array_equal(coords[order[stop]], coords[order[start]]):
-            stop += 1
-        base = coords[order[start]]
-        gaps = np.maximum(np.abs(cell_coords - base) - 1, 0) * grid.side
+    order, starts = group_rows(coords)
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        gaps = np.maximum(np.abs(grid.cell_coords - coords[order[lo]]) - 1, 0) * grid.side
         near = np.nonzero(np.einsum("ij,ij->i", gaps, gaps) <= sq_limit * (1 + 1e-9))[0]
         if len(near):
-            candidates = np.concatenate([cell_points[j] for j in near])
-            group = points[order[start:stop]]
-            sq = dm.pairwise_sq_dists(group, centers[candidates])
+            candidates = _take_ranges(grid.order, grid.offsets[near], grid.sizes[near])
+            sq = dm.pairwise_sq_dists(points[order[lo:hi]], centers[candidates])
             if (sq <= sq_limit).any():
                 return True
-        start = stop
     return False

@@ -93,9 +93,10 @@ def current_rss() -> int:
 def estimate_grid_bytes(n: int, d: int) -> int:
     """Rough footprint of :class:`repro.grid.cells.Grid` over ``(n, d)`` points.
 
-    Counts the float64 point array, the int64 cell-coordinate array, the
-    per-cell index arrays (8 bytes/point) and dictionary overhead.  The
-    constant is deliberately generous — the guard should trip *before* the
+    Counts the float64 point array, the int64 cell-coordinate block the
+    build sorts, and the per-point ``order`` / ``point_cell`` /
+    ``point_sq`` arrays plus the build's sort temporaries.  The constant
+    is deliberately generous — the guard should trip *before* the
     allocation, not after.
     """
     return 16 * n * d + 96 * n + 4096

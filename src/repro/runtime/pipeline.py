@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from repro.core.border import assign_borders
 from repro.core.result import Clustering, build_clustering
 from repro.errors import ParameterError
 from repro.grid import counters
-from repro.grid.cells import CellCoord, Grid
+from repro.grid.cells import Grid
 from repro.parallel.executor import ParallelConfig, parallel_label_cores
 from repro.parallel.supervisor import collect_stats
 from repro.runtime.checkpoint import CheckpointStore, fingerprint_points, phase_index
@@ -72,14 +72,15 @@ class PipelineHooks:
         :func:`~repro.parallel.executor.parallel_label_cores`.  Ignored
         when ``core_mask`` is given.
     preunion:
-        Cell pairs already known to be in the same component of the
-        core-cell graph (see
+        A ``(k, 2)`` array of grid cell ids, pairs already known to be in
+        the same component of the core-cell graph (see
         :func:`repro.core.edgekernel.apply_preunion_dense`).  The pipeline
         only carries this — the algorithm's connect closure consumes it.
     structures:
         Warm per-cell search structures for the connect closure — Lemma 5
         hierarchies for the approximate rule, kd-trees / Voronoi diagrams
-        for the exact ``kdtree``/``voronoi`` strategies; carried like
+        for the exact ``kdtree``/``voronoi`` strategies, keyed by grid
+        cell id; carried like
         ``preunion`` and updated in place with lazily built entries so the
         engine can harvest them.
     on_phase:
@@ -91,8 +92,8 @@ class PipelineHooks:
     grid: Optional[Grid] = None
     core_mask: Optional[np.ndarray] = None
     known_core: Optional[np.ndarray] = None
-    preunion: Optional[List[Tuple[CellCoord, CellCoord]]] = None
-    structures: Optional[Dict[CellCoord, object]] = None
+    preunion: Optional[np.ndarray] = None
+    structures: Optional[Dict[int, object]] = None
     on_phase: Optional[Callable[[str, object], None]] = None
 
     def emit(self, phase: str, value: object) -> None:

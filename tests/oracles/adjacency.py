@@ -14,17 +14,19 @@ from typing import Set, Tuple
 
 import numpy as np
 
-from repro.grid.cells import CellCoord, Grid
+from repro.grid.cells import Grid
+
+from .cellview import CellKey, CellView
 
 
-def box_gap_pairs(grid: Grid) -> Set[Tuple[CellCoord, CellCoord]]:
+def box_gap_pairs(grid: Grid) -> Set[Tuple[CellKey, CellKey]]:
     """Every ordered pair of distinct eps-neighbour cells, by brute force."""
-    keys = list(grid.cells)
+    keys = CellView(grid).keys
     coords = np.asarray(keys, dtype=np.int64).reshape(len(keys), grid.dim)
     eps, side = grid.eps, grid.side
     # The offset table spans [-reach, reach] per axis.
     reach = int(np.floor(eps / side)) + 1
-    out: Set[Tuple[CellCoord, CellCoord]] = set()
+    out: Set[Tuple[CellKey, CellKey]] = set()
     for a, key in enumerate(keys):
         offsets = coords - coords[a]
         gaps = np.maximum(np.abs(offsets) - 1, 0) * side

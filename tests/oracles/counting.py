@@ -17,9 +17,29 @@ import numpy as np
 
 from repro.errors import DataError
 from repro.geometry import distance as dm
-from repro.grid.cells import _group_by_rows
 from repro.grid.hierarchy import _ENUMERATION_BUDGET, _EXACT_LEAF_SIZE
 from repro.utils.validation import check_eps, check_rho
+
+
+def _group_by_rows(coords: np.ndarray) -> Dict[Tuple[int, ...], np.ndarray]:
+    """Group row indices of an integer matrix by identical rows.
+
+    One stable ``np.lexsort`` is the whole bucketing pass: stability makes
+    the indices inside each group come out already ascending, and the
+    group bodies are zero-copy views into the single sorted index array.
+    """
+    if len(coords) == 0:
+        return {}
+    order = np.lexsort(coords.T[::-1])
+    sorted_coords = coords[order]
+    change = np.any(sorted_coords[1:] != sorted_coords[:-1], axis=1)
+    starts = np.concatenate([[0], np.nonzero(change)[0] + 1])
+    bounds = np.append(starts, len(coords))
+    keys = sorted_coords[starts].tolist()
+    groups: Dict[Tuple[int, ...], np.ndarray] = {}
+    for i, key in enumerate(keys):
+        groups[tuple(key)] = order[bounds[i]:bounds[i + 1]]
+    return groups
 
 
 class _Node:

@@ -15,20 +15,24 @@ differential tests and the kernel benches check exactly that.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
-from repro.core.cellgraph import approx_edge_predicate, core_cells, exact_edge_predicate
+from repro.core.cellgraph import (
+    CoreCells,
+    approx_edge_predicate,
+    core_cells,
+    exact_edge_predicate,
+)
 from repro.errors import AlgorithmError
 from repro.geometry import distance as dm
 from repro.geometry.bcp import bcp_within
-from repro.grid.cells import CellCoord, Grid
+from repro.grid.cells import Grid
 from repro.grid.hierarchy import FlatHierarchy
 
+from .cellview import CellView
 from .unionfind import KeyedUnionFind
-
-Pairs = Optional[List[Tuple[CellCoord, CellCoord]]]
 
 
 # ------------------------------------------------------------------- cores
@@ -52,6 +56,7 @@ def label_cores(
     ``known_core`` marks points already known to be core.
     """
     _check_side(grid, "core labeling")
+    view = CellView(grid)
     points = grid.points
     sq_eps = dm.sq_radius(grid.eps)
     core = np.zeros(len(points), dtype=bool)
@@ -62,10 +67,10 @@ def label_cores(
         unknown = np.nonzero(~known_core)[0]
         if len(unknown) == 0:
             return core
-        ucells = np.unique(grid.point_cells[unknown], axis=0)
-        work = ((tuple(c), grid.points_in(c)) for c in ucells.tolist())
+        ucells = sorted({view.cell_of(i) for i in unknown.tolist()})
+        work = ((c, view.points_in(c)) for c in ucells)
     else:
-        work = grid.cells.items()
+        work = view.cells.items()
 
     for cell, idx in work:
         if deadline is not None:
@@ -90,8 +95,8 @@ def label_cores(
         pending: list = []
         pending_size = 0
         done = False
-        for ncell in grid.neighbor_cells(cell):
-            pending.append(grid.points_in(ncell))
+        for ncell in view.neighbor_cells(cell):
+            pending.append(view.points_in(ncell))
             pending_size += len(pending[-1])
             if pending_size < 256:
                 continue
@@ -118,13 +123,14 @@ def neighbor_counts(grid: Grid, cap: Optional[int] = None) -> np.ndarray:
     ``neighbor_counts(grid) >= min_pts``.
     """
     _check_side(grid, "neighbor_counts")
+    view = CellView(grid)
     points = grid.points
     sq_eps = dm.sq_radius(grid.eps)
     counts = np.zeros(len(points), dtype=np.int64)
-    for cell, idx in grid.cells.items():
+    for cell, idx in view.cells.items():
         counts[idx] += len(idx)
-        for ncell in grid.neighbor_cells(cell):
-            nidx = grid.points_in(ncell)
+        for ncell in view.neighbor_cells(cell):
+            nidx = view.points_in(ncell)
             block = dm.pairwise_sq_dists(points[idx], points[nidx])
             counts[idx] += (block <= sq_eps).sum(axis=1)
     if cap is not None:
@@ -147,10 +153,11 @@ def assign_borders(
     Same contract as :func:`repro.core.border.assign_borders`, returned as
     a plain dict (noise points are absent).
     """
+    view = CellView(grid)
     points = grid.points
     sq_eps = dm.sq_radius(grid.eps)
     out: Dict[int, Tuple[int, ...]] = {}
-    for cell, idx in grid.cells.items():
+    for cell, idx in view.cells.items():
         if deadline is not None:
             deadline.tick()
         non_core = idx[~core_mask[idx]]
@@ -158,8 +165,8 @@ def assign_borders(
             continue
         # Candidate core points: the cell's own and its eps-neighbours'.
         blocks = [idx[core_mask[idx]]]
-        for ncell in grid.neighbor_cells(cell):
-            nidx = grid.points_in(ncell)
+        for ncell in view.neighbor_cells(cell):
+            nidx = view.points_in(ncell)
             blocks.append(nidx[core_mask[nidx]])
         cores = np.concatenate(blocks)
         if len(cores) == 0:
@@ -177,68 +184,64 @@ def assign_borders(
 # ------------------------------------------------------------------- edges
 
 
-def apply_preunion(uf: KeyedUnionFind, preunion: Pairs) -> None:
-    """Seed ``uf`` with pairs already known to be connected in ``G``.
+def apply_preunion(
+    uf: KeyedUnionFind, cells: CoreCells, preunion: Optional[np.ndarray]
+) -> None:
+    """Seed ``uf`` (keyed by core-cell position) with known-connected pairs.
 
-    Pairs naming cells absent from the forest are skipped:
-    ``KeyedUnionFind.union`` would otherwise register them and shift every
-    later component label.
+    ``preunion`` names grid cell ids; pairs naming cells that are not
+    core cells are skipped: ``KeyedUnionFind.union`` would otherwise
+    register them and shift every later component label.
     """
-    if not preunion:
+    if preunion is None:
         return
-    for c1, c2 in preunion:
-        if c1 in uf and c2 in uf:
-            uf.union(c1, c2)
+    position = {g: t for t, g in enumerate(cells.ids.tolist())}
+    for g1, g2 in np.asarray(preunion).reshape(-1, 2).tolist():
+        if g1 in position and g2 in position:
+            uf.union(position[g1], position[g2])
 
 
 def candidate_cell_pairs(
-    grid: Grid,
-    cells: Dict[CellCoord, np.ndarray],
-    uf: KeyedUnionFind,
-    *,
-    seeded: bool,
-) -> Iterator[Tuple[CellCoord, CellCoord]]:
-    """Neighbour core-cell pairs still worth an edge test.
+    grid: Grid, cells: CoreCells, uf: KeyedUnionFind, *, seeded: bool
+) -> Iterator[Tuple[int, int]]:
+    """Neighbour core-cell pairs (positions) still worth an edge test.
 
     Seeded (a pre-union carry was applied to ``uf``), pairs whose
     endpoints already share a root are dropped up front.
     """
-    keys, ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+    ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
     if seeded and len(ii):
         root = np.fromiter(
-            (uf.find(c) for c in keys), dtype=np.int64, count=len(keys)
+            (uf.find(t) for t in range(len(cells))), dtype=np.int64, count=len(cells)
         )
         keep = root[ii] != root[jj]
         ii, jj = ii[keep], jj[keep]
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        yield keys[i], keys[j]
+    yield from zip(ii.tolist(), jj.tolist())
 
 
 def labels_from_components(
-    grid: Grid, cells: Dict[CellCoord, np.ndarray], uf: KeyedUnionFind
+    grid: Grid, cells: CoreCells, uf: KeyedUnionFind
 ) -> Tuple[np.ndarray, int]:
-    """Scatter per-cell component labels onto the point array."""
+    """Scatter per-cell component labels onto the point array, cell by cell."""
     labels = np.full(len(grid.points), -1, dtype=np.int64)
-    if cells:
-        cell_label = uf.component_labels()
-        per_cell = np.fromiter(
-            (cell_label[c] for c in cells), dtype=np.int64, count=len(cells)
-        )
-        sizes = np.fromiter(
-            (len(idx) for idx in cells.values()), dtype=np.int64, count=len(cells)
-        )
-        labels[np.concatenate(list(cells.values()))] = np.repeat(per_cell, sizes)
+    cell_label = uf.component_labels()
+    for t in range(len(cells)):
+        labels[cells.of(t)] = cell_label[t]
     return labels, uf.n_components
 
 
-def _resolve_pairs(grid, cells, uf, edge, deadline, preunion) -> None:
-    for c1, c2 in candidate_cell_pairs(grid, cells, uf, seeded=bool(preunion)):
+def _loop_components(grid, cells, edge, deadline, preunion) -> Tuple[np.ndarray, int]:
+    uf = KeyedUnionFind(range(len(cells)))
+    apply_preunion(uf, cells, preunion)
+    seeded = preunion is not None and len(preunion) > 0
+    for a, b in candidate_cell_pairs(grid, cells, uf, seeded=seeded):
         if deadline is not None:
             deadline.tick()
-        if uf.connected(c1, c2):
+        if uf.connected(a, b):
             continue
-        if edge(c1, c2):
-            uf.union(c1, c2)
+        if edge(a, b):
+            uf.union(a, b)
+    return labels_from_components(grid, cells, uf)
 
 
 def exact_components(
@@ -247,16 +250,13 @@ def exact_components(
     bcp_strategy: str = "auto",
     *,
     deadline=None,
-    preunion: Pairs = None,
+    preunion: Optional[np.ndarray] = None,
     structures=None,
 ) -> Tuple[np.ndarray, int]:
     """Components of the exact core-cell graph, one BCP test per pair."""
     cells = core_cells(grid, core_mask)
     edge = exact_edge_predicate(grid, cells, bcp_strategy, structures=structures)
-    uf = KeyedUnionFind(cells.keys())
-    apply_preunion(uf, preunion)
-    _resolve_pairs(grid, cells, uf, edge, deadline, preunion)
-    return labels_from_components(grid, cells, uf)
+    return _loop_components(grid, cells, edge, deadline, preunion)
 
 
 def approx_components(
@@ -266,38 +266,41 @@ def approx_components(
     exact_leaf_size: Optional[int] = None,
     *,
     deadline=None,
-    preunion: Pairs = None,
+    preunion: Optional[np.ndarray] = None,
     structures=None,
 ) -> Tuple[np.ndarray, int]:
     """Components of the rho-approximate graph, one Lemma 5 probe per pair.
 
-    Builds every core cell's :class:`FlatHierarchy` up front (cells already
-    present in ``structures`` are reused).
+    Builds every core cell's :class:`FlatHierarchy` up front, keyed by
+    grid cell id (cells already present in ``structures`` are reused).
     """
     cells = core_cells(grid, core_mask)
     kwargs = {} if exact_leaf_size is None else {"exact_leaf_size": exact_leaf_size}
     if structures is None:
         structures = {}
+    for t, g in enumerate(cells.ids.tolist()):
+        if g not in structures:
+            structures[g] = FlatHierarchy(grid.points[cells.of(t)], grid.eps, rho, **kwargs)
     edge = approx_edge_predicate(
         grid, cells, rho, exact_leaf_size, structures=structures, deadline=deadline
     )
-    uf = KeyedUnionFind(cells.keys())
-    apply_preunion(uf, preunion)
-    for cell, idx in cells.items():
-        if cell not in structures:
-            structures[cell] = FlatHierarchy(grid.points[idx], grid.eps, rho, **kwargs)
-    _resolve_pairs(grid, cells, uf, edge, deadline, preunion)
-    return labels_from_components(grid, cells, uf)
+    return _loop_components(grid, cells, edge, deadline, preunion)
 
 
 def edge_list_exact(
     grid: Grid, core_mask: np.ndarray, bcp_strategy: str = "auto"
-) -> List[Tuple[CellCoord, CellCoord]]:
-    """Every edge of the exact graph ``G``, with no union-find short-cut."""
+) -> np.ndarray:
+    """Every edge of the exact graph ``G``, with no union-find short-cut.
+
+    A ``(k, 2)`` array of grid cell ids, lexicographically smaller cell
+    first — the shape of a pre-union carry.
+    """
     cells = core_cells(grid, core_mask)
     points = grid.points
-    return [
-        (c1, c2)
-        for c1, c2 in grid.neighbor_cell_pairs(subset=cells.keys())
-        if bcp_within(points[cells[c1]], points[cells[c2]], grid.eps, strategy=bcp_strategy)
+    ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
+    edges = [
+        (cells.ids[a], cells.ids[b])
+        for a, b in zip(ii.tolist(), jj.tolist())
+        if bcp_within(points[cells.of(a)], points[cells.of(b)], grid.eps, strategy=bcp_strategy)
     ]
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)

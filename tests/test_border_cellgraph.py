@@ -24,13 +24,14 @@ class TestCoreCells:
         grid, core_mask = setup_grid(pts, eps=2.0, min_pts=5)
         cells = core_cells(grid, core_mask)
         assert len(cells) == 1
-        (idx,) = cells.values()
-        assert sorted(idx.tolist()) == list(range(10))
+        assert cells.ids.tolist() == [grid.point_cell[0]]
+        assert cells.of(0).tolist() == list(range(10))
 
     def test_empty_when_no_cores(self):
         pts = np.array([[0.0, 0.0], [50.0, 50.0]])
         grid, core_mask = setup_grid(pts, eps=1.0, min_pts=3)
-        assert core_cells(grid, core_mask) == {}
+        cells = core_cells(grid, core_mask)
+        assert len(cells) == 0 and cells.indptr.tolist() == [0]
 
 
 class TestExactComponents:
@@ -80,13 +81,13 @@ class TestEdgeListExact:
         eps, min_pts = 2.0, 4
         grid, core_mask = setup_grid(pts, eps, min_pts)
         cells = core_cells(grid, core_mask)
-        edges = {frozenset(e) for e in edge_list_exact(grid, core_mask)}
-        # Brute-force check over all cell pairs.
-        names = list(cells)
+        edges = {frozenset(e) for e in edge_list_exact(grid, core_mask).tolist()}
+        # Brute-force check over all core-cell pairs.
+        names = cells.ids.tolist()
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 a, b = names[i], names[j]
-                pa, pb = pts[cells[a]], pts[cells[b]]
+                pa, pb = pts[cells.of(i)], pts[cells.of(j)]
                 sq = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
                 expected = bool((sq <= eps * eps).any())
                 assert (frozenset((a, b)) in edges) == expected

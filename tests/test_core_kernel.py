@@ -22,7 +22,7 @@ import pytest
 from repro.algorithms.exact_grid import exact_grid_dbscan
 from repro.core import cellgraph as cg
 from repro.core.border import assign_borders
-from repro.core.corekernel import BorderAssignments, grid_soa
+from repro.core.corekernel import BorderAssignments
 from repro.core.labeling import count_cores, label_cores, plan_cores
 from repro.errors import TimeoutExceeded
 from repro.geometry import distance as dm
@@ -206,15 +206,14 @@ class TestQuerySizedTiles:
         # so each size class runs as many tiles with real retirements.
         monkeypatch.setattr(dm, "_chunk_budget", lambda: 16)
         grid = _mixed_sparse(self.MIN_PTS, 70)
-        soa = grid_soa(grid)
         adj = grid.adjacency()
         nlen = np.array([
-            int(soa.sizes[adj.indices[adj.indptr[t]:adj.indptr[t + 1]]].sum())
-            for t in range(len(soa))
+            int(grid.sizes[adj.indices[adj.indptr[t]:adj.indptr[t + 1]]].sum())
+            for t in range(len(grid))
         ])
         # The fixture's point: one neighbour-length class holds both kinds.
         cls = np.frexp(nlen.astype(float))[1]
-        mixed = [set(soa.sizes[cls == c].tolist()) for c in np.unique(cls)]
+        mixed = [set(grid.sizes[cls == c].tolist()) for c in np.unique(cls)]
         assert any({1, self.MIN_PTS - 1} <= sizes for sizes in mixed)
         return grid
 
@@ -237,7 +236,7 @@ class TestQuerySizedTiles:
         assert np.array_equal(carried, loop)
         # Only cells holding an unknown point are visited; their known
         # points skip the counting pass.
-        visited = [idx for idx in grid.cells.values() if not known[idx].all()]
+        visited = [idx for idx in _cells(grid) if not known[idx].all()]
         known_visited = sum(int(known[idx].sum()) for idx in visited)
         assert delta["core_points_total"] == sum(len(idx) for idx in visited)
         assert delta["core_known_points"] == known_visited > 0
@@ -247,13 +246,18 @@ class TestQuerySizedTiles:
         _assert_range_split(grid, self.MIN_PTS, 2)
 
 
+def _cells(grid: Grid):
+    """Each cell's point indices, in id order."""
+    return np.split(grid.order, grid.cell_start[1:-1])
+
+
 def _ring_counts(grid: Grid):
     """Per point: ``|B(p, eps)|`` over its own cell + inner ring, and in all.
 
     Brute force over every pair; a pair counts toward the inner ring
     when its cells are at Chebyshev distance <= 1 — no adjacency rows.
     """
-    pts, cells = grid.points, grid.point_cells
+    pts, cells = grid.points, grid.cell_coords[grid.point_cell]
     sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
     within = sq <= grid.eps ** 2
     near = np.abs(cells[:, None, :] - cells[None, :, :]).max(axis=2) <= 1
@@ -279,7 +283,7 @@ class TestRingPasses:
         rng = np.random.default_rng(71)
         grid = Grid(rng.uniform(0, 20, size=(300, 2)), 2.0)
         inner, full = _ring_counts(grid)
-        sparse = grid_soa(grid).sizes[grid_soa(grid).point_cells()] < self.MIN_PTS
+        sparse = grid.sizes[grid.point_cell] < self.MIN_PTS
         assert (sparse & (inner >= self.MIN_PTS)).any()
         assert (sparse & (inner < self.MIN_PTS) & (full >= self.MIN_PTS)).any()
         assert (sparse & (full < self.MIN_PTS)).any()
@@ -294,7 +298,7 @@ class TestRingPasses:
         inner, _ = _ring_counts(grid)
         # Every sparse query that reaches MinPts on its inner ring
         # retires there (dense cells never reach the counting pass).
-        sparse = grid_soa(grid).sizes[grid_soa(grid).point_cells()] < self.MIN_PTS
+        sparse = grid.sizes[grid.point_cell] < self.MIN_PTS
         assert delta["core_retired_points"] >= int((sparse & (inner >= self.MIN_PTS)).sum())
         _assert_core_funnel(delta, int(sparse.sum()))
 
@@ -308,7 +312,7 @@ class TestRingPasses:
         assert delta["core_known_points"] > 0
         # Counted: the unknown points of the visited sparse cells.
         counted = sum(
-            int((~known[idx]).sum()) for idx in grid.cells.values()
+            int((~known[idx]).sum()) for idx in _cells(grid)
             if len(idx) < self.MIN_PTS
         )
         _assert_core_funnel(delta, counted)
@@ -413,7 +417,7 @@ class TestKernelInternals:
         before = counters.snapshot()
         label_cores(grid, 5)
         delta = counters.delta_since(before)
-        assert delta["core_cells_total"] == len(grid.cells)
+        assert delta["core_cells_total"] == len(grid)
         assert delta["core_cells_total"] == (
             delta.get("core_dense_cells", 0) + delta.get("core_sparse_cells", 0)
         )
@@ -496,18 +500,6 @@ class TestKernelInternals:
         assert delta["core_retired_cells"] == 1
         assert np.array_equal(core, [False, True, True, False])
         assert np.array_equal(core, loops.label_cores(grid, 4))
-
-    def test_grid_soa_is_cached_and_consistent(self):
-        grid = _dataset(53, 400, 2, 6.0)
-        soa = grid_soa(grid)
-        assert grid_soa(grid) is soa
-        assert int(soa.sizes.sum()) == len(grid.points)
-        # The concatenation partitions the points in cell order.
-        assert sorted(soa.cat.tolist()) == list(range(len(grid.points)))
-        for t, (cell, idx) in enumerate(grid.cells.items()):
-            start = soa.offsets[t]
-            assert np.array_equal(soa.cat[start:start + soa.sizes[t]], idx)
-            assert soa.keys[t] == cell
 
 
 class TestDeadline:

@@ -97,15 +97,17 @@ class TestGridEdges:
     def test_grid_single_cell(self):
         grid = Grid(np.zeros((10, 2)), eps=5.0)
         assert len(grid) == 1
-        assert list(grid.neighbor_cells(grid.cell_of(0))) == []
+        adjacency = grid.adjacency()
+        assert grid.point_cell.tolist() == [0] * 10
+        assert adjacency.indptr.tolist() == [0, 0] and len(adjacency.indices) == 0
 
     def test_grid_points_on_cell_boundaries(self):
         # Points exactly on cell boundaries must land in exactly one cell.
         side = 1.0 / np.sqrt(2)
         pts = np.array([[0.0, 0.0], [side, 0.0], [2 * side, 0.0]])
         grid = Grid(pts, eps=1.0)
-        total = sum(len(idx) for idx in grid.cells.values())
-        assert total == 3
+        assert int(grid.sizes.sum()) == 3
+        assert grid.cell_coords[grid.point_cell].tolist() == [[0, 0], [1, 0], [2, 0]]
 
     def test_kdtree_leaf_size_one_deep_tree(self):
         pts = np.random.default_rng(5).uniform(0, 100, (128, 2))

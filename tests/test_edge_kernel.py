@@ -26,6 +26,7 @@ from repro.parallel import ParallelConfig
 from repro.runtime.pipeline import PipelineHooks
 
 from .oracles import loops
+from .oracles.cellview import CellView
 
 
 def _dataset(seed: int, n: int, d: int, eps: float, min_pts: int):
@@ -161,11 +162,11 @@ class TestRingBatches:
         from repro.grid import counters
 
         grid = Grid(self.POINTS, 1.0)
-        keys = list(grid.cells)
+        keys = CellView(grid).keys
         assert keys == [
             (0, 0), (0, 1), (2, 0), (3, 0), (5, 0), (28, 28)
         ]
-        _, ii, jj, inner = grid.neighbor_cell_pair_arrays()
+        ii, jj, inner = grid.neighbor_cell_pair_arrays()
         assert sorted(
             (keys[i], keys[j]) for i, j in zip(ii[inner].tolist(), jj[inner].tolist())
         ) == [((0, 0), (0, 1)), ((2, 0), (3, 0))]
@@ -199,16 +200,16 @@ class TestStageCertificates:
     def test_against_exact_edge_list(self, seed, d):
         grid, core = _dataset(seed, 600, d, 8.0, 4)
         cells = cg.core_cells(grid, core)
-        arrays = cell_arrays(grid.points, cells)
-        keys, ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+        arrays = cell_arrays(grid.points, cells.members, cells.indptr)
+        ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
         true_edges = set()
-        for c1, c2 in loops.edge_list_exact(grid, core):
+        for c1, c2 in loops.edge_list_exact(grid, core).tolist():
             true_edges.add((c1, c2))
             true_edges.add((c2, c1))
         accept, reject = classify_pairs(grid.points, grid.eps, arrays, ii, jj)
         assert not np.any(accept & reject)
         for t in range(len(ii)):
-            pair = (keys[ii[t]], keys[jj[t]])
+            pair = (int(cells.ids[ii[t]]), int(cells.ids[jj[t]]))
             if accept[t]:
                 assert pair in true_edges, f"stage A accepted non-edge {pair}"
             if reject[t]:
@@ -217,8 +218,8 @@ class TestStageCertificates:
     def test_approx_reject_band_is_wider(self):
         grid, core = _dataset(12, 600, 2, 8.0, 4)
         cells = cg.core_cells(grid, core)
-        arrays = cell_arrays(grid.points, cells)
-        _, ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.keys())
+        arrays = cell_arrays(grid.points, cells.members, cells.indptr)
+        ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
         _, reject_exact = classify_pairs(grid.points, grid.eps, arrays, ii, jj)
         _, reject_approx = classify_pairs(
             grid.points, grid.eps, arrays, ii, jj,
@@ -234,13 +235,14 @@ class TestKernelInternals:
         cells = cg.core_cells(grid, core)
         shared: dict = {}
         edge = cg.exact_edge_predicate(grid, cells, "kdtree", structures=shared)
-        keys = list(cells.keys())
-        pairs = [(keys[i], keys[j]) for i, j in zip(range(0, 8), range(1, 9))]
-        expected = [edge(c1, c2) for c1, c2 in pairs]
+        pairs = list(zip(range(0, 8), range(1, 9)))
+        expected = [edge(a, b) for a, b in pairs]
         assert shared, "kdtree predicate must populate the seeded cache"
+        # The cache is keyed by grid cell id, valid for any core subset.
+        assert set(shared) <= set(cells.ids[:9].tolist())
         # A predicate seeded with the warm cache answers identically.
         warm = cg.exact_edge_predicate(grid, cells, "kdtree", structures=shared)
-        assert [warm(c1, c2) for c1, c2 in pairs] == expected
+        assert [warm(a, b) for a, b in pairs] == expected
 
     def test_engine_caches_exact_structures(self):
         rng = np.random.default_rng(15)

@@ -16,6 +16,7 @@ from repro.engine.cache import default_cache, estimate_structure_bytes
 from repro.errors import ParameterError
 from repro.grid.cells import Grid
 from repro.parallel import ParallelConfig
+from repro.runtime.memory import estimate_grid_bytes
 
 from .oracles import sweep as sweep_oracle
 
@@ -77,9 +78,10 @@ class TestSweepHelpers:
         # Every pair must join cells whose points share a prev cluster.
         labels = prev.labels
         grid = engine.grid(40.0)
-        for c1, c2 in pairs:
-            l1 = {int(x) for x in labels[grid.cells[c1]] if x >= 0}
-            l2 = {int(x) for x in labels[grid.cells[c2]] if x >= 0}
+        assert pairs.shape[1] == 2 and pairs.dtype == np.int64
+        for c1, c2 in pairs.tolist():
+            l1 = {int(x) for x in labels[grid.point_cell == c1] if x >= 0}
+            l2 = {int(x) for x in labels[grid.point_cell == c2] if x >= 0}
             assert l1 & l2
 
     @pytest.mark.parametrize("eps_pair", [(25.0, 40.0), (40.0, 40.0), (10.0, 80.0)])
@@ -88,7 +90,8 @@ class TestSweepHelpers:
         # np.unique formulation element for element, order included.
         prev = dbscan(blob_points, eps_pair[0], 5, algorithm="grid")
         grid = Grid(blob_points, eps_pair[1])
-        pairs = preunion_pairs(prev, grid)
+        keys = [tuple(c) for c in grid.cell_coords.tolist()]
+        pairs = [(keys[a], keys[b]) for a, b in preunion_pairs(prev, grid).tolist()]
         assert pairs and pairs == sweep_oracle.preunion_pairs(prev, grid)
         # Only the cell layout is read: the adjacency stays unbuilt.
         assert grid._adjacency is None
@@ -124,6 +127,14 @@ class TestStructureCache:
         assert estimate_structure_bytes(np.zeros(10)) > 0
         assert estimate_structure_bytes({"x": np.zeros(10)}) > 0
         assert estimate_structure_bytes(object()) > 0
+
+    def test_estimate_recognises_a_grid(self):
+        # A cached grid is charged the grid estimate, not the generic
+        # points-holder one (16nd + 4096), which would let the cache keep
+        # more grids than its byte cap allows.
+        points = np.random.default_rng(3).uniform(0, 50, size=(300, 3))
+        grid = Grid(points, 4.0)
+        assert estimate_structure_bytes(grid) == estimate_grid_bytes(300, 3)
 
     def test_default_cache_is_singleton(self):
         assert default_cache() is default_cache()

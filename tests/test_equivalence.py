@@ -54,6 +54,33 @@ class TestEquivalenceStructured:
         assert_all_equal(pts, eps=2.5, min_pts=min_pts)
 
 
+def _shift_case(seed):
+    """Uniform points in [0, 20]^d, d 2-3, n 50-401 (eps 2, MinPts 4)."""
+    rng = np.random.default_rng(seed)
+    d = 2 + seed % 2
+    return rng.uniform(0.0, 20.0, size=(int(rng.integers(50, 402)), d))
+
+
+class TestBruteShift:
+    """Brute force is the oracle, so it must not depend on where the data sit.
+
+    Shifted by 1e7, the squared norms of the expanded-form distance
+    ``|a|^2 + |b|^2 - 2a.b`` swamp eps^2 (uncentred, brute force was wrong
+    on 15 of these 40 inputs); centred on the bounding box, it must equal
+    KDD96 — which uses the difference form — on the unshifted points.
+    """
+
+    def test_shifted_brute_matches_unshifted_kdd96(self):
+        wrong = []
+        for seed in range(40):
+            pts = _shift_case(seed)
+            reference = kdd96_dbscan(pts, 2.0, 4)
+            got = brute_dbscan(pts + 1e7, 2.0, 4)
+            if not (got == reference):
+                wrong.append(seed)
+        assert wrong == []
+
+
 class TestEquivalenceAdversarial:
     def test_all_points_coincident(self):
         # The paper's footnote-1 adversarial case: every range query

@@ -1,10 +1,19 @@
-"""Unit tests for the grid T (cells, eps-neighbour enumeration, pairs)."""
+"""Unit tests for the grid T (sorted cell layout, adjacency rows, pairs)."""
+
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
-from repro.grid.cells import Grid, default_side, neighbor_offsets
+from repro.grid import cells as grid_cells
+from repro.grid.cells import Grid, _take_ranges, default_side, neighbor_offsets
+
+from .oracles.adjacency import box_gap_pairs
+from .oracles.cellview import CellView
 
 
 class TestDefaultSide:
@@ -65,34 +74,51 @@ class TestNeighborOffsets:
         assert a is b
 
 
+def cell_points(grid, t):
+    """Point indices of cell ``t``, read off the sorted layout."""
+    return grid.order[grid.cell_start[t]:grid.cell_start[t + 1]]
+
+
+def row(grid, t):
+    """Cell ids of cell ``t``'s adjacency row."""
+    adjacency = grid.adjacency()
+    return adjacency.indices[adjacency.indptr[t]:adjacency.indptr[t + 1]].tolist()
+
+
+def cell_id(grid, coord):
+    """Id of the cell at ``coord`` (or None when it holds no point)."""
+    hit = np.flatnonzero((grid.cell_coords == np.asarray(coord)).all(axis=1))
+    return int(hit[0]) if len(hit) else None
+
+
 class TestGridBasics:
     def test_cell_assignment(self):
         pts = np.array([[0.1, 0.1], [0.9, 0.9], [5.0, 5.0]])
         grid = Grid(pts, eps=np.sqrt(2))  # side = 1
-        assert grid.cell_of(0) == (0, 0)
-        assert grid.cell_of(1) == (0, 0)
-        assert grid.cell_of(2) == (5, 5)
+        assert grid.cell_coords.tolist() == [[0, 0], [5, 5]]
+        assert grid.point_cell.tolist() == [0, 0, 1]
         assert len(grid) == 2
 
     def test_negative_coordinates(self):
         pts = np.array([[-0.5, -0.5], [0.5, 0.5]])
         grid = Grid(pts, eps=np.sqrt(2))
-        assert grid.cell_of(0) == (-1, -1)
-        assert grid.cell_of(1) == (0, 0)
+        assert grid.cell_coords[grid.point_cell].tolist() == [[-1, -1], [0, 0]]
 
     def test_points_in(self):
         pts = np.array([[0.1, 0.1], [0.2, 0.2], [9.0, 9.0]])
         grid = Grid(pts, eps=np.sqrt(2))
-        assert grid.points_in((0, 0)).tolist() == [0, 1]
-        assert grid.points_in((100, 100)).tolist() == []
+        assert cell_points(grid, cell_id(grid, (0, 0))).tolist() == [0, 1]
+        assert cell_id(grid, (100, 100)) is None
+        assert grid.sizes.tolist() == [2, 1]
+        assert grid.offsets.tolist() == [0, 2]
 
     def test_same_cell_points_within_eps(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(0, 50, size=(500, 3))
         eps = 4.0
         grid = Grid(pts, eps)
-        for _cell, idx in grid.cells.items():
-            block = pts[idx]
+        for t in range(len(grid)):
+            block = pts[cell_points(grid, t)]
             diff = block[:, None, :] - block[None, :, :]
             assert ((diff ** 2).sum(axis=2) <= eps * eps + 1e-9).all()
 
@@ -102,23 +128,22 @@ class TestGridBasics:
 
     def test_contains(self):
         grid = Grid(np.array([[1.0, 1.0]]), eps=np.sqrt(2))
-        assert (1, 1) in grid
-        assert (0, 0) not in grid
+        assert cell_id(grid, (1, 1)) == 0
+        assert cell_id(grid, (0, 0)) is None
 
 
 class TestNeighborCells:
     def test_finds_adjacent_cells(self):
         pts = np.array([[0.5, 0.5], [1.5, 0.5], [50.0, 50.0]])
         grid = Grid(pts, eps=np.sqrt(2))  # side 1
-        neighbors = list(grid.neighbor_cells((0, 0)))
-        assert (1, 0) in neighbors
-        assert (50, 50) not in neighbors
+        neighbors = row(grid, cell_id(grid, (0, 0)))
+        assert cell_id(grid, (1, 0)) in neighbors
+        assert cell_id(grid, (50, 50)) not in neighbors
 
     def test_excludes_self_by_default(self):
         pts = np.array([[0.5, 0.5]])
         grid = Grid(pts, eps=np.sqrt(2))
-        assert list(grid.neighbor_cells((0, 0))) == []
-        assert list(grid.neighbor_cells((0, 0), include_self=True)) == [(0, 0)]
+        assert row(grid, 0) == []
 
     def test_coverage_guarantee(self):
         # Every pair of points within eps must live in the same or
@@ -129,24 +154,21 @@ class TestNeighborCells:
         grid = Grid(pts, eps)
         sq = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
         for i, j in zip(*np.nonzero(sq <= eps * eps)):
-            if i == j:
-                continue
-            ci, cj = grid.cell_of(int(i)), grid.cell_of(int(j))
+            ci, cj = grid.point_cell[i], grid.point_cell[j]
             if ci == cj:
                 continue
-            assert cj in set(grid.neighbor_cells(ci)), (ci, cj)
+            assert cj in row(grid, ci), (ci, cj)
 
     def test_neighbor_points_match_cells(self):
+        # The kernels gather a row's points through ``_take_ranges`` over
+        # the sorted layout; it must equal the per-cell concatenation.
         rng = np.random.default_rng(2)
         pts = rng.uniform(0, 10, size=(80, 2))
         grid = Grid(pts, eps=2.0)
-        cell = grid.cell_of(0)
-        via_cells = sorted(
-            int(i)
-            for c in grid.neighbor_cells(cell)
-            for i in grid.points_in(c)
-        )
-        assert sorted(grid.neighbor_points(cell).tolist()) == via_cells
+        ids = np.asarray(row(grid, grid.point_cell[0]), dtype=np.int64)
+        via_cells = [int(i) for c in ids.tolist() for i in cell_points(grid, c)]
+        gathered = _take_ranges(grid.order, grid.offsets[ids], grid.sizes[ids])
+        assert gathered.tolist() == via_cells
 
 
 class TestNeighborCellPairs:
@@ -154,39 +176,112 @@ class TestNeighborCellPairs:
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 20, size=(150, 2))
         grid = Grid(pts, eps=3.0)
-        pairs = list(grid.neighbor_cell_pairs())
-        keys = {frozenset((a, b)) for a, b in pairs}
-        assert len(keys) == len(pairs)  # no duplicates in either order
+        ii, jj, _ = grid.neighbor_cell_pair_arrays()
+        keys = {frozenset(p) for p in zip(ii.tolist(), jj.tolist())}
+        assert len(keys) == len(ii)  # no duplicates in either order
+        assert (ii < jj).all()
 
     def test_pairs_are_neighbors(self):
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 20, size=(100, 3))
         grid = Grid(pts, eps=4.0)
-        for a, b in grid.neighbor_cell_pairs():
-            assert b in set(grid.neighbor_cells(a))
+        ii, jj, _ = grid.neighbor_cell_pair_arrays()
+        for a, b in zip(ii.tolist(), jj.tolist()):
+            assert b in row(grid, a) and a in row(grid, b)
 
     def test_subset_restriction(self):
         pts = np.array([[0.5, 0.5], [1.5, 0.5], [2.5, 0.5]])
         grid = Grid(pts, eps=np.sqrt(2))
-        subset = [(0, 0), (2, 0)]
-        pairs = list(grid.neighbor_cell_pairs(subset=subset))
-        flat = {c for pair in pairs for c in pair}
-        assert flat <= set(subset)
+        # Cells (0, 0), (1, 0), (2, 0); the subset keeps ids 0 and 2, and
+        # the pairs name positions in it.
+        ii, jj, inner = grid.neighbor_cell_pair_arrays(subset=np.array([0, 2]))
+        assert ii.tolist() == [0] and jj.tolist() == [1] and inner.tolist() == [False]
 
     def test_completeness_against_brute(self):
         rng = np.random.default_rng(5)
         pts = rng.uniform(0, 15, size=(120, 2))
         eps = 2.5
         grid = Grid(pts, eps)
-        got = {frozenset(p) for p in grid.neighbor_cell_pairs()}
+        ii, jj, _ = grid.neighbor_cell_pair_arrays()
+        got = {frozenset(p) for p in zip(ii.tolist(), jj.tolist())}
         # Brute force: every unordered pair of distinct non-empty cells with
         # box distance <= eps must be present.
-        cells = list(grid.cells)
+        cells = grid.cell_coords
         side = grid.side
         for i in range(len(cells)):
             for j in range(i + 1, len(cells)):
-                a = np.asarray(cells[i])
-                b = np.asarray(cells[j])
-                gap = np.maximum(np.abs(a - b) - 1, 0) * side
+                gap = np.maximum(np.abs(cells[i] - cells[j]) - 1, 0) * side
                 if (gap ** 2).sum() <= eps * eps:
-                    assert frozenset((cells[i], cells[j])) in got
+                    assert frozenset((i, j)) in got
+
+
+def _layout_points(draw_seed, n, d, duplicates, shift):
+    rng = np.random.default_rng(draw_seed)
+    pts = rng.uniform(-12.0, 12.0, size=(n, d))
+    if duplicates and n > 1:
+        pts[rng.integers(0, n, size=n // 2)] = pts[rng.integers(0, n, size=n // 2)]
+    return pts + shift
+
+
+class TestLayoutProperties:
+    """The sorted cell layout, over d = 1..7, duplicates, negative
+    coordinates, a 1e7 shift and n = 0, 1, 2."""
+
+    def check(self, pts, eps):
+        grid = Grid(pts, eps)
+        n, d = pts.shape
+        m = len(grid)
+        coords = grid.cell_coords
+        assert coords.shape == (m, d) and grid.cell_start.shape == (m + 1,)
+        # Strictly increasing cell coordinates, lexicographically.
+        for a, b in zip(coords[:-1].tolist(), coords[1:].tolist()):
+            assert a < b
+        # ``cell_start`` partitions ``order``, which is a permutation.
+        assert grid.cell_start[0] == 0 and grid.cell_start[-1] == n
+        assert (np.diff(grid.cell_start) > 0).all()
+        assert np.array_equal(np.sort(grid.order), np.arange(n))
+        assert np.array_equal(grid.sizes, np.diff(grid.cell_start))
+        for t in range(m):
+            members = cell_points(grid, t)
+            assert (np.diff(members) > 0).all()  # ascending inside a cell
+            assert (grid.point_cell[members] == t).all()
+        # ``point_cell`` agrees with floor(points / side).
+        expected = np.floor(pts / grid.side).astype(np.int64)
+        assert np.array_equal(coords[grid.point_cell].reshape(n, d), expected)
+        # Adjacency rows equal the brute-force box-gap oracle, both builders.
+        view = CellView(grid)
+        truth = box_gap_pairs(grid)
+        for builder, ratio in (("probe", 0.0), ("join", math.inf)):
+            built = Grid(pts, eps)
+            with mock.patch.object(grid_cells, "_JOIN_RATIO", ratio):
+                built.warm_neighbors()
+            adjacency = built.adjacency()
+            got = {
+                (view.keys[t], view.keys[j])
+                for t in range(m)
+                for j in adjacency.indices[adjacency.indptr[t]:adjacency.indptr[t + 1]].tolist()
+            }
+            assert got == truth, builder
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2 ** 16),
+        n=st.integers(0, 60),
+        d=st.integers(1, 7),
+        duplicates=st.booleans(),
+        shift=st.sampled_from([0.0, -1e7, 1e7]),
+        eps=st.sampled_from([1.0, 2.5, 6.0]),
+    )
+    def test_layout(self, seed, n, d, duplicates, shift, eps):
+        self.check(_layout_points(seed, n, d, duplicates, shift), eps)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 3, 7])
+    def test_tiny(self, n, d):
+        self.check(_layout_points(n + d, n, d, False, 1e7), 2.0)
+
+    def test_all_duplicates(self):
+        pts = np.tile([[-3.5, 1e7, 0.25]], (5, 1))
+        grid = Grid(pts, 1.0)
+        assert len(grid) == 1 and grid.order.tolist() == [0, 1, 2, 3, 4]
+        self.check(pts, 1.0)

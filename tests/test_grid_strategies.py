@@ -23,6 +23,7 @@ from repro.grid.cells import Grid
 
 from .conftest import make_blobs
 from .oracles.adjacency import box_gap_pairs
+from .oracles.cellview import CellView
 
 BUILDERS = {"probe": 0.0, "join": math.inf}
 #: The two packed-key lookups of ``_offset_hits``, forced through the
@@ -48,7 +49,7 @@ def rows_of(pairs, cell):
 def assert_ring_order(grid, truth):
     """Each CSR row lists exactly its Chebyshev-1 neighbours first."""
     adjacency = grid.adjacency()
-    keys, indptr = adjacency.keys, adjacency.indptr
+    keys, indptr = CellView(grid).keys, adjacency.indptr
     assert len(adjacency.inner) == len(keys)
     for t, cell in enumerate(keys):
         row = [keys[j] for j in adjacency.indices[indptr[t]:indptr[t + 1]].tolist()]
@@ -62,12 +63,13 @@ def assert_ring_order(grid, truth):
 
 def assert_matches_oracle(grid, subset=None):
     truth = box_gap_pairs(grid)
-    for cell in grid.cells:
-        assert sorted(grid.neighbor_cells(cell)) == rows_of(truth, cell), cell
+    view = CellView(grid)
+    for cell in view.keys:
+        assert sorted(view.neighbor_cells(cell)) == rows_of(truth, cell), cell
     assert_ring_order(grid, truth)
-    allowed = set(grid.cells) if subset is None else set(subset)
+    allowed = set(view.keys) if subset is None else set(subset)
     expected = {(a, b) for a, b in truth if a < b and a in allowed and b in allowed}
-    got = list(grid.neighbor_cell_pairs(subset=subset))
+    got = view.neighbor_cell_pairs(subset=subset)
     assert len(got) == len(set(got))
     assert set(got) == expected
 
@@ -86,9 +88,14 @@ def test_neighbor_cells_include_self_agree(d):
     for builder in BUILDERS:
         grid = forced(pts, 2.5, builder)
         truth = box_gap_pairs(grid)
-        cell = next(iter(grid.cells))
-        got = sorted(grid.neighbor_cells(cell, include_self=True))
-        assert got == sorted(rows_of(truth, cell) + [cell])
+        view = CellView(grid)
+        adjacency = grid.adjacency()
+        for t, cell in enumerate(view.keys):
+            # A row never lists its own cell; with it, it is the closed
+            # neighbourhood.
+            assert t not in adjacency.indices[adjacency.indptr[t]:adjacency.indptr[t + 1]]
+            got = sorted(list(view.neighbor_cells(cell)) + [cell])
+            assert got == sorted(rows_of(truth, cell) + [cell])
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
@@ -96,7 +103,8 @@ def test_neighbor_cell_pairs_agree(d):
     pts = make_blobs(120, d, 3, spread=1.2, domain=25.0, seed=3)
     for builder in BUILDERS:
         grid = forced(pts, 3.0, builder)
-        keys, ii, jj, _ = grid.neighbor_cell_pair_arrays()
+        keys = CellView(grid).keys
+        ii, jj, _ = grid.neighbor_cell_pair_arrays()
         # Orientation contract: the i-side cell precedes its partner.
         assert all(keys[i] < keys[j] for i, j in zip(ii.tolist(), jj.tolist()))
         assert_matches_oracle(grid)
@@ -106,7 +114,7 @@ def test_neighbor_cell_pairs_subset_agree():
     pts = make_blobs(150, 3, 3, spread=1.2, domain=25.0, seed=4)
     for builder in BUILDERS:
         grid = forced(pts, 3.0, builder)
-        assert_matches_oracle(grid, subset=list(grid.cells)[::2])
+        assert_matches_oracle(grid, subset=CellView(grid).keys[::2])
 
 
 def test_cells_at_gap_exactly_eps():
@@ -122,7 +130,7 @@ def test_cells_at_gap_exactly_eps():
     for builder in BUILDERS:
         grid = forced(pts, eps, builder)
         assert_matches_oracle(grid)
-        row = set(grid.neighbor_cells((0, 0)))
+        row = set(CellView(grid).neighbor_cells((0, 0)))
         assert {(2, 2), (-2, -2), (2, -2), (-2, 2)} <= row
         assert (3, 0) not in row and (0, -3) not in row
 
@@ -183,10 +191,9 @@ def test_ring_ordered_rows(d, lookup, builder):
     assert (adjacency.inner > 0).any() and (adjacency.inner < lengths).any()
     assert_matches_oracle(grid)
     # The pair arrays flag exactly the inner-ring pairs.
-    keys, ii, jj, inner = grid.neighbor_cell_pair_arrays()
-    cheb = np.abs(
-        np.asarray(keys)[ii] - np.asarray(keys)[jj]
-    ).reshape(len(ii), d).max(axis=1)
+    ii, jj, inner = grid.neighbor_cell_pair_arrays()
+    coords = grid.cell_coords
+    cheb = np.abs(coords[ii] - coords[jj]).reshape(len(ii), d).max(axis=1)
     assert np.array_equal(inner, cheb == 1)
 
 
@@ -243,7 +250,7 @@ def test_packed_key_overflow_5d():
     far = rng.uniform(62_000, 62_003, size=(60, 5))
     pts = np.vstack([near, far])
     grid = Grid(pts, 1.0)
-    spans = np.ptp(np.asarray(list(grid.cells)), axis=0) + 1
+    spans = np.ptp(grid.cell_coords, axis=0) + 1
     assert float(np.prod(spans.astype(np.float64))) > 2.0 ** 63
     for builder in BUILDERS:
         # Even a forced table decision must not build a table here.
