@@ -40,7 +40,6 @@ from repro.errors import (
     ReproError,
     ServiceError,
     TimeoutExceeded,
-    WorkerPoolError,
 )
 from repro.evaluation import collapsing_radius, confusion_summary, max_legal_rho
 
@@ -54,7 +53,8 @@ EXIT_ERROR = 2  # any other library error (parameters, checkpoints, ...)
 EXIT_CONFIG = 3  # invalid configuration (flags or REPRO_* environment)
 EXIT_DATA = 4  # unreadable or invalid input data
 EXIT_BUDGET = 5  # time or memory budget exhausted
-EXIT_POOL = 6  # a worker-pool failure reached the caller (WorkerPoolError)
+# 6 is retired: a worker fault never reaches the caller (the supervisor
+# finishes the fan-out in the parent), and the other codes keep their numbers.
 EXIT_SERVICE = 7  # service refused or lost the request (overload, quarantine)
 
 
@@ -260,7 +260,6 @@ def _cmd_serve(args) -> int:
         default_rho=args.rho,
         sample_size=args.sample_size,
         memory_budget_mb=args.memory_budget_mb,
-        retry_attempts=args.retry_attempts,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
         fair=not args.no_fair,
@@ -488,10 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--tenant-quota-mb", dest="tenant_quota_mb", type=float,
                      default=None,
                      help="per-tenant structure-cache byte quota in MB")
-    srv.add_argument("--retry-attempts", dest="retry_attempts", type=int,
-                     default=2,
-                     help="dispatch attempts per execution on transient "
-                          "worker-pool failures")
     srv.add_argument("--breaker-threshold", dest="breaker_threshold", type=int,
                      default=3,
                      help="consecutive infrastructure failures that "
@@ -564,9 +559,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     - ``5`` — a time or memory budget was exhausted
       (:class:`~repro.errors.TimeoutExceeded`,
       :class:`~repro.errors.MemoryBudgetExceeded`).
-    - ``6`` — a worker-pool failure reached the caller
-      (:class:`~repro.errors.WorkerPoolError`); the supervisor itself
-      finishes a faulted fan-out in the parent instead of raising it.
+    - ``6`` — not used: a worker fault (an error, a dead or hung worker,
+      a worker that cannot start) never reaches the caller, because the
+      supervisor finishes the fan-out in the parent.
     - ``7`` — the clustering service refused or lost the request:
       load shedding (:class:`~repro.errors.ServiceOverloadError`), an
       open circuit breaker
@@ -593,9 +588,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (TimeoutExceeded, MemoryBudgetExceeded) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except WorkerPoolError as exc:
-        print(f"worker pool failed: {exc}", file=sys.stderr)
-        return EXIT_POOL
     except ServiceError as exc:
         print(f"service error: {exc}", file=sys.stderr)
         return EXIT_SERVICE

@@ -31,8 +31,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.grid.cells import Grid
-from repro.runtime.memory import MemoryBudget, current_rss, estimate_grid_bytes
+from repro.runtime.memory import MemoryBudget, current_rss
 
 #: Fraction of an attached memory budget the cache may occupy.
 _BUDGET_SHARE = 0.5
@@ -50,12 +49,11 @@ def estimate_structure_bytes(value: object) -> int:
     so a cache of unestimatable values still honours its entry cap.
     """
     points = getattr(value, "points", None)
-    if isinstance(value, Grid):
-        return estimate_grid_bytes(len(points), points.shape[1])
-    # Flat Lemma 5 hierarchies account for their own arrays exactly.  This
-    # check must precede the generic points-array branch below — the flat
-    # structure also exposes ``points``, but its footprint is its CSR
-    # arrays, not a multiple of the point block.
+    # Grids and flat Lemma 5 hierarchies account for their own arrays
+    # exactly (a grid's include its cell adjacency once built).  This
+    # check must precede the generic points-array branch below — both
+    # also expose ``points``, but their footprint is their own arrays,
+    # not a multiple of the point block.
     nbytes = getattr(value, "nbytes", None)
     if nbytes is not None and not isinstance(value, np.ndarray):
         return int(nbytes) + 512

@@ -115,11 +115,19 @@ class ClusteringEngine:
         return pts.shape == self.points.shape and bool(np.array_equal(pts, self.points))
 
     def grid(self, eps: float) -> Grid:
-        """The cached grid ``T`` for ``eps`` (built on first use)."""
+        """The cached grid ``T`` for ``eps`` (built on first use).
+
+        The build includes the cell adjacency, so the cache's one charge
+        at insertion covers it (and the pipeline's grid phase finds it warm).
+        """
         eps = float(eps)
-        return self.cache.get_or_build(
-            self._key("grid", eps), lambda: Grid(self.points, eps)
-        )
+
+        def build() -> Grid:
+            grid = Grid(self.points, eps)
+            grid.warm_neighbors()
+            return grid
+
+        return self.cache.get_or_build(self._key("grid", eps), build)
 
     def index(self, kind: str = "rtree"):
         """The cached spatial index for the expansion baselines."""

@@ -104,7 +104,7 @@ class MemoryBudgetExceeded(ReproError, RuntimeError):
 
     def __reduce__(self):
         # See TimeoutExceeded.__reduce__: keep the error picklable across
-        # worker-pool boundaries despite the multi-argument constructor.
+        # worker process boundaries despite the multi-argument constructor.
         return (MemoryBudgetExceeded, (self.observed_bytes, self.budget_bytes, self.phase))
 
 
@@ -220,9 +220,9 @@ class DatasetQuarantinedError(ServiceError):
     """The circuit breaker has quarantined a dataset after repeated faults.
 
     A dataset whose requests keep failing for infrastructure reasons
-    (poisoned worker pools, internal errors) is quarantined for a cooldown
-    period so one poisonous tenant cannot keep burning pool respawns and
-    executor slots that other tenants need.  ``retry_after`` tells clients
+    (internal errors, not budget verdicts or caller mistakes) is
+    quarantined for a cooldown period so one poisonous tenant cannot keep
+    burning executor slots that other tenants need.  ``retry_after`` tells clients
     when the breaker will next allow a probe.
     """
 
@@ -259,26 +259,3 @@ class RegistryStoreError(ServiceError):
     """
 
     code = "store"
-
-
-class WorkerPoolError(ReproError, RuntimeError):
-    """A worker pool failed and the run could not finish.
-
-    :mod:`repro.parallel.supervisor` finishes a faulted fan-out in the
-    parent rather than raising this; it stays the error a caller-supplied
-    executor or wrapper raises for an unrecoverable pool.  It may carry
-    the supervisor's bookkeeping so callers — notably
-    :func:`repro.runtime.run_resilient`, which treats this error as
-    degradable, and the service's :func:`~repro.parallel.retry_transient`
-    — can record what was attempted.
-    """
-
-    def __init__(self, message: str, stats=None) -> None:
-        super().__init__(message)
-        #: Supervisor bookkeeping (a ``SupervisorStats.as_dict()`` mapping),
-        #: or ``None`` when unavailable.
-        self.stats = dict(stats) if stats else None
-
-    def __reduce__(self):
-        # Keep the two-argument constructor picklable (see TimeoutExceeded).
-        return (WorkerPoolError, (self.args[0] if self.args else "", self.stats))

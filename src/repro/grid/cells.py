@@ -131,6 +131,20 @@ class Grid:
         """Number of non-empty cells."""
         return len(self.sizes)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes the grid's own arrays hold, its adjacency included once built.
+
+        The point block is the caller's and is not counted.
+        """
+        own = (self.order, self.cell_start, self.sizes, self.cell_coords,
+               self.point_cell, self.point_sq, self._offset_table)
+        total = sum(a.nbytes for a in own)
+        if self._adjacency is not None:
+            adj = self._adjacency
+            total += adj.indptr.nbytes + adj.indices.nbytes + adj.inner.nbytes
+        return int(total)
+
     # ------------------------------------------------------------- neighbours
 
     def adjacency(self) -> _CSRAdjacency:

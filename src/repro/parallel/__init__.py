@@ -36,7 +36,6 @@ from repro.parallel.supervisor import (
     SupervisorStats,
     collect_stats,
     current_stats,
-    retry_transient,
     run_supervised,
 )
 
@@ -56,6 +55,5 @@ __all__ = [
     "SupervisorStats",
     "collect_stats",
     "current_stats",
-    "retry_transient",
     "run_supervised",
 ]

@@ -3,8 +3,10 @@
 The parent starts the worker processes itself (one ``Pipe`` each), hands
 each worker one ``(seq, item)`` task at a time and waits on the pipes and
 the process sentinels with :func:`multiprocessing.connection.wait`.  A
-*fault* is any of three events:
+*fault* is any of four events:
 
+* a worker that cannot start (``Pipe()`` or ``Process.start()`` raises
+  ``OSError``: out of process ids, file descriptors or memory);
 * a worker error that is not a budget verdict;
 * a dead worker (its sentinel fires: an OOM kill, a segfault, ``os._exit``);
 * a task in flight longer than the shard timeout.
@@ -33,9 +35,9 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.errors import MemoryBudgetExceeded, TimeoutExceeded, WorkerPoolError
+from repro.errors import MemoryBudgetExceeded, TimeoutExceeded
 from repro.runtime.deadline import Deadline
 from repro.runtime.memory import MemoryBudget
 from repro.utils.log import get_logger
@@ -55,83 +57,14 @@ JOIN_TIMEOUT = 5.0
 #: and the plan copy-on-write), else the platform default.
 _START_METHOD = "fork" if "fork" in mp.get_all_start_methods() else None
 
-#: Exponential-backoff parameters for :func:`retry_transient`.
-BACKOFF_BASE = 0.05
-BACKOFF_CAP = 2.0
-
-_GOLDEN = 0.6180339887498949
-
-
-def backoff_delay(attempt: int, seq: int) -> float:
-    """Backoff before retry number ``attempt`` (1-based) of call lane ``seq``.
-
-    Exponential in the attempt, with a deterministic per-lane jitter in
-    ``[0.5x, 1.5x)`` (golden-ratio hashing of the lane id) so retried
-    calls do not resubmit in lockstep yet runs stay reproducible.
-    """
-    base = min(BACKOFF_CAP, BACKOFF_BASE * (2.0 ** max(0, attempt - 1)))
-    jitter = 0.5 + ((seq * _GOLDEN) % 1.0)
-    return base * jitter
-
-
-def retry_transient(
-    fn: Callable[[], object],
-    *,
-    attempts: int = 3,
-    seq: int = 0,
-    deadline: Optional[Deadline] = None,
-    retry_on: Tuple[type, ...] = (WorkerPoolError, OSError),
-    on_retry: Optional[Callable[[int, BaseException], None]] = None,
-    sleep: Callable[[float], None] = time.sleep,
-):
-    """Call ``fn()`` with backoff on transient failures.
-
-    For callers (the service dispatcher, ad-hoc scripts) that invoke a
-    whole engine run rather than a single task.  Only exceptions in
-    ``retry_on`` are retried — by default infrastructure failures
-    (:class:`~repro.errors.WorkerPoolError`, ``OSError``); cooperative
-    budget verdicts (:class:`~repro.errors.TimeoutExceeded`,
-    :class:`~repro.errors.MemoryBudgetExceeded`) and parameter errors
-    propagate immediately, exactly as :func:`run_supervised` treats them.
-    Between attempts the delay follows :func:`backoff_delay` (``seq``
-    picks the jitter lane); a bounded ``deadline`` that cannot cover the
-    next delay re-raises instead of sleeping past the budget.
-    ``on_retry(attempt, exc)`` is invoked before each backoff so callers
-    can keep their own ledger.
-    """
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1; got {attempts}")
-    last: Optional[BaseException] = None
-    for attempt in range(1, attempts + 1):
-        try:
-            return fn()
-        except retry_on as exc:
-            last = exc
-            if attempt == attempts:
-                raise
-            delay = backoff_delay(attempt, seq)
-            if deadline is not None:
-                deadline.check()
-                remaining = deadline.remaining()
-                if remaining is not None and remaining <= delay:
-                    raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            _log.warning(
-                "retry_transient: attempt %d/%d failed (%s: %s); retrying in %.0fms",
-                attempt, attempts, type(exc).__name__, exc, delay * 1e3,
-            )
-            sleep(delay)
-    raise AssertionError("unreachable") from last  # pragma: no cover
-
-
 @dataclass
 class SupervisorStats:
     """Ledger of one run's fan-outs."""
 
     #: One entry per task re-run in the parent: phase, shard seq, and the
     #: reason (``"error"``, ``"timeout"``, ``"worker-death"`` for the
-    #: faulted task; ``"teardown"`` for the others left unfinished).
+    #: faulted task; ``"teardown"`` for the others left unfinished;
+    #: ``"worker-start"`` for every task when a worker could not start).
     retries: List[Dict[str, object]] = field(default_factory=list)
     #: Tasks whose soft timeout fired.
     timeouts: int = 0
@@ -213,7 +146,9 @@ def run_supervised(
     :func:`repro.parallel.worker.serve`).  ``consume`` merges one result
     and must be idempotent (a result is consumed at most once here, but
     the merges key their results anyway).  ``local_runner(item)`` runs one
-    item in the parent; after a fault it runs every unfinished item.
+    item in the parent; after a fault it runs every unfinished item.  A
+    worker that cannot start is a fault before any task is sent: the
+    workers already started are torn down and the parent runs every item.
     Budget errors from workers re-raise at once, after the teardown.
     """
     if not items:
@@ -225,18 +160,16 @@ def run_supervised(
     ctx = mp.get_context(_START_METHOD)
     workers: List[_Worker] = []
     try:
-        ends = []
-        for _ in range(n_workers):
-            conn, child = ctx.Pipe()
-            ends.append(conn)
-            proc = ctx.Process(target=target, args=(child, payload, tuple(ends)), daemon=True)
-            proc.start()
-            child.close()
-            workers.append(_Worker(proc, conn))
-        stats.pool_workers = max(stats.pool_workers, len(workers))
-        faulted = _drive(
-            workers, items, unfinished, consume, phase, timeout, deadline, memory, stats
-        )
+        try:
+            _start(ctx, target, payload, n_workers, workers)
+        except OSError as exc:
+            _log.warning("supervisor[%s]: cannot start a worker: %s", phase, exc)
+            faulted = dict.fromkeys(unfinished, "worker-start")
+        else:
+            stats.pool_workers = max(stats.pool_workers, len(workers))
+            faulted = _drive(
+                workers, items, unfinished, consume, phase, timeout, deadline, memory, stats
+            )
     finally:
         _teardown(workers)
     if not unfinished:
@@ -250,6 +183,27 @@ def run_supervised(
     )
     for seq in sorted(unfinished):
         consume(local_runner(items[seq]))
+
+
+def _start(ctx, target, payload, n_workers: int, workers: List[_Worker]) -> None:
+    """Start ``n_workers`` processes, appending each to ``workers`` once started.
+
+    An ``OSError`` propagates with the pipe ends of the failed start
+    closed; the workers already in ``workers`` are the caller's to reap.
+    """
+    ends = []
+    for _ in range(n_workers):
+        conn, child = ctx.Pipe()
+        ends.append(conn)
+        proc = ctx.Process(target=target, args=(child, payload, tuple(ends)), daemon=True)
+        try:
+            proc.start()
+        except OSError:
+            conn.close()
+            raise
+        finally:
+            child.close()
+        workers.append(_Worker(proc, conn))
 
 
 def _drive(workers, items, unfinished, consume, phase, timeout, deadline, memory, stats):

@@ -36,12 +36,7 @@ from repro.algorithms.exact_grid import exact_grid_dbscan
 from repro.core.border import assign_borders
 from repro.core.params import ApproxParams
 from repro.core.result import Clustering, build_clustering, empty_clustering
-from repro.errors import (
-    MemoryBudgetExceeded,
-    ParameterError,
-    TimeoutExceeded,
-    WorkerPoolError,
-)
+from repro.errors import MemoryBudgetExceeded, ParameterError, TimeoutExceeded
 from repro.grid.cells import Grid
 from repro.runtime.deadline import Deadline
 from repro.runtime.memory import MemoryBudget
@@ -145,11 +140,9 @@ def run_resilient(
     """Cluster under budgets, degrading instead of dying.
 
     Walks ``policy.tiers`` in order; a tier that raises
-    :class:`~repro.errors.TimeoutExceeded`,
-    :class:`~repro.errors.MemoryBudgetExceeded` or
-    :class:`~repro.errors.WorkerPoolError` (a parallel tier whose worker
-    pool failed and could not finish) is logged
-    as a WARNING and the next tier is tried with fresh budgets.  The final tier runs
+    :class:`~repro.errors.TimeoutExceeded` or
+    :class:`~repro.errors.MemoryBudgetExceeded` is logged as a WARNING and
+    the next tier is tried with fresh budgets.  The final tier runs
     unbudgeted, so with the default cascade this function always returns a
     labelled :class:`~repro.core.result.Clustering`.  The returned
     ``meta["resilience"]`` names the tier taken, the failed attempts, and
@@ -181,7 +174,7 @@ def run_resilient(
         memory = None if final_tier else MemoryBudget(policy.memory_budget_mb)
         try:
             result = _run_tier(tier, pts, params, policy, deadline, memory)
-        except (TimeoutExceeded, MemoryBudgetExceeded, WorkerPoolError) as exc:
+        except (TimeoutExceeded, MemoryBudgetExceeded) as exc:
             _log.warning(
                 "resilient run: tier %r failed (%s: %s); degrading to %s",
                 tier,
@@ -189,14 +182,9 @@ def run_resilient(
                 exc,
                 policy.tiers[position + 1] if not final_tier else "nothing",
             )
-            attempt: Dict[str, object] = {
-                "tier": tier,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            }
-            if isinstance(exc, WorkerPoolError) and exc.stats is not None:
-                attempt["supervisor"] = exc.stats
-            attempts.append(attempt)
+            attempts.append(
+                {"tier": tier, "error": type(exc).__name__, "detail": str(exc)}
+            )
             if final_tier:
                 raise
             continue

@@ -80,9 +80,6 @@ class AdmissionPolicy:
     memory_budget_mb:
         Service-wide RSS budget driving the memory leg of the ladder and
         handed to every engine execution.
-    retry_attempts:
-        Dispatcher attempts per execution (transient infrastructure
-        failures only; see :func:`repro.parallel.retry_transient`).
     breaker_threshold / breaker_cooldown:
         Consecutive infrastructure failures that open a dataset's circuit
         breaker, and the seconds before a half-open probe is allowed.
@@ -96,7 +93,6 @@ class AdmissionPolicy:
     default_rho: float = 0.001
     sample_size: int = 2000
     memory_budget_mb: Optional[float] = None
-    retry_attempts: int = 2
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
     #: Weighted fair queueing across tenants (deficit round robin +
@@ -129,10 +125,6 @@ class AdmissionPolicy:
             raise ParameterError(
                 "sample_pressure must satisfy degrade_pressure <= sample_pressure "
                 f"<= 1; got {self.sample_pressure}"
-            )
-        if int(self.retry_attempts) < 1:
-            raise ParameterError(
-                f"retry_attempts must be >= 1; got {self.retry_attempts}"
             )
         if int(self.breaker_threshold) < 1:
             raise ParameterError(

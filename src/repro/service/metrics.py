@@ -91,9 +91,6 @@ def render_metrics(stats: Dict[str, object]) -> str:
     for outcome in _OUTCOMES:
         out.append(_line("requests_total", stats.get(outcome, 0),
                          {"outcome": outcome}))
-    head("retries_total", "counter", "Transient-failure dispatch retries.")
-    out.append(_line("retries_total", stats.get("retries", 0)))
-
     head("tier_executions_total", "counter", "Executions by served tier.")
     for tier, count in sorted((stats.get("tiers") or {}).items()):
         out.append(_line("tier_executions_total", count, {"tier": tier}))

@@ -470,8 +470,6 @@ class ServiceStats:
     degraded: int = 0
     #: Executions that raised (any error reaching the response).
     failed: int = 0
-    #: Transient-failure retries spent by the dispatcher.
-    retries: int = 0
     #: Requests refused with :class:`DatasetQuarantinedError` by an open
     #: per-dataset circuit breaker (counted where the check raises).
     quarantined: int = 0
@@ -490,7 +488,6 @@ class ServiceStats:
             "executed": self.executed,
             "degraded": self.degraded,
             "failed": self.failed,
-            "retries": self.retries,
             "quarantined": self.quarantined,
             "tiers": dict(self.tiers),
         }

@@ -10,7 +10,7 @@ the machine without oversubscribing it.
 The request lifecycle::
 
     admit -> coalesce -> (queue for an execution slot) -> choose tier
-          -> execute under supervisor + retry + breaker -> respond
+          -> execute under supervisor + breaker -> respond
 
 Every stage that can refuse work does so with a structured error
 (:class:`~repro.errors.ServiceOverloadError`,
@@ -32,7 +32,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.core.serialize import to_dict
 from repro.errors import (
@@ -46,9 +46,7 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadError,
     TimeoutExceeded,
-    WorkerPoolError,
 )
-from repro.parallel.supervisor import retry_transient
 from repro.runtime.deadline import Deadline, as_deadline
 from repro.runtime.resilient import TIERS, sampled_dbscan, tier_guarantee
 from repro.service.admission import AdmissionController, AdmissionPolicy, CircuitBreaker
@@ -62,7 +60,6 @@ _log = get_logger("service.server")
 _ERROR_CODES = (
     (TimeoutExceeded, "timeout"),
     (MemoryBudgetExceeded, "memory"),
-    (WorkerPoolError, "worker-pool"),
     (ConfigError, "config"),
     (DataError, "data"),
     (ParameterError, "parameter"),
@@ -394,34 +391,17 @@ class ClusteringService:
             "tier": tier,
             "deadline": deadline,
         }
-        retry_log: List[Dict[str, object]] = []
-
-        def attempt() -> object:
-            return self._execute(entry, job)
-
-        def call() -> object:
-            return retry_transient(
-                attempt,
-                attempts=self.policy.retry_attempts,
-                deadline=deadline,
-                on_retry=lambda n, exc: retry_log.append(
-                    {"attempt": n, "error": type(exc).__name__, "detail": str(exc)}
-                ),
-            )
-
         t0 = time.monotonic()
         try:
-            result = await loop.run_in_executor(self._executor, call)
+            result = await loop.run_in_executor(self._executor, self._execute, entry, job)
         except (TimeoutExceeded, MemoryBudgetExceeded, ParameterError,
                 DataError, ServiceError):
             # Budget verdicts and caller mistakes: the infrastructure
             # is healthy, so the breaker stays closed.
             self.stats.failed += 1
-            self.stats.retries += len(retry_log)
             raise
         except Exception as exc:
             self.stats.failed += 1
-            self.stats.retries += len(retry_log)
             failures = self.breaker.record_failure(entry.name)
             if failures >= self.policy.breaker_threshold:
                 _log.warning(
@@ -436,7 +416,6 @@ class ClusteringService:
         # rebuilds this grid before the first request arrives.
         self.registry.note_warm_eps(entry.name, key.eps)
         self.stats.executed += 1
-        self.stats.retries += len(retry_log)
         self.stats.count_tier(tier)
         if tier != requested:
             self.stats.degraded += 1
@@ -449,7 +428,6 @@ class ClusteringService:
             "reason": reason,
             "requested": requested,
             "guarantee": tier_guarantee(tier),
-            "retries": retry_log,
         }
         return {
             "dataset": entry.name,
@@ -467,10 +445,8 @@ class ClusteringService:
         monkeypatch it to stage deterministic overload, and subclasses can
         wrap it.  Parallel ``workers`` runs inherit the supervisor
         (on a worker fault: bounded teardown, then the parent finishes the
-        unfinished ranges) through the engine's pipeline; on top of that
-        the dispatcher's :func:`~repro.parallel.retry_transient` retries
-        whole executions that die of
-        :class:`~repro.errors.WorkerPoolError`.
+        unfinished ranges, also when a worker cannot start) through the
+        engine's pipeline, so an execution runs exactly once.
         """
         engine = entry.engine
         deadline: Optional[Deadline] = job["deadline"]

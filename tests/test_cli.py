@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_DATA, EXIT_POOL, main
+from repro.cli import EXIT_BUDGET, EXIT_CONFIG, EXIT_DATA, main
 from repro.data import io as data_io
 
 
@@ -161,24 +161,6 @@ class TestExitCodes:
         ])
         assert code == EXIT_BUDGET == 5
         assert "budget" in capsys.readouterr().err
-
-    def test_worker_pool_error_is_6(self, dataset, monkeypatch, capsys):
-        # The supervisor finishes a faulted fan-out in the parent, so the
-        # error is injected in place of the cores fan-out.
-        from repro.errors import WorkerPoolError
-        from repro.parallel import executor
-
-        def fan_out(*_args, **_kwargs):
-            raise WorkerPoolError("injected: pool lost")
-
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_POINTS", "0")
-        monkeypatch.setattr(executor, "_fan_out", fan_out)
-        code = main([
-            "cluster", dataset, "--eps", "2000", "--min-pts", "5",
-            "--algorithm", "grid", "--workers", "2",
-        ])
-        assert code == EXIT_POOL == 6
-        assert "worker pool" in capsys.readouterr().err
 
     def test_supervisor_flags_accept_clean_run(self, dataset, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_MIN_POINTS", "0")

@@ -13,7 +13,6 @@ from repro.errors import (
     ParameterError,
     ReproError,
     TimeoutExceeded,
-    WorkerPoolError,
 )
 
 
@@ -144,15 +143,6 @@ class TestStrictEnvParsing:
     def test_config_error_is_repro_and_value_error(self):
         assert issubclass(ConfigError, ReproError)
         assert issubclass(ConfigError, ValueError)
-
-    def test_worker_pool_error_carries_stats(self):
-        import pickle
-
-        exc = WorkerPoolError("pool broke", {"respawns": 3})
-        assert exc.stats == {"respawns": 3}
-        rt = pickle.loads(pickle.dumps(exc))
-        assert rt.stats == {"respawns": 3}
-        assert str(rt) == "pool broke"
 
 
 @pytest.fixture()

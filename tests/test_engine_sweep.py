@@ -129,12 +129,32 @@ class TestStructureCache:
         assert estimate_structure_bytes(object()) > 0
 
     def test_estimate_recognises_a_grid(self):
-        # A cached grid is charged the grid estimate, not the generic
-        # points-holder one (16nd + 4096), which would let the cache keep
-        # more grids than its byte cap allows.
+        # A cached grid is charged its own arrays, not the generic
+        # points-holder estimate (16nd + 4096), and the charge grows by
+        # the cell adjacency once that is built.
         points = np.random.default_rng(3).uniform(0, 50, size=(300, 3))
         grid = Grid(points, 4.0)
-        assert estimate_structure_bytes(grid) == estimate_grid_bytes(300, 3)
+        assert estimate_structure_bytes(grid) == grid.nbytes + 512
+        cold = grid.nbytes
+        grid.warm_neighbors()
+        adj = grid.adjacency()
+        assert grid.nbytes == (
+            cold + adj.indptr.nbytes + adj.indices.nbytes + adj.inner.nbytes
+        )
+
+    def test_grid_charge_covers_a_dominant_adjacency(self):
+        # 4-D at a coarse eps: every cell has hundreds of neighbour cells,
+        # so the CSR adjacency outweighs the per-point arrays, and the
+        # engine's cached grid (warmed inside the cached build) is charged
+        # for all of it.
+        points = np.random.default_rng(5).uniform(0, 100, size=(4000, 4))
+        engine = ClusteringEngine(points, cache=StructureCache())
+        grid = engine.grid(12.0)
+        adj = grid.adjacency()
+        adj_bytes = adj.indptr.nbytes + adj.indices.nbytes + adj.inner.nbytes
+        assert adj_bytes > estimate_grid_bytes(4000, 4)
+        assert estimate_structure_bytes(grid) >= adj_bytes
+        assert engine.cache.stats()["estimated_bytes"] >= adj_bytes
 
     def test_default_cache_is_singleton(self):
         assert default_cache() is default_cache()

@@ -384,7 +384,6 @@ class TestMetricsRender:
             "executed": 59,
             "degraded": 2,
             "failed": 0,
-            "retries": 1,
             "quarantined": 0,
             "tiers": {"exact": 50, "approx": 9},
             "tenants": {

@@ -14,11 +14,14 @@ never fire.  The cores fan-out is gated on its plan, so the
 :func:`pooled` fixture also fails any fault test whose runs submitted no
 range to a worker (it would have tested the serial path).
 :class:`TestRandomizedStress` adds seeded random datasets under random
-kill / hang / poison schedules, and :class:`TestBoundedTeardown` a worker
-that ignores SIGTERM while it hangs.
+kill / hang / poison schedules, :class:`TestBoundedTeardown` a worker
+that ignores SIGTERM while it hangs, and :class:`TestWorkerStartFailure`
+a worker that cannot start.
 """
 
+import errno
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -29,11 +32,10 @@ import numpy as np
 import pytest
 
 from repro.api import dbscan
-from repro.errors import MemoryBudgetExceeded, WorkerPoolError
-from repro.parallel import ParallelConfig, executor, leaked_segments, supervisor
+from repro.errors import MemoryBudgetExceeded
+from repro.parallel import ParallelConfig, leaked_segments, supervisor
 from repro.runtime import pipeline
 from repro.runtime.faultinject import inject_faults
-from repro.runtime.resilient import ResiliencePolicy, run_resilient
 
 EPS = 5.0
 MIN_PTS = 4
@@ -76,12 +78,8 @@ def ledger_names(sup, phase, shard, reason=None):
 
 
 @pytest.fixture
-def pooled(monkeypatch):
-    """Fail the test unless its runs really submitted shards to a pool.
-
-    Records the supervisor ledger of every pipeline run in the test and
-    checks their ``submitted`` counts afterwards.
-    """
+def ledgers(monkeypatch):
+    """The supervisor ledger of every pipeline run in the test, in order."""
     ledgers = []
 
     @contextmanager
@@ -91,6 +89,12 @@ def pooled(monkeypatch):
             yield stats
 
     monkeypatch.setattr(pipeline, "collect_stats", recording)
+    return ledgers
+
+
+@pytest.fixture
+def pooled(ledgers):
+    """Fail the test unless its runs really submitted shards to a pool."""
     yield ledgers
     assert ledgers, "no pipeline run in this test"
     assert sum(stats.submitted for stats in ledgers) > 0, (
@@ -155,45 +159,68 @@ class TestQuarantine:
         assert ledger_names(recovered.meta["supervisor"], "cores", 1, "error")
 
 
-class TestBudgetExhaustion:
-    """The consumers of :class:`WorkerPoolError`, which is injected here.
+class TestWorkerStartFailure:
+    """A worker that cannot start is a fault: the parent counts every range.
 
-    The supervisor finishes a faulted fan-out in the parent instead of
-    raising, so the error is raised by a stand-in for the cores fan-out,
-    the way ``test_service_faults.py`` stands in for a whole execution.
+    ``Process.start`` (or ``Pipe``) raising ``OSError`` — EAGAIN when the
+    box is out of process ids, EMFILE out of descriptors — must neither
+    escape the run nor leave a started worker behind.
     """
 
     @pytest.fixture
-    def pool_fails_once(self, monkeypatch):
-        real = executor._fan_out
-        calls = []
+    def ctx(self):
+        return multiprocessing.get_context(supervisor._START_METHOD)
 
-        def fan_out(*args, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                raise WorkerPoolError("injected: pool lost", {"retries": [], "timeouts": 0})
-            return real(*args, **kwargs)
+    def assert_counted_in_parent(self, serial, recovered, ledgers):
+        assert_identical(serial, recovered, "worker-start")
+        (stats,) = ledgers
+        assert stats.submitted == 0 and stats.pool_workers == 0
+        seqs = [r["shard"] for r in stats.retries]
+        assert len(seqs) >= 2 and seqs == list(range(len(seqs)))
+        assert {r["reason"] for r in stats.retries} == {"worker-start"}
+        assert recovered.meta["supervisor"]["retries"] == stats.retries
+        assert multiprocessing.active_children() == []
 
-        monkeypatch.setattr(executor, "_fan_out", fan_out)
-        return calls
+    def test_start_failure_counts_every_range_in_the_parent(
+        self, points, serial, ctx, ledgers, monkeypatch
+    ):
+        attempts = []
 
-    def test_exhausted_budgets_raise_worker_pool_error(self, points, pool_fails_once):
-        with pytest.raises(WorkerPoolError) as ei:
-            dbscan(points, EPS, MIN_PTS, algorithm="grid", workers=cfg())
-        # The error carries the supervisor's ledger for post-mortems.
-        assert ei.value.stats is not None
+        def start(self):
+            attempts.append(1)
+            raise OSError(errno.EAGAIN, "injected: cannot fork")
 
-    def test_resilient_degrades_instead_of_raising(self, points, pool_fails_once):
-        policy = ResiliencePolicy(workers=cfg(), tiers=("exact", "approx"), rho=0.001)
-        # The exact tier's fan-out fails; the approx tier's runs clean.
-        result = run_resilient(points, EPS, MIN_PTS, policy)
-        assert len(pool_fails_once) == 2
-        res = result.meta["resilience"]
-        assert res["tier"] == "approx"
-        assert res["attempts"][0]["error"] == "WorkerPoolError"
-        assert "supervisor" in res["attempts"][0]
-        # The winning tier's own (clean) supervisor ledger is folded in too.
-        assert "supervisor" in res
+        monkeypatch.setattr(ctx.Process, "start", start)
+        recovered = dbscan(points, EPS, MIN_PTS, algorithm="grid", workers=cfg())
+        assert attempts == [1]  # the first failed start ends the fan-out
+        self.assert_counted_in_parent(serial, recovered, ledgers)
+
+    def test_started_workers_are_reaped_when_a_later_start_fails(
+        self, points, serial, ctx, ledgers, monkeypatch
+    ):
+        real = ctx.Process.start
+        started = []
+
+        def start(self):
+            if started:
+                raise OSError(errno.EAGAIN, "injected: cannot fork")
+            real(self)
+            started.append(self)
+
+        monkeypatch.setattr(ctx.Process, "start", start)
+        recovered = dbscan(points, EPS, MIN_PTS, algorithm="grid", workers=cfg())
+        assert len(started) == 1 and started[0].exitcode is not None
+        self.assert_counted_in_parent(serial, recovered, ledgers)
+
+    def test_pipe_failure_counts_every_range_in_the_parent(
+        self, points, serial, ctx, ledgers, monkeypatch
+    ):
+        def pipe(self, duplex=True):
+            raise OSError(errno.EMFILE, "injected: too many open files")
+
+        monkeypatch.setattr(type(ctx), "Pipe", pipe)
+        recovered = dbscan(points, EPS, MIN_PTS, algorithm="grid", workers=cfg())
+        self.assert_counted_in_parent(serial, recovered, ledgers)
 
 
 class TestMemoryBudget:

@@ -148,8 +148,6 @@ class TestAdmission:
             AdmissionPolicy(max_queue=0)
         with pytest.raises(ParameterError):
             AdmissionPolicy(degrade_pressure=0.9, sample_pressure=0.5)
-        with pytest.raises(ParameterError):
-            AdmissionPolicy(retry_attempts=0)
 
 
 class TestCircuitBreaker:

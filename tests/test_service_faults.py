@@ -8,6 +8,8 @@ underneath) or fails with a structured error — and coalesced waiters
 always share that fate, never hang.
 """
 
+import errno
+import multiprocessing
 import threading
 import time
 
@@ -19,9 +21,8 @@ from repro.errors import (
     DatasetQuarantinedError,
     ServiceError,
     ServiceOverloadError,
-    WorkerPoolError,
 )
-from repro.parallel import ParallelConfig
+from repro.parallel import ParallelConfig, supervisor
 from repro.runtime.faultinject import inject_faults
 from repro.service import AdmissionPolicy, ServiceClient
 
@@ -96,31 +97,47 @@ class TestWorkerFaultsThroughService:
         assert_identical(serial, result, "poison")
         assert client.stats()["failed"] == 0
 
+    def test_worker_that_cannot_start_answers_on_first_execution(
+        self, points, serial, monkeypatch
+    ):
+        # Starting a worker fails (EAGAIN: out of process ids): the
+        # supervisor counts every range in the parent, so the one
+        # execution succeeds and the breaker never hears of it.
+        attempts = []
 
-class TestHardFailuresAndBreaker:
-    def test_pool_failure_retried_then_surfaced(self, points):
-        policy = AdmissionPolicy(retry_attempts=2, breaker_threshold=10)
+        def start(self):
+            attempts.append(1)
+            raise OSError(errno.EAGAIN, "injected: cannot fork")
+
+        ctx = multiprocessing.get_context(supervisor._START_METHOD)
+        monkeypatch.setattr(ctx.Process, "start", start)
+        policy = AdmissionPolicy(breaker_threshold=1)
         with ServiceClient(policy=policy) as client:
             client.register("blobs", points)
-            calls = []
+            executions = []
+            real = client.service._execute
 
             def execute(entry, job):
-                calls.append(job["eps"])
-                raise WorkerPoolError("injected: pool keeps dying")
+                executions.append(job["eps"])
+                return real(entry, job)
 
             client.service._execute = execute
-            with pytest.raises(WorkerPoolError):
-                client.cluster("blobs", EPS, MIN_PTS, timeout=60)
-            # One request = retry_attempts executions of the job.
-            assert len(calls) == 2
+            result = client.cluster(
+                "blobs", EPS, MIN_PTS, workers=ParallelConfig(2, min_points=0),
+                timeout=180,
+            )
+            assert_identical(serial, result, "worker-start")
+            assert attempts and len(executions) == 1
             stats = client.stats()
-            assert stats["failed"] == 1
-            assert stats["retries"] == 1
+            assert stats["executed"] == 1 and stats["failed"] == 0
+            assert client.service.breaker.snapshot() == {}
+        reasons = {r["reason"] for r in result.meta["supervisor"]["retries"]}
+        assert reasons == {"worker-start"}
 
+
+class TestHardFailuresAndBreaker:
     def test_breaker_opens_after_repeated_hard_failures(self, points):
-        policy = AdmissionPolicy(
-            retry_attempts=1, breaker_threshold=2, breaker_cooldown=60.0
-        )
+        policy = AdmissionPolicy(breaker_threshold=2, breaker_cooldown=60.0)
         with ServiceClient(policy=policy) as client:
             client.register("blobs", points)
 
@@ -148,9 +165,7 @@ class TestHardFailuresAndBreaker:
             assert stats["accepted"] == 2 and stats["rejected"] == 0
 
     def test_breaker_half_open_probe_restores_service(self, points, serial):
-        policy = AdmissionPolicy(
-            retry_attempts=1, breaker_threshold=1, breaker_cooldown=0.05
-        )
+        policy = AdmissionPolicy(breaker_threshold=1, breaker_cooldown=0.05)
         with ServiceClient(policy=policy) as client:
             client.register("blobs", points)
             real = client.service._execute
@@ -177,9 +192,7 @@ class TestHardFailuresAndBreaker:
         # by admission because its deadline was already expired.  The
         # probing flag then stayed True forever and every later request
         # raised DatasetQuarantinedError with no recovery path.
-        policy = AdmissionPolicy(
-            retry_attempts=1, breaker_threshold=1, breaker_cooldown=0.05
-        )
+        policy = AdmissionPolicy(breaker_threshold=1, breaker_cooldown=0.05)
         with ServiceClient(policy=policy) as client:
             client.register("blobs", points)
             real = client.service._execute
@@ -206,7 +219,7 @@ class TestHardFailuresAndBreaker:
     def test_budget_failures_do_not_trip_breaker(self, points):
         from repro.errors import TimeoutExceeded
 
-        policy = AdmissionPolicy(retry_attempts=1, breaker_threshold=1)
+        policy = AdmissionPolicy(breaker_threshold=1)
         with ServiceClient(policy=policy) as client:
             client.register("blobs", points)
 
@@ -223,8 +236,7 @@ class TestHardFailuresAndBreaker:
 
 class TestCoalescedWaitersUnderFailure:
     def test_waiters_share_the_leaders_structured_error(self, points):
-        policy = AdmissionPolicy(max_queue=16, retry_attempts=1,
-                                 breaker_threshold=10)
+        policy = AdmissionPolicy(max_queue=16, breaker_threshold=10)
         with ServiceClient(policy=policy) as client:
             client.register("blobs", points)
             release = threading.Event()
@@ -233,7 +245,7 @@ class TestCoalescedWaitersUnderFailure:
             def execute(entry, job):
                 started.set()
                 assert release.wait(timeout=60)
-                raise WorkerPoolError("injected: pool lost mid-request")
+                raise RuntimeError("injected: infrastructure lost mid-request")
 
             client.service._execute = execute
             leader = client.submit(
@@ -248,7 +260,7 @@ class TestCoalescedWaitersUnderFailure:
             # Nobody hangs: every request fails promptly with the same
             # structured error class the leader saw.
             for fut in [leader] + waiters:
-                with pytest.raises(WorkerPoolError):
+                with pytest.raises(RuntimeError):
                     fut.result(timeout=30)
             stats = client.stats()
             assert stats["coalesced"] == 4
