@@ -44,6 +44,7 @@ from repro.grid import counters
 from repro.grid.cells import Grid
 
 from tests.oracles import loops
+from tests.oracles.adjacency import neighbor_cell_pair_arrays
 
 from . import config as cfg
 
@@ -89,7 +90,7 @@ def measure(config, report=print):
     name, n_clustered, n_noise, d, eps, min_pts, rho = config
     grid, core = _workload(n_clustered, n_noise, d, eps, min_pts)
     cells = cg.core_cells(grid, core)
-    ii, _, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
+    ii, _, _ = neighbor_cell_pair_arrays(grid, subset=cells.ids)
     report(
         f"edge phase — SS{d}D + noise, n={len(grid.points)}, eps={eps:g}, "
         f"min_pts={min_pts}, {len(cells)} core cells, "

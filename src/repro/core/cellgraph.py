@@ -166,8 +166,7 @@ def approx_edge_predicate(
     short-circuits the moment any query is decided yes.  The answer for
     an *oriented* pair is deterministic (the structure build is), which
     is why every run agrees with the per-pair loop exactly as long as
-    pairs are evaluated in the orientation
-    :meth:`Grid.neighbor_cell_pair_arrays` emits them.
+    pairs are evaluated smaller cell id first, as the edge kernel does.
 
     ``structures`` optionally seeds the per-cell structure cache, keyed by
     grid cell id (the engine's warm cache); missing entries are built
@@ -205,20 +204,18 @@ def _connected_components(
     The shared back half of :func:`exact_components` /
     :func:`approx_components`: dense per-cell arrays, a
     :class:`DenseUnionFind` seeded with the pre-union carry, one
-    :func:`resolve_edges` pass over all candidate pairs, and a single
-    vectorised label scatter (see :mod:`repro.core.edgekernel`).
+    :func:`resolve_edges` pass over the grid's CSR adjacency, and a
+    single vectorised label scatter (see :mod:`repro.core.edgekernel`).
     """
     arrays = cell_arrays(grid.points, cells.members, cells.indptr)
     uf = DenseUnionFind(len(cells))
     apply_preunion_dense(uf, cells.ids, preunion)
-    ii, jj, inner = grid.neighbor_cell_pair_arrays(subset=cells.ids)
     resolve_edges(
         grid.points,
         grid.eps,
         arrays,
-        ii,
-        jj,
-        inner,
+        cells.ids,
+        grid.adjacency(),
         uf,
         edge,
         reject_eps=reject_eps,

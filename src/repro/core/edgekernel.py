@@ -12,11 +12,13 @@ settles the bulk of the pairs in two batches, nearest ring first:
 
 * **Batch 1 — inner ring.**  Stage A alone on the pairs of cells at
   Chebyshev distance 1 (the grid's inner ring, the pairs most likely to
-  be edges), with its accepts unioned in one batch.
-* **Batch 2 — everything else.**  The other pairs whose endpoints are
-  already connected (by batch 1, or a pre-union carry) are dropped by
-  one vectorised root comparison; the rest run the three stages below.
-  Skipping a connected pair never changes the partition.
+  be edges), gathered from the core rows' inner-ring CSR entries, with
+  its accepts unioned in one batch.
+* **Batch 2 — everything else.**  A walk over the CSR adjacency in row
+  blocks drops every pair whose endpoints are already connected (by
+  batch 1, or a pre-union carry) with one vectorised root comparison
+  per block, before any pair array exists; the open pairs run the three
+  stages below.  Skipping a connected pair never changes the partition.
 
 * **Stage A — quick accept.**  Two cheap geometric certificates, both
   evaluated for all pairs at once, prove an edge without touching the
@@ -62,8 +64,10 @@ import numpy as np
 
 from repro.geometry import distance as dm
 from repro.grid import counters
+from repro.grid.cells import _EMPTY_IDX, _take_ranges
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
+    from repro.grid.cells import _CSRAdjacency
     from repro.runtime.deadline import Deadline
     from repro.utils.unionfind import DenseUnionFind
 
@@ -74,6 +78,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: rejected, so the staged kernel can never disagree with the predicate
 #: it is short-circuiting.
 _REJECT_SLACK = 1e-9
+
+#: Adjacency entries per row block of batch 2's root filter: the block's
+#: source, partner and mask arrays stay a few MB whatever the grid.
+_EDGE_BLOCK = 1 << 18
 
 
 @dataclass
@@ -128,18 +136,17 @@ def quick_accept(
     the far corners of their core bounding boxes do (then every cross
     pair is within ``eps``).
     """
-    rep_diff = points[arrays.reps[ii]] - points[arrays.reps[jj]]
+    reps = points[arrays.reps]  # one row per cell: the gathers stay in cache
+    rep_diff = reps[ii] - reps[jj]
     accept = np.einsum("ij,ij->i", rep_diff, rep_diff) <= dm.sq_radius(eps)
-    if not accept.all():
+    rest = np.flatnonzero(~accept)
+    if len(rest):
         # Far-corner certificate: the maximum cross-pair distance is at
         # most eps, so *every* pair qualifies.  Compared against the bare
         # eps^2 (not the slackened boundary) to stay conservative.
-        lo_i, hi_i = arrays.lo[ii], arrays.hi[ii]
-        lo_j, hi_j = arrays.lo[jj], arrays.hi[jj]
-        far = np.maximum(hi_j - lo_i, hi_i - lo_j)
-        np.bitwise_or(
-            accept, np.einsum("ij,ij->i", far, far) <= eps * eps, out=accept
-        )
+        i, j = ii[rest], jj[rest]
+        far = np.maximum(arrays.hi[j] - arrays.lo[i], arrays.hi[i] - arrays.lo[j])
+        accept[rest] = np.einsum("ij,ij->i", far, far) <= eps * eps
     return accept
 
 
@@ -176,59 +183,80 @@ def resolve_edges(
     points: np.ndarray,
     eps: float,
     arrays: CellArrays,
-    ii: np.ndarray,
-    jj: np.ndarray,
-    inner: np.ndarray,
+    ids: np.ndarray,
+    adjacency: "_CSRAdjacency",
     uf: "DenseUnionFind",
     edge: Callable[[int, int], bool],
     *,
     reject_eps: Optional[float] = None,
     deadline: Optional["Deadline"] = None,
 ) -> None:
-    """Resolve one batch of candidate pairs into ``uf`` — the edge phase.
+    """Resolve the edge phase of the core cells ``ids`` into ``uf``.
 
-    Two batches, nearest ring first.  Batch 1 runs stage A alone on the
-    inner-ring pairs (``inner``: Chebyshev-distance-1 cells, the pairs
-    most likely to be edges) and unions its accepts.  Batch 2 takes every
-    other pair: those whose endpoints ``uf`` already connects (batch 1's
-    unions, a pre-union carry) are dropped up front by one vectorised
-    root comparison, and the rest run stages A/B (:func:`classify_pairs`)
-    and C — the per-pair ``edge`` predicate, cheapest-first with a
-    connectivity re-check, so pairs made redundant by earlier unions never
-    pay for a test.  Only a spanning forest matters, so skipping a pair
-    whose endpoints are already connected never changes the partition.
+    ``ids`` are the core cells' grid ids, ascending: element ``t`` of
+    ``arrays`` and ``uf`` is cell ``ids[t]``.  The candidate pairs are
+    the entries ``a -> b`` of the grid's CSR ``adjacency`` between two
+    core cells with ``b > a``, read straight off the CSR.  Two batches,
+    nearest ring first.  Batch 1 gathers the core rows' inner-ring
+    entries (Chebyshev-distance-1 cells, the pairs most likely to be
+    edges), runs stage A alone on them and unions its accepts.  Batch 2
+    walks the whole CSR in row blocks of about ``_EDGE_BLOCK`` entries
+    and drops every pair whose endpoints ``uf`` already connects (batch
+    1's unions, a pre-union carry) by comparing roots before any pair
+    array is built; the open pairs run stages A/B
+    (:func:`classify_pairs`) and C — the per-pair ``edge`` predicate,
+    cheapest-first with a connectivity re-check, so pairs made redundant
+    by earlier unions never pay for a test.  Only a spanning forest
+    matters, so skipping a pair whose endpoints are already connected
+    never changes the partition.
 
-    ``edge`` takes two cell ids of ``arrays``.  The per-pair orientation
-    handed to it is exactly the caller's, so deterministic oriented
-    predicates (the Lemma 5 probe) answer as they would in the plain
-    loop.
+    ``edge`` takes two positions in ``ids``, smaller cell id first — the
+    orientation of the per-pair loop, so deterministic oriented
+    predicates (the Lemma 5 probe) answer as they would there.
     """
-    n_pairs = len(ii)
-    counters.add("edge_pairs_total", n_pairs)
-    if n_pairs == 0:
-        return
     if deadline is not None:
         deadline.check()
     # Funnel accounting: edge_quick_accept (both batches) +
     # edge_quick_reject + edge_survivors + edge_connected_skip ==
     # edge_pairs_total, and edge_survivors == edge_scheduled_skip +
     # edge_predicate_tests.
-    near = np.nonzero(inner)[0]
-    near = near[quick_accept(points, eps, arrays, ii[near], jj[near])]
-    counters.add("edge_quick_accept", len(near))
-    if len(near):
-        uf.union_many(ii[near], jj[near])
-        rest = np.ones(n_pairs, dtype=bool)
-        rest[near] = False
-        ii, jj = ii[rest], jj[rest]
+    indptr, indices = adjacency.indptr, adjacency.indices
+    pos = np.full(len(adjacency.inner), -1, dtype=indices.dtype)
+    pos[ids] = np.arange(len(ids))
+    inner = adjacency.inner[ids]
+    ii = np.repeat(np.arange(len(ids)), inner)
+    jj = pos[_take_ranges(indices, indptr[ids], inner)]
+    pair = jj > ii
+    ii, jj = ii[pair], jj[pair]
+    near = quick_accept(points, eps, arrays, ii, jj)
+    n_near = int(near.sum())
+    counters.add("edge_quick_accept", n_near)
+    uf.union_many(ii[near], jj[near])
+
+    # Batch 2.  A non-core row gets a position past every core one, so
+    # ``jj > ii`` keeps exactly the core pairs with ``b > a``; a root
+    # comparison then keeps the open ones.
+    roots = uf.roots()
+    row_pos = np.where(pos < 0, len(ids), pos)
+    open_i, open_j = [_EMPTY_IDX], [_EMPTY_IDX]
+    n_pairs = lo = 0
+    while lo < len(row_pos):
         if deadline is not None:
             deadline.check()
-
-    roots = uf.roots()
-    keep = roots[ii] != roots[jj]
-    if not keep.all():
-        counters.add("edge_connected_skip", int(len(ii) - int(keep.sum())))
-        ii, jj = ii[keep], jj[keep]
+        hi = int(np.searchsorted(indptr, indptr[lo] + _EDGE_BLOCK, side="right")) - 1
+        hi = min(len(row_pos), max(lo + 1, hi))
+        ii = np.repeat(row_pos[lo:hi], np.diff(indptr[lo:hi + 1]))
+        jj = pos[indices[indptr[lo]:indptr[hi]]]
+        pair = jj > ii
+        ii, jj = ii[pair], jj[pair]
+        n_pairs += len(ii)
+        keep = roots[ii] != roots[jj]
+        open_i.append(ii[keep])
+        open_j.append(jj[keep])
+        lo = hi
+    ii, jj = np.concatenate(open_i), np.concatenate(open_j)
+    counters.add("edge_pairs_total", n_pairs)
+    counters.add("edge_connected_skip", n_pairs - n_near - len(ii))
     if len(ii) == 0:
         return
 

@@ -135,10 +135,12 @@ class Grid:
     def nbytes(self) -> int:
         """Bytes the grid's own arrays hold, its adjacency included once built.
 
-        The point block is the caller's and is not counted.
+        The point block is the caller's and is not counted, and neither is
+        the offset table, which every grid of one ``d`` (and eps/side
+        ratio) shares through the module cache.
         """
         own = (self.order, self.cell_start, self.sizes, self.cell_coords,
-               self.point_cell, self.point_sq, self._offset_table)
+               self.point_cell, self.point_sq)
         total = sum(a.nbytes for a in own)
         if self._adjacency is not None:
             adj = self._adjacency
@@ -179,13 +181,17 @@ class Grid:
         The probe gets that order for free: it looks the inner-ring
         offsets up first, row-major (see :func:`_offset_hits`).  The join
         flags each pair's ring while it checks the offset and sorts by
-        (row, ring).  Reported through the ``adjacency_*`` kernel
-        counters.
+        (row, ring).  Both hand over the ids and the per-row entry and
+        inner-ring counts, never a per-entry row array.  Cell ids are
+        int32 (int64 only past ``2**31`` cells).  Reported through the
+        ``adjacency_*`` kernel counters.
         """
         m = len(self)
+        id_dtype = np.int32 if m < 2 ** 31 else np.int64
         if m < 2:
             return _CSRAdjacency(
-                np.zeros(m + 1, dtype=np.int64), _EMPTY_IDX, np.zeros(m, dtype=np.int64)
+                np.zeros(m + 1, dtype=np.int64), np.empty(0, dtype=id_dtype),
+                np.zeros(m, dtype=np.int64),
             )
         coords = self.cell_coords
         table = self._offset_table
@@ -196,7 +202,7 @@ class Grid:
         counters.add("adjacency_probe_work", probe_work)
         if plan.candidates < _JOIN_RATIO * probe_work:
             counters.add("adjacency_join", 1)
-            ii, jj, outer = plan.join(coords, table)
+            indices, counts, inner = plan.join(coords, table)
         else:
             counters.add("adjacency_probe", 1)
             ring = np.abs(table).max(axis=1)
@@ -204,16 +210,17 @@ class Grid:
             # keeps table order.
             order = np.argsort(ring[ring > 0] > 1, kind="stable")
             nonzero = table[ring > 0][order]
-            ii, jj, kk, direct = _offset_hits(coords, nonzero, reach)
-            outer = kk >= np.count_nonzero(ring == 1)
+            indices, counts, inner, direct = _offset_hits(
+                coords, nonzero, reach, np.count_nonzero(ring == 1)
+            )
             if direct:
                 counters.add("adjacency_table", 1)
-        counters.add("adjacency_entries", len(ii))
-        inner = np.bincount(ii[~outer], minlength=m)
+        indices = indices.astype(id_dtype, copy=False)
+        counters.add("adjacency_entries", len(indices))
         counters.add("adjacency_inner_entries", int(inner.sum()))
         indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ii, minlength=m), out=indptr[1:])
-        return _CSRAdjacency(indptr, jj, inner)
+        np.cumsum(counts, out=indptr[1:])
+        return _CSRAdjacency(indptr, indices, inner)
 
     @property
     def uses_allpairs_adjacency(self) -> bool:
@@ -233,34 +240,6 @@ class Grid:
         rebuilding it.
         """
         self.adjacency()
-
-    def neighbor_cell_pair_arrays(
-        self, subset: np.ndarray | None = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each unordered pair of distinct eps-neighbour cells, once.
-
-        Returns ``(i, j, inner)``: the pairs ``(i[t], j[t])`` with
-        ``i[t] < j[t]`` — cells are numbered in lexicographic coordinate
-        order, so the smaller cell comes first, the orientation the
-        oriented Lemma 5 probe relies on — and ``inner[t]`` True when the
-        two cells are inner-ring neighbours (Chebyshev distance 1).
-        ``subset`` (an array of cell ids) restricts both endpoints, and
-        the pairs then name positions in the subset's ascending id list.
-        The pairs are the cached adjacency's entries ``a -> b`` with
-        ``b > a``.
-        """
-        adjacency = self.adjacency()
-        src, inner = adjacency.entries()
-        dst = adjacency.indices
-        keep = dst > src
-        src, dst, inner = src[keep], dst[keep], inner[keep]
-        if subset is None:
-            return src, dst, inner
-        member = np.zeros(len(self), dtype=bool)
-        member[subset] = True
-        keep = member[src] & member[dst]
-        position = np.cumsum(member) - 1
-        return position[src[keep]], position[dst[keep]], inner[keep]
 
 
 #: The coarse-bucket join builds the adjacency when its candidate count is
@@ -298,8 +277,8 @@ class _BucketPlan:
         steps = np.array(np.meshgrid(*[np.arange(-1, 2)] * d, indexing="ij"))
         deltas = steps.reshape(d, -1).T[3 ** d // 2 + 1:]
         within = np.arange(len(self.starts), dtype=np.int64)
-        hit_u, hit_v, _, _ = _offset_hits(buckets[self.order[self.starts]], deltas, 1)
-        self.pu = np.concatenate([within, hit_u])
+        hit_v, per_bucket, _, _ = _offset_hits(buckets[self.order[self.starts]], deltas, 1)
+        self.pu = np.concatenate([within, np.repeat(within, per_bucket)])
         self.pv = np.concatenate([within, hit_v])
         counts = self.counts
         self.candidates = int(
@@ -309,12 +288,13 @@ class _BucketPlan:
     def join(
         self, coords: np.ndarray, offsets: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Both orientations of every neighbour pair, sorted by (row, ring).
+        """Both orientations of every neighbour pair, in CSR form.
 
-        Returns ``(i, j, outer)``: cell-id arrays sorted by ``i``, each
-        row's inner-ring pairs (Chebyshev distance 1) first and flagged
-        ``outer == False``.  Every cell of bucket ``u`` is expanded
-        against bucket ``v`` (the cells after it, when ``u == v``), in
+        Returns ``(j, counts, inner)``: the partner ids sorted by row,
+        each row's inner-ring pairs (Chebyshev distance 1) first, and per
+        row its entry count and inner-ring count.  Every cell of bucket
+        ``u`` is expanded against bucket ``v`` (the cells after it, when
+        ``u == v``), in
         blocks whose gathered coordinates stay within ``chunk_budget()``
         entries, and a pair is kept when its offset is in ``offsets`` (the
         grid's offset table) — one lookup in a dense membership box, so
@@ -371,70 +351,68 @@ class _BucketPlan:
         b = self.order[np.concatenate(kept_b or [_EMPTY_IDX])]
         outer = np.concatenate(kept_outer or [np.zeros(0, dtype=bool)])
         ii, jj, outer = np.concatenate([a, b]), np.concatenate([b, a]), np.tile(outer, 2)
-        order = np.lexsort((outer, ii))
-        return ii[order], jj[order], outer[order]
+        m = len(coords)
+        counts = np.bincount(ii, minlength=m)
+        inner = np.bincount(ii[~outer], minlength=m)
+        return jj[np.lexsort((outer, ii))], counts, inner
 
 
 def _offset_hits(
-    coords: np.ndarray, offsets: np.ndarray, reach: int
+    coords: np.ndarray, offsets: np.ndarray, reach: int, split: int = 0
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Index arrays ``(i, j, k)`` with ``coords[i] + offsets[k] == coords[j]``.
+    """The cells ``j`` with ``coords[i] + offsets[k] == coords[j]``, in CSR form.
 
-    The hits come out row-major — ``i`` ascending, and inside a row in
-    ``offsets`` order — so a caller that lists the offsets in the order it
-    wants its CSR rows gets them with no sort; the flag says whether the
-    direct table answered them (its ``i`` and ``k`` are int32; ``j`` is
-    int64 on both paths).  Rows are packed into mixed-radix int64
-    keys (the radix is padded by ``reach`` — at least every offset
-    component's magnitude — so every shifted coordinate stays in range
-    and a shift is a single scalar addition on the packed keys).  When
-    the packed key span is small enough (:func:`_use_direct_table`), a
-    dense int32 table indexed by packed key (cell id, or -1) answers
-    whole (cells x offsets) row blocks (at most ``_PROBE_BLOCK`` and
-    ``chunk_budget()`` lookups each) with one gather each.  Otherwise a
-    ``searchsorted`` over the sorted keys answers one offset at a time
-    (a structured-dtype row view is the overflow fallback), and one
-    stable sort by ``i`` restores the row order.
+    Returns ``(j, counts, head, direct)``: the hit ids row-major — ``i``
+    ascending, and inside a row in ``offsets`` order — so a caller that
+    lists the offsets in the order it wants its CSR rows gets them with no
+    sort; ``counts[i]`` is row ``i``'s hit count and ``head[i]`` the part
+    of it from ``offsets[:split]``; the flag says whether the direct table
+    answered them (its ``j`` is int32, the searchsorted path's int64; it
+    keeps no per-hit ``i`` or ``k`` past a block).  Rows are packed into
+    mixed-radix int64 keys (the radix is padded by ``reach`` — at least
+    every offset component's magnitude — so every shifted coordinate
+    stays in range and a shift is a single scalar addition on the packed
+    keys).  When the packed key span is small enough
+    (:func:`_use_direct_table`), a dense int32 table indexed by packed key
+    (cell id, or -1) answers whole (cells x offsets) row blocks (at most
+    ``_PROBE_BLOCK`` and ``chunk_budget()`` lookups each) with one gather
+    each.  Otherwise a ``searchsorted`` over the sorted keys answers one
+    offset at a time (a structured-dtype row view is the overflow
+    fallback), and one stable sort by ``i`` restores the row order.
     """
+    m = len(coords)
     lo = coords.min(axis=0) - reach
     spans = coords.max(axis=0) + reach + 1 - lo
     span_product = float(np.prod(spans.astype(np.float64)))
-    hit_i: List[np.ndarray] = [_EMPTY_IDX]
-    hit_j: List[np.ndarray] = [_EMPTY_IDX]
-    hit_k: List[np.ndarray] = [_EMPTY_IDX]
     if span_product < 2.0 ** 62:
         rev = np.concatenate([[1], np.cumprod(spans[::-1][:-1])])
         mults = rev[::-1]
         base = (coords - lo) @ mults
         shifts = offsets @ mults
-        if _use_direct_table(span_product, len(coords) * len(offsets)):
+        if _use_direct_table(span_product, m * len(offsets)):
             table = np.full(int(span_product), -1, dtype=np.int32)
-            table[base] = np.arange(len(coords), dtype=np.int32)
-            width = max(1, len(offsets))
-            rows = max(1, min(chunk_budget(), _PROBE_BLOCK) // width)
-            # Blocks keep int32 hits (ids and offsets fit the int32 table),
-            # and each list is freed as soon as it is joined: the lists
-            # and the joined arrays set the grid phase's peak memory.
-            hit_i, hit_j, hit_k = ([np.empty(0, dtype=np.int32)] for _ in range(3))
-            for start in range(0, len(coords), rows):
-                found = table[base[start:start + rows, None] + shifts].ravel()
-                flat = np.flatnonzero(found >= 0)
-                hit_j.append(found[flat])
-                i, k = np.divmod(flat, width)
-                i += start
-                hit_i.append(i.astype(np.int32))
-                hit_k.append(k.astype(np.int32))
-            j = np.concatenate(hit_j, dtype=np.int64)
-            del hit_j
-            i = np.concatenate(hit_i)
-            del hit_i
-            return i, j, np.concatenate(hit_k), True
+            table[base] = np.arange(m, dtype=np.int32)
+            rows = max(1, min(chunk_budget(), _PROBE_BLOCK) // max(1, len(offsets)))
+            counts = np.zeros(m, dtype=np.int64)
+            head = np.zeros(m, dtype=np.int64)
+            # Only the int32 hits outlive a block: its (rows x offsets)
+            # mask reduces to the row counts at once.
+            hits: List[np.ndarray] = [np.empty(0, dtype=np.int32)]
+            for start in range(0, m, rows):
+                found = table[base[start:start + rows, None] + shifts]
+                hit = found >= 0
+                hits.append(found[hit])
+                counts[start:start + rows] = np.count_nonzero(hit, axis=1)
+                head[start:start + rows] = np.count_nonzero(hit[:, :split], axis=1)
+            return np.concatenate(hits), counts, head, True
     else:  # packed keys would overflow: fall back to structured rows
         base = _row_view(coords)
         shifts = None
     order = np.argsort(base, kind="stable")
     sorted_keys = base[order]
     last = len(sorted_keys) - 1
+    hit_i: List[np.ndarray] = [_EMPTY_IDX]
+    hit_j: List[np.ndarray] = [_EMPTY_IDX]
     for k, off in enumerate(offsets):
         shifted = base + shifts[k] if shifts is not None else _row_view(coords + off)
         pos = np.searchsorted(sorted_keys, shifted)
@@ -442,10 +420,10 @@ def _offset_hits(
         hit = np.nonzero(sorted_keys[pos] == shifted)[0]
         hit_i.append(hit)
         hit_j.append(order[pos[hit]])
-        hit_k.append(np.full(len(hit), k, dtype=np.int64))
     i = np.concatenate(hit_i)
-    by_row = np.argsort(i, kind="stable")
-    return i[by_row], np.concatenate(hit_j)[by_row], np.concatenate(hit_k)[by_row], False
+    head = np.bincount(np.concatenate(hit_i[:split + 1]), minlength=m)
+    j = np.concatenate(hit_j)[np.argsort(i, kind="stable")]
+    return j, np.bincount(i, minlength=m), head, False
 
 
 #: Lookups per row block of the direct-table probe.  The block's index,
@@ -495,8 +473,9 @@ class _CSRAdjacency:
     """Cell adjacency in compressed-sparse-row form, inner ring first.
 
     ``indices[indptr[t]:indptr[t + 1]]`` are the ids of cell ``t``'s
-    neighbours; the first ``inner[t]`` of them are its inner-ring
-    (Chebyshev distance 1) neighbours, the rest its outer shell.
+    neighbours (int32 below ``2**31`` cells; ``indptr`` is int64); the
+    first ``inner[t]`` of them are its inner-ring (Chebyshev distance 1)
+    neighbours, the rest its outer shell.
     """
 
     __slots__ = ("indptr", "indices", "inner")
@@ -509,15 +488,6 @@ class _CSRAdjacency:
     def counts(self, ids: np.ndarray) -> np.ndarray:
         """Row lengths of the cells ``ids``."""
         return self.indptr[ids + 1] - self.indptr[ids]
-
-    def entries(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per entry: its row (source cell) and whether it is inner-ring."""
-        lengths = np.diff(self.indptr)
-        src = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-        inner = np.arange(len(self.indices)) < np.repeat(
-            self.indptr[:-1] + self.inner, lengths
-        )
-        return src, inner
 
 
 def _row_view(a: np.ndarray) -> np.ndarray:

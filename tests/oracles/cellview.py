@@ -58,7 +58,9 @@ class CellView:
                 [self.index[c] for c in map(tuple, subset) if c in self.index],
                 dtype=np.int64,
             ))
-        ii, jj, _ = self.grid.neighbor_cell_pair_arrays(subset=ids)
+        from .adjacency import neighbor_cell_pair_arrays
+
+        ii, jj, _ = neighbor_cell_pair_arrays(self.grid, subset=ids)
         return [
             (self.keys[ids[i]], self.keys[ids[j]]) for i, j in zip(ii.tolist(), jj.tolist())
         ]

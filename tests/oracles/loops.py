@@ -31,6 +31,7 @@ from repro.geometry.bcp import bcp_within
 from repro.grid.cells import Grid
 from repro.grid.hierarchy import FlatHierarchy
 
+from .adjacency import neighbor_cell_pair_arrays
 from .cellview import CellView
 from .unionfind import KeyedUnionFind
 
@@ -209,7 +210,7 @@ def candidate_cell_pairs(
     Seeded (a pre-union carry was applied to ``uf``), pairs whose
     endpoints already share a root are dropped up front.
     """
-    ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
+    ii, jj, _ = neighbor_cell_pair_arrays(grid, subset=cells.ids)
     if seeded and len(ii):
         root = np.fromiter(
             (uf.find(t) for t in range(len(cells))), dtype=np.int64, count=len(cells)
@@ -297,7 +298,7 @@ def edge_list_exact(
     """
     cells = core_cells(grid, core_mask)
     points = grid.points
-    ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
+    ii, jj, _ = neighbor_cell_pair_arrays(grid, subset=cells.ids)
     edges = [
         (cells.ids[a], cells.ids[b])
         for a, b in zip(ii.tolist(), jj.tolist())

@@ -18,14 +18,18 @@ import pytest
 from repro.algorithms.approx import approx_dbscan
 from repro.algorithms.exact_grid import exact_grid_dbscan
 from repro.core import cellgraph as cg
+from repro.core import edgekernel
 from repro.core.edgekernel import cell_arrays, classify_pairs
 from repro.core.labeling import label_cores
 from repro.engine import ClusteringEngine, StructureCache
+from repro.grid import counters
 from repro.grid.cells import Grid
 from repro.parallel import ParallelConfig
 from repro.runtime.pipeline import PipelineHooks
 
+from .conftest import make_blobs
 from .oracles import loops
+from .oracles.adjacency import neighbor_cell_pair_arrays
 from .oracles.cellview import CellView
 
 
@@ -159,14 +163,12 @@ class TestRingBatches:
 
     @pytest.mark.parametrize("rule", ["exact", "approx"])
     def test_outer_pairs_join_inner_components(self, rule):
-        from repro.grid import counters
-
         grid = Grid(self.POINTS, 1.0)
         keys = CellView(grid).keys
         assert keys == [
             (0, 0), (0, 1), (2, 0), (3, 0), (5, 0), (28, 28)
         ]
-        ii, jj, inner = grid.neighbor_cell_pair_arrays()
+        ii, jj, inner = neighbor_cell_pair_arrays(grid)
         assert sorted(
             (keys[i], keys[j]) for i, j in zip(ii[inner].tolist(), jj[inner].tolist())
         ) == [((0, 0), (0, 1)), ((2, 0), (3, 0))]
@@ -193,6 +195,102 @@ class TestRingBatches:
         )
 
 
+class TestEdgeWalk:
+    """Batch 2 reads its pairs straight off the CSR, in row blocks.
+
+    A tiny block (a few entries, so most rows are a block of their own)
+    and one block over the whole CSR must give the same labels and the
+    same ``edge_*`` funnel; the labels equal the loop oracle's,
+    ``edge_pairs_total`` counts exactly the oracle's candidate pairs, and
+    the funnel is the one the pair-array kernel this walk replaced
+    recorded on the same inputs (``FUNNELS``).
+    """
+
+    RHO = 0.1
+    #: (case, rule) -> edge_pairs_total, _quick_accept, _quick_reject,
+    #: _survivors, _connected_skip, _scheduled_skip, _predicate_tests,
+    #: _predicate_hits, as the pair-array kernel counted them.
+    FUNNELS = {
+        ("survivors", "auto"): (1798, 433, 131, 20, 1214, 14, 6, 5),
+        ("survivors", "kdtree"): (1798, 433, 131, 20, 1214, 14, 6, 5),
+        ("survivors", "approx"): (1798, 433, 120, 31, 1214, 21, 10, 5),
+        ("plain", "auto"): (1508, 384, 179, 28, 917, 18, 10, 10),
+        ("plain", "kdtree"): (1508, 384, 179, 28, 917, 18, 10, 10),
+        ("plain", "approx"): (1508, 384, 169, 38, 917, 24, 14, 10),
+        ("seeded", "auto"): (1508, 383, 75, 7, 1043, 2, 5, 5),
+        ("seeded", "kdtree"): (1508, 383, 75, 7, 1043, 2, 5, 5),
+        ("seeded", "approx"): (1508, 383, 70, 12, 1043, 4, 8, 5),
+        ("join5", "auto"): (34284, 4263, 342, 6, 29673, 6, 0, 0),
+        ("join5", "kdtree"): (34284, 4263, 342, 6, 29673, 6, 0, 0),
+        ("join5", "approx"): (34284, 4263, 318, 30, 29673, 30, 0, 0),
+    }
+    FIELDS = (
+        "pairs_total", "quick_accept", "quick_reject", "survivors",
+        "connected_skip", "scheduled_skip", "predicate_tests", "predicate_hits",
+    )
+
+    def _components(self, module, grid, core, rule, preunion):
+        if rule == "approx":
+            return module.approx_components(grid, core, self.RHO, preunion=preunion)
+        return module.exact_components(grid, core, rule, preunion=preunion)
+
+    def _check(self, monkeypatch, case, grid, core, rule, preunion=None):
+        runs = []
+        for block in (3, 1 << 30):
+            monkeypatch.setattr(edgekernel, "_EDGE_BLOCK", block)
+            before = counters.snapshot()
+            out = self._components(cg, grid, core, rule, preunion)
+            funnel = {
+                k: v for k, v in counters.delta_since(before).items()
+                if k.startswith("edge_")
+            }
+            runs.append((out, funnel))
+        (tiny, tiny_funnel), (whole, funnel) = runs
+        ref = self._components(loops, grid, core, rule, preunion)
+        assert np.array_equal(tiny[0], ref[0]) and np.array_equal(whole[0], ref[0])
+        assert tiny[1] == whole[1] == ref[1]
+        assert tiny_funnel == funnel
+        ids = cg.core_cells(grid, core).ids
+        pairs = neighbor_cell_pair_arrays(grid, subset=ids)[0]
+        assert funnel["edge_pairs_total"] == len(pairs)
+        assert funnel["edge_pairs_total"] == sum(funnel.get(k, 0) for k in (
+            "edge_quick_accept", "edge_quick_reject", "edge_survivors",
+            "edge_connected_skip",
+        ))
+        assert funnel.get("edge_survivors", 0) == (
+            funnel.get("edge_scheduled_skip", 0) + funnel.get("edge_predicate_tests", 0)
+        )
+        expected = dict(zip(self.FIELDS, self.FUNNELS[case, rule]))
+        assert {f: funnel.get(f"edge_{f}", 0) for f in self.FIELDS} == expected
+        assert set(funnel) <= {f"edge_{f}" for f in self.FIELDS}
+        return funnel
+
+    @pytest.mark.parametrize("rule", ["auto", "kdtree", "approx"])
+    def test_blocks_agree_with_survivors(self, monkeypatch, rule):
+        grid, core = _dataset(1, 900, 2, 7.0, 5)
+        assert self._check(monkeypatch, "survivors", grid, core, rule)["edge_survivors"] > 0
+
+    @pytest.mark.parametrize("rule", ["auto", "kdtree", "approx"])
+    def test_blocks_agree_with_preunion_carry(self, monkeypatch, rule):
+        grid, core = _dataset(5, 800, 2, 7.0, 5)
+        plain = self._check(monkeypatch, "plain", grid, core, rule)
+        seed = loops.edge_list_exact(grid, core)[::3]
+        seeded = self._check(monkeypatch, "seeded", grid, core, rule, preunion=seed)
+        # The carry moves pairs into the connected skip, never out of the
+        # candidate count.
+        assert seeded["edge_pairs_total"] == plain["edge_pairs_total"]
+        assert seeded["edge_connected_skip"] > plain["edge_connected_skip"]
+
+    @pytest.mark.parametrize("rule", ["auto", "kdtree", "approx"])
+    def test_blocks_agree_on_join_built_5d(self, monkeypatch, rule):
+        grid = Grid(make_blobs(600, 5, 3, spread=1.0, domain=30.0, seed=0), 2.0)
+        before = counters.snapshot()
+        grid.warm_neighbors()
+        assert counters.delta_since(before).get("adjacency_join") == 1
+        core = label_cores(grid, 4)
+        self._check(monkeypatch, "join5", grid, core, rule)
+
+
 class TestStageCertificates:
     """Stage A accepts only true edges; stage B rejects only non-edges."""
 
@@ -201,7 +299,7 @@ class TestStageCertificates:
         grid, core = _dataset(seed, 600, d, 8.0, 4)
         cells = cg.core_cells(grid, core)
         arrays = cell_arrays(grid.points, cells.members, cells.indptr)
-        ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
+        ii, jj, _ = neighbor_cell_pair_arrays(grid, subset=cells.ids)
         true_edges = set()
         for c1, c2 in loops.edge_list_exact(grid, core).tolist():
             true_edges.add((c1, c2))
@@ -219,7 +317,7 @@ class TestStageCertificates:
         grid, core = _dataset(12, 600, 2, 8.0, 4)
         cells = cg.core_cells(grid, core)
         arrays = cell_arrays(grid.points, cells.members, cells.indptr)
-        ii, jj, _ = grid.neighbor_cell_pair_arrays(subset=cells.ids)
+        ii, jj, _ = neighbor_cell_pair_arrays(grid, subset=cells.ids)
         _, reject_exact = classify_pairs(grid.points, grid.eps, arrays, ii, jj)
         _, reject_approx = classify_pairs(
             grid.points, grid.eps, arrays, ii, jj,
@@ -258,8 +356,6 @@ class TestKernelInternals:
             assert engine.cache.get(key) is warm_structures
 
     def test_counters_funnel_accounts_for_every_pair(self):
-        from repro.grid import counters
-
         grid, core = _dataset(16, 800, 2, 7.0, 5)
         before = counters.snapshot()
         cg.exact_components(grid, core)

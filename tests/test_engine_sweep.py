@@ -146,10 +146,11 @@ class TestStructureCache:
         # 4-D at a coarse eps: every cell has hundreds of neighbour cells,
         # so the CSR adjacency outweighs the per-point arrays, and the
         # engine's cached grid (warmed inside the cached build) is charged
-        # for all of it.
+        # for all of it.  (With int32 cell ids the CSR is half its int64
+        # size, so eps is coarse enough for it to still dominate.)
         points = np.random.default_rng(5).uniform(0, 100, size=(4000, 4))
         engine = ClusteringEngine(points, cache=StructureCache())
-        grid = engine.grid(12.0)
+        grid = engine.grid(14.0)
         adj = grid.adjacency()
         adj_bytes = adj.indptr.nbytes + adj.indices.nbytes + adj.inner.nbytes
         assert adj_bytes > estimate_grid_bytes(4000, 4)

@@ -12,7 +12,7 @@ from repro.errors import ParameterError
 from repro.grid import cells as grid_cells
 from repro.grid.cells import Grid, _take_ranges, default_side, neighbor_offsets
 
-from .oracles.adjacency import box_gap_pairs
+from .oracles.adjacency import box_gap_pairs, neighbor_cell_pair_arrays
 from .oracles.cellview import CellView
 
 
@@ -131,6 +131,21 @@ class TestGridBasics:
         assert cell_id(grid, (1, 1)) == 0
         assert cell_id(grid, (0, 0)) is None
 
+    def test_nbytes_leaves_out_the_shared_offset_table(self):
+        # Every 7-D grid at one eps/side ratio shares the module-cached
+        # offset table (257,675 offsets, ~14 MB): charging it to each grid
+        # would make a structure cache evict for memory it cannot free.
+        rng = np.random.default_rng(11)
+        a = Grid(rng.uniform(0, 50, size=(200, 7)), 6.0)
+        b = Grid(rng.uniform(0, 50, size=(300, 7)), 6.0)
+        assert a._offset_table is b._offset_table
+        own = sum(x.nbytes for x in (
+            a.order, a.cell_start, a.sizes, a.cell_coords, a.point_cell, a.point_sq
+        ))
+        assert a.nbytes == own < a._offset_table.nbytes
+        adj = a.adjacency()
+        assert a.nbytes == own + adj.indptr.nbytes + adj.indices.nbytes + adj.inner.nbytes
+
 
 class TestNeighborCells:
     def test_finds_adjacent_cells(self):
@@ -176,7 +191,7 @@ class TestNeighborCellPairs:
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 20, size=(150, 2))
         grid = Grid(pts, eps=3.0)
-        ii, jj, _ = grid.neighbor_cell_pair_arrays()
+        ii, jj, _ = neighbor_cell_pair_arrays(grid)
         keys = {frozenset(p) for p in zip(ii.tolist(), jj.tolist())}
         assert len(keys) == len(ii)  # no duplicates in either order
         assert (ii < jj).all()
@@ -185,7 +200,7 @@ class TestNeighborCellPairs:
         rng = np.random.default_rng(4)
         pts = rng.uniform(0, 20, size=(100, 3))
         grid = Grid(pts, eps=4.0)
-        ii, jj, _ = grid.neighbor_cell_pair_arrays()
+        ii, jj, _ = neighbor_cell_pair_arrays(grid)
         for a, b in zip(ii.tolist(), jj.tolist()):
             assert b in row(grid, a) and a in row(grid, b)
 
@@ -194,7 +209,7 @@ class TestNeighborCellPairs:
         grid = Grid(pts, eps=np.sqrt(2))
         # Cells (0, 0), (1, 0), (2, 0); the subset keeps ids 0 and 2, and
         # the pairs name positions in it.
-        ii, jj, inner = grid.neighbor_cell_pair_arrays(subset=np.array([0, 2]))
+        ii, jj, inner = neighbor_cell_pair_arrays(grid, subset=np.array([0, 2]))
         assert ii.tolist() == [0] and jj.tolist() == [1] and inner.tolist() == [False]
 
     def test_completeness_against_brute(self):
@@ -202,7 +217,7 @@ class TestNeighborCellPairs:
         pts = rng.uniform(0, 15, size=(120, 2))
         eps = 2.5
         grid = Grid(pts, eps)
-        ii, jj, _ = grid.neighbor_cell_pair_arrays()
+        ii, jj, _ = neighbor_cell_pair_arrays(grid)
         got = {frozenset(p) for p in zip(ii.tolist(), jj.tolist())}
         # Brute force: every unordered pair of distinct non-empty cells with
         # box distance <= eps must be present.

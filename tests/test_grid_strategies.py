@@ -22,7 +22,7 @@ from repro.grid import counters
 from repro.grid.cells import Grid
 
 from .conftest import make_blobs
-from .oracles.adjacency import box_gap_pairs
+from .oracles.adjacency import box_gap_pairs, neighbor_cell_pair_arrays
 from .oracles.cellview import CellView
 
 BUILDERS = {"probe": 0.0, "join": math.inf}
@@ -104,7 +104,7 @@ def test_neighbor_cell_pairs_agree(d):
     for builder in BUILDERS:
         grid = forced(pts, 3.0, builder)
         keys = CellView(grid).keys
-        ii, jj, _ = grid.neighbor_cell_pair_arrays()
+        ii, jj, _ = neighbor_cell_pair_arrays(grid)
         # Orientation contract: the i-side cell precedes its partner.
         assert all(keys[i] < keys[j] for i, j in zip(ii.tolist(), jj.tolist()))
         assert_matches_oracle(grid)
@@ -191,10 +191,51 @@ def test_ring_ordered_rows(d, lookup, builder):
     assert (adjacency.inner > 0).any() and (adjacency.inner < lengths).any()
     assert_matches_oracle(grid)
     # The pair arrays flag exactly the inner-ring pairs.
-    ii, jj, inner = grid.neighbor_cell_pair_arrays()
+    ii, jj, inner = neighbor_cell_pair_arrays(grid)
     coords = grid.cell_coords
     cheb = np.abs(coords[ii] - coords[jj]).reshape(len(ii), d).max(axis=1)
     assert np.array_equal(inner, cheb == 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("lookup", LOOKUPS)
+@pytest.mark.parametrize("builder", BUILDERS)
+def test_indices_are_int32(d, lookup, builder):
+    pts = make_blobs(150, d, 3, spread=1.0, domain=30.0, seed=30 + d)
+    adjacency = forced_lookup(pts, 3.0, builder, lookup).adjacency()
+    assert adjacency.indices.dtype == np.int32
+    assert adjacency.indptr.dtype == np.int64
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_tiny_grid_indices_are_int32(n):
+    # No points, one point, three points in one cell: m < 2 never runs a
+    # builder, yet its empty adjacency has the same dtypes.
+    grid = Grid(np.full((n, 2), 0.25), 1.0)
+    assert len(grid) == min(n, 1)
+    adjacency = grid.adjacency()
+    assert adjacency.indices.dtype == np.int32 and len(adjacency.indices) == 0
+    assert adjacency.indptr.tolist() == [0] * (len(grid) + 1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_probe_rows_identical_across_lookups(d):
+    """The table and searchsorted lookups give the same bytes, rings ascending."""
+    pts = make_blobs(200, d, 3, spread=1.0, domain=30.0, seed=40 + d)
+    table, searched = (
+        forced_lookup(pts, 3.0, "probe", lookup).adjacency() for lookup in LOOKUPS
+    )
+    for name in ("indptr", "indices", "inner"):
+        a, b = getattr(table, name), getattr(searched, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    indptr, indices = table.indptr, table.indices
+    assert (table.inner > 0).any() and (table.inner < np.diff(indptr)).any()
+    for t in range(len(table.inner)):
+        mid = indptr[t] + table.inner[t]
+        # Offsets are listed in lexicographic order inside each ring, and
+        # cell ids follow lexicographic coordinates.
+        assert (np.diff(indices[indptr[t]:mid]) > 0).all()
+        assert (np.diff(indices[mid:indptr[t + 1]]) > 0).all()
 
 
 def test_wide_span_takes_searchsorted():

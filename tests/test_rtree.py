@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.errors import DataError
+from repro.geometry import distance as dm
 from repro.index.rtree import RTree, _min_sq_to_box, _str_sort
 
 
 def brute_range(points, q, radius):
+    # The library's one "within radius" boundary (``dm.sq_radius``), which
+    # every index compares against: a point a few ulp beyond ``radius`` is
+    # inside it.
     sq = ((points - q) ** 2).sum(axis=1)
-    return np.nonzero(sq <= radius * radius)[0]
+    return np.nonzero(sq <= dm.sq_radius(radius))[0]
 
 
 class TestConstruction:
