@@ -40,12 +40,6 @@ def brute_dbscan(
     params = DBSCANParams(eps, min_pts)
     pts = as_points(points)
     n = len(pts)
-    if n:
-        # Distances are translation invariant, but the expanded form
-        # |a|^2 + |b|^2 - 2a.b of the chunked kernel is not: far from the
-        # origin the squared norms swamp eps^2.  Centring on the bounding
-        # box keeps every coordinate within half the data's extent.
-        pts = pts - (pts.min(axis=0) + pts.max(axis=0)) / 2.0
     sq_eps = dm.sq_radius(params.eps)
     deadline = as_deadline(time_budget, deadline)
 

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.core.corekernel import (
     BorderAssignments,
-    _gathered_sq_dists,
     _padded_rows,
     _size_classes,
     _take_ranges,
@@ -63,7 +62,6 @@ def assign_borders(
     ``border_no_candidates`` points whose cells hold no candidate core at
     all.
     """
-    points = grid.points
     sq_eps = dm.sq_radius(grid.eps)
     core_mask = np.asarray(core_mask, dtype=bool)
     work = np.arange(len(grid), dtype=np.int64)
@@ -147,9 +145,9 @@ def assign_borders(
             w = _tile_width(len(sel), grid.dim, width - pos)
             # Advanced row index plus a column slice: copies only the tile.
             nbr_idx = padmat[q_rows, pos:pos + w]
-            within = _gathered_sq_dists(
-                points, grid.point_sq, q_all[sel], nbr_idx
-            ) <= sq_eps
+            within = dm.block_sq_dists(
+                grid.points, q_all[sel, None], nbr_idx
+            )[:, 0, :] <= sq_eps
             within &= valid[q_rows, pos:pos + w]
             r, c = np.nonzero(within)
             if len(r):

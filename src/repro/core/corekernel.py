@@ -8,9 +8,10 @@ and Practical Parallel DBSCAN": mark-core -> cluster-core -> cluster-
 border), :func:`repro.core.labeling.label_cores` and
 :func:`repro.core.border.assign_borders` instead settle their phases with
 staged, vectorised passes over the grid's sorted cell arrays
-(:class:`~repro.grid.cells.Grid`: ``order`` / ``offsets`` / ``sizes``,
-the per-point ``point_sq`` norms, and the CSR eps-neighbour adjacency in
-the same cell ids).  This module holds what both passes share:
+(:class:`~repro.grid.cells.Grid`: ``order`` / ``offsets`` / ``sizes``
+and the CSR eps-neighbour adjacency in the same cell ids), with distances
+from :func:`repro.geometry.distance.block_sq_dists`.  This module holds
+what both passes share:
 
 * the size-class and tile helpers that turn CSR rows into padded,
   batched distance blocks (padding waste < 2x, tiles bounded by the
@@ -88,32 +89,6 @@ def _tile_width(active: int, dim: int, remaining: int) -> int:
     """Columns per distance tile, bounded by the shared chunk budget."""
     budget = max(1, dm._chunk_budget() // max(1, active * max(dim, 1)))
     return max(1, min(remaining, budget))
-
-
-def _gathered_sq_dists(
-    points: np.ndarray,
-    point_sq: np.ndarray,
-    q_idx: np.ndarray,
-    nbr_idx: np.ndarray,
-) -> np.ndarray:
-    """Squared distances between ``points[q_idx[r]]`` and each gathered row.
-
-    The expanded form ``|a|^2 + |b|^2 - 2 a.b`` of
-    :func:`repro.geometry.distance.pairwise_sq_dists`, evaluated on a
-    row-specific gather (``nbr_idx`` has shape ``(rows, width)``) instead
-    of a full cross product.  Decisions are made against the shared
-    :func:`~repro.geometry.distance.sq_radius` boundary, whose slack
-    absorbs the kernels' rounding differences.
-    """
-    q = points[q_idx]
-    nbr = points[nbr_idx]
-    out = (
-        point_sq[q_idx][:, None]
-        + point_sq[nbr_idx]
-        - 2.0 * np.einsum("rd,rwd->rw", q, nbr)
-    )
-    np.maximum(out, 0.0, out=out)
-    return out
 
 
 # ------------------------------------------------------- border result type

@@ -211,10 +211,15 @@ def plan_cores(
 
     # Per-row neighbour-point totals — the inner-ring prefix and the
     # outer shell — from one cumulative sum over the adjacency entries'
-    # cell sizes, without flattening a single neighbour point.
+    # cell sizes, without flattening a single neighbour point.  Gathering
+    # the sizes in slices keeps the sum the only whole-adjacency array.
     adjacency = grid.adjacency()
     size_sum = np.zeros(len(adjacency.indices) + 1, dtype=np.int64)
-    np.cumsum(grid.sizes[adjacency.indices], out=size_sum[1:])
+    step = 1 << 20  # 8 MiB of int32 -> intp cast ids per slice
+    for lo in range(0, len(adjacency.indices), step):
+        ids = adjacency.indices[lo:lo + step]
+        np.take(grid.sizes, ids, out=size_sum[lo + 1:lo + 1 + len(ids)])
+    np.cumsum(size_sum, out=size_sum)
     row_lo = adjacency.indptr[live_ids]
     row_mid = row_lo + adjacency.inner[live_ids]
     row_hi = adjacency.indptr[live_ids + 1]
@@ -333,12 +338,12 @@ def _count_pass(
     q_starts = np.zeros(n_live, dtype=np.int64)
     np.cumsum(q_counts[:-1], out=q_starts[1:])
     entry_len = np.where(nlen > 0, entry_len, 0)
-    nb_cells = _take_ranges(adjacency.indices, entry_start, entry_len)
+    # One cast of the int32 cell ids; every gather below would redo it.
+    nb_cells = _take_ranges(adjacency.indices, entry_start, entry_len).astype(np.intp)
     nbr_flat = _take_ranges(grid.order, grid.offsets[nb_cells], grid.sizes[nb_cells])
     nbr_starts = np.zeros(n_live, dtype=np.int64)
     np.cumsum(nlen[:-1], out=nbr_starts[1:])
 
-    points = grid.points
     sq_eps = dm.sq_radius(grid.eps)
     retired_points = retired_cells = 0
     for rows in _size_classes(nlen, q_counts):
@@ -357,18 +362,11 @@ def _count_pass(
                 deadline.check()  # one poll per tile, not per cell
             w = _tile_width(len(active) * q_max, grid.dim, width - pos)
             tally["core_tile_slots"] += len(active) * q_max * w
-            # Advanced row index plus a column slice: copies only the tile.
-            nbr_idx = nbr_pad[active, pos:pos + w]
-            q_idx = q_pad[active]
-            # Expanded-form distances as one batched matmul per tile:
-            # (cells, q_max, d) @ (cells, d, w) -> (cells, q_max, w).
-            sq = (
-                grid.point_sq[q_idx][:, :, None]
-                + grid.point_sq[nbr_idx][:, None, :]
-                - 2.0 * np.matmul(points[q_idx], points[nbr_idx].transpose(0, 2, 1))
-            )
-            np.maximum(sq, 0.0, out=sq)
-            within = sq <= sq_eps
+            # One (cells, q_max, w) distance block per tile; the advanced
+            # row index plus a column slice copies only the tile's ids.
+            within = dm.block_sq_dists(
+                grid.points, q_pad[active], nbr_pad[active, pos:pos + w]
+            ) <= sq_eps
             within &= nbr_valid[active, None, pos:pos + w]
             count_mat[active] += within.sum(axis=2)
             done = (count_mat[active] >= min_pts).all(axis=1)

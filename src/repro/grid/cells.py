@@ -81,9 +81,8 @@ class Grid:
     constructor.  Cell ``t`` lies at integer coordinate ``cell_coords[t]``
     and owns the ``sizes[t]`` point indices
     ``order[cell_start[t] : cell_start[t + 1]]`` (ascending);
-    ``offsets`` is ``cell_start[:-1]``, ``point_cell[i]`` is point ``i``'s
-    cell id and ``point_sq[i]`` its squared norm, which the kernels'
-    expanded-form distance tiles read.
+    ``offsets`` is ``cell_start[:-1]`` and ``point_cell[i]`` is point
+    ``i``'s cell id.
 
     Parameters
     ----------
@@ -119,7 +118,6 @@ class Grid:
         self.point_cell[self.order] = np.repeat(
             np.arange(len(self.sizes), dtype=np.int64), self.sizes
         )
-        self.point_sq = np.einsum("ij,ij->i", points, points)
         self._offset_table = neighbor_offsets(self.eps, self.side, d)
         # The offset table grows fast with d (841 entries at d = 4, 6,095
         # at d = 5, 257,675 at d = 7) whatever the number of non-empty
@@ -140,7 +138,7 @@ class Grid:
         ratio) shares through the module cache.
         """
         own = (self.order, self.cell_start, self.sizes, self.cell_coords,
-               self.point_cell, self.point_sq)
+               self.point_cell)
         total = sum(a.nbytes for a in own)
         if self._adjacency is not None:
             adj = self._adjacency

@@ -28,7 +28,7 @@ def usec_grid(instance: USECInstance) -> bool:
     points = instance.points
     radius = instance.radius
     grid = Grid(centers, radius)
-    sq_limit = radius * radius
+    sq_limit = dm.sq_radius(radius)
 
     # Candidate-centre cells per query cell are found by a direct
     # vectorised box-distance comparison against the (few) non-empty
@@ -41,7 +41,6 @@ def usec_grid(instance: USECInstance) -> bool:
         near = np.nonzero(np.einsum("ij,ij->i", gaps, gaps) <= sq_limit * (1 + 1e-9))[0]
         if len(near):
             candidates = _take_ranges(grid.order, grid.offsets[near], grid.sizes[near])
-            sq = dm.pairwise_sq_dists(points[order[lo:hi]], centers[candidates])
-            if (sq <= sq_limit).any():
+            if dm.any_within(points[order[lo:hi]], centers[candidates], radius):
                 return True
     return False

@@ -94,17 +94,11 @@ def estimate_grid_bytes(n: int, d: int) -> int:
     """Rough footprint of :class:`repro.grid.cells.Grid` over ``(n, d)`` points.
 
     Counts the float64 point array, the int64 cell-coordinate block the
-    build sorts, and the per-point ``order`` / ``point_cell`` /
-    ``point_sq`` arrays plus the build's sort temporaries.  The constant
-    is deliberately generous — the guard should trip *before* the
-    allocation, not after.
+    build sorts, and the per-point ``order`` / ``point_cell`` arrays plus
+    the build's sort temporaries.  The constant is deliberately generous —
+    the guard should trip *before* the allocation, not after.
     """
     return 16 * n * d + 96 * n + 4096
-
-
-def estimate_pairwise_chunk_bytes(n_cols: int, chunk_rows: int = 512) -> int:
-    """Footprint of one chunked pairwise distance block (float64)."""
-    return 8 * chunk_rows * max(n_cols, 1) + 4096
 
 
 class MemoryBudget:

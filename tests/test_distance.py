@@ -72,15 +72,65 @@ class TestPairwise:
         assert dm.pairwise_sq_dists(a, b).shape == (3, 4)
 
 
+class TestBlockSqDists:
+    def _blocks(self, rng, n, rows, m, w):
+        a_idx = rng.integers(0, n, size=(rows, m))
+        b_idx = rng.integers(0, n, size=(rows, w))
+        return a_idx, b_idx
+
+    def _naive(self, points, a_idx, b_idx):
+        a, b = points[a_idx], points[b_idx]
+        return ((a[:, :, None, :] - b[:, None, :, :]) ** 2).sum(axis=3)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_matches_naive(self, m):
+        rng = np.random.default_rng(2)
+        points = rng.normal(size=(30, 3))
+        a_idx, b_idx = self._blocks(rng, 30, 4, m, 6)
+        out = dm.block_sq_dists(points, a_idx, b_idx)
+        assert out.shape == (4, m, 6)
+        assert np.allclose(out, self._naive(points, a_idx, b_idx))
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_exact_far_from_origin(self, m):
+        # Dyadic coordinates k/8 shifted by 2^30: every difference and
+        # every squared distance is exact in float64, so the anchored
+        # block must reproduce the difference form bit for bit, while
+        # the expanded form on absolute coordinates is off by ~2^8.
+        rng = np.random.default_rng(3)
+        points = rng.integers(0, 64, size=(200, 3)) / 8.0
+        a_idx, b_idx = self._blocks(rng, 200, 50, m, 9)
+        exact = self._naive(points, a_idx, b_idx)
+        out = dm.block_sq_dists(points + float(2 ** 30), a_idx, b_idx)
+        assert np.array_equal(out, exact)
+
+    def test_row_blocks_cover_every_row(self, monkeypatch):
+        monkeypatch.setattr(dm, "_BLOCK_FLOATS", 40)  # a few rows per block
+        rng = np.random.default_rng(4)
+        points = rng.normal(size=(40, 2))
+        for m in (1, 3):
+            a_idx, b_idx = self._blocks(rng, 40, 23, m, 5)
+            out = dm.block_sq_dists(points, a_idx, b_idx)
+            assert np.allclose(out, self._naive(points, a_idx, b_idx))
+
+    def test_leaves_points_untouched(self):
+        points = np.array([[1.0, 2.0], [3.0, 5.0], [0.0, 0.0]])
+        before = points.copy()
+        dm.block_sq_dists(points, np.array([[0, 1]]), np.array([[2, 2, 1]]))
+        assert np.array_equal(points, before)
+
+
 class TestChunkedIteration:
     def test_covers_all_rows(self, monkeypatch):
-        monkeypatch.setattr(dm, "_CHUNK_BUDGET", 10)  # force many chunks
+        monkeypatch.setenv("REPRO_CHUNK_BUDGET", "10")  # force many chunks
         rng = np.random.default_rng(1)
         a = rng.normal(size=(23, 2))
         b = rng.normal(size=(4, 2))
         seen = np.zeros(len(a), dtype=bool)
         full = dm.pairwise_sq_dists(a, b)
-        for rows, block in dm.iter_chunked_sq_dists(a, b):
+        chunks = list(dm.iter_chunked_sq_dists(a, b))
+        assert len(chunks) > 1
+        for rows, block in chunks:
             assert np.allclose(block, full[rows])
             seen[rows] = True
         assert seen.all()
@@ -93,15 +143,10 @@ class TestChunkedIteration:
 
 
 class TestAggregates:
-    def test_count_within(self):
-        a = np.array([[0.0, 0.0], [10.0, 0.0]])
-        b = np.array([[0.5, 0.0], [1.5, 0.0], [10.2, 0.0]])
-        assert dm.count_within(a, b, radius=1.0).tolist() == [1, 1]
-
-    def test_count_within_inclusive_boundary(self):
+    def test_any_within_inclusive_boundary(self):
         a = np.array([[0.0, 0.0]])
         b = np.array([[1.0, 0.0]])
-        assert dm.count_within(a, b, radius=1.0).tolist() == [1]
+        assert dm.any_within(a, b, radius=1.0)
 
     def test_any_within_true(self):
         a = np.array([[0.0, 0.0]])
@@ -112,11 +157,6 @@ class TestAggregates:
         a = np.array([[0.0, 0.0]])
         b = np.array([[5.0, 0.0], [0.0, 2.0]])
         assert not dm.any_within(a, b, radius=1.0)
-
-    def test_min_sq_dist_between(self):
-        a = np.array([[0.0, 0.0], [10.0, 10.0]])
-        b = np.array([[3.0, 4.0], [20.0, 20.0]])
-        assert dm.min_sq_dist_between(a, b) == pytest.approx(25.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,6 +176,6 @@ def test_pairwise_property_matches_naive(a, b):
     b=arrays(np.float64, (6, 2), elements=st.floats(-50, 50)),
     radius=st.floats(0.1, 100),
 )
-def test_count_and_any_consistent(a, b, radius):
-    counts = dm.count_within(a, b, radius)
-    assert dm.any_within(a, b, radius) == bool((counts > 0).any())
+def test_any_within_matches_naive(a, b, radius):
+    naive = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    assert dm.any_within(a, b, radius) == bool((naive <= dm.sq_radius(radius)).any())

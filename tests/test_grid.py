@@ -140,7 +140,7 @@ class TestGridBasics:
         b = Grid(rng.uniform(0, 50, size=(300, 7)), 6.0)
         assert a._offset_table is b._offset_table
         own = sum(x.nbytes for x in (
-            a.order, a.cell_start, a.sizes, a.cell_coords, a.point_cell, a.point_sq
+            a.order, a.cell_start, a.sizes, a.cell_coords, a.point_cell
         ))
         assert a.nbytes == own < a._offset_table.nbytes
         adj = a.adjacency()

@@ -108,6 +108,23 @@ class TestUSECGrid:
         )
         assert usec_grid(inst)
 
+    @pytest.mark.parametrize("radius", [0.1, 0.3, 0.7])
+    @pytest.mark.parametrize("center", [0.4, 1.1, 2.5])
+    def test_exact_radius_probes(self, radius, center):
+        # A point exactly ``radius`` from its centre (to float rounding)
+        # is inside: both solvers decide against the shared sq_radius.
+        from repro.hardness import USECInstance
+
+        for sign in (1.0, -1.0):
+            for d in (1, 2):
+                point = np.full((1, d), 0.2)
+                ball = point.copy()
+                ball[0, 0] = center
+                point[0, 0] = center + sign * radius
+                inst = USECInstance(point, ball, radius)
+                assert usec_brute(inst)
+                assert usec_grid(inst) == usec_brute(inst)
+
     def test_single_point_single_ball(self):
         from repro.hardness import USECInstance
 
