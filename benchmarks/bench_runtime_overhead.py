@@ -9,24 +9,14 @@ asserts the median slowdown stays under 5%.  The memory guard is polled at
 phase boundaries only (a handful of /proc reads per run), so it rides
 along in the budgeted timing.
 
-A second measurement holds the parallel *supervisor* to the same budget:
-on a fault-free run, its owned worker processes, one pipe each, and the
-wait on pipes and sentinels must cost <5% over a bare
-``multiprocessing.Pool.imap_unordered`` fan-out.  The library only ships
-the supervised fan-out, so the bare baseline, plain fork pool included,
-lives here (:func:`_bare_fan_out`) and is patched in for the baseline
-timing.
-
 Run standalone with ``python -m benchmarks.bench_runtime_overhead`` or via
 pytest like the other benches.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import statistics
 import time
-from unittest import mock
 
 from repro import dbscan
 from repro.data import seed_spreader
@@ -100,65 +90,6 @@ def measure_overhead(report=print):
     return overhead
 
 
-def _bare_fan_out(cfg, n_workers, payload, kind, items, consume, *,
-                  deadline, memory):
-    """Unsupervised stand-in for ``executor._fan_out``: one plain fork
-    pool, ``imap_unordered`` over the worker task function, budget guards
-    polled between results — and any worker failure fatal to the run."""
-    from repro.parallel import worker
-
-    phase = str(payload.get("phase", kind))
-    ctx = mp.get_context("fork")
-    with ctx.Pool(n_workers, initializer=worker.init_worker, initargs=(payload,)) as pool:
-        for result in pool.imap_unordered(worker.cores_task, items):
-            consume(result)
-            if deadline is not None:
-                deadline.check()
-            if memory is not None:
-                memory.check(phase)
-        pool.close()
-        pool.join()
-
-
-def measure_supervisor_overhead(report=print, repeats=7):
-    """Fault-free supervision cost versus the bare ``imap_unordered`` pool.
-
-    The supervisor replaces the pool with owned processes, one task in
-    flight per worker and a wait on pipes and sentinels; on a fault-free
-    run that bookkeeping must stay under the same 5% budget.  Measured on
-    a parallel-forced small run (worker startup is inside both timings).
-    """
-    from repro.parallel import ParallelConfig, executor
-
-    n = 4000
-    d = 3
-    points = seed_spreader(n, d, seed=cfg.SEED + d).points
-    workers = ParallelConfig(workers=2, min_points=0)
-
-    def bare():
-        with mock.patch.object(executor, "_fan_out", _bare_fan_out):
-            dbscan(points, cfg.DEFAULT_EPS, cfg.MINPTS, algorithm="grid",
-                   workers=workers)
-
-    def supervised():
-        dbscan(points, cfg.DEFAULT_EPS, cfg.MINPTS, algorithm="grid",
-               workers=workers)
-
-    bare()  # warm caches (and fork state) outside the timed region
-    supervised()
-    pairs = _paired_times(bare, supervised, repeats=repeats)
-    base = statistics.median(a for a, _ in pairs)
-    with_supervisor = statistics.median(b for _, b in pairs)
-    overhead = statistics.median(b / a - 1.0 for a, b in pairs)
-
-    report(f"supervisor overhead — SS{d}D, n={n}, 2 workers, fault-free, "
-           f"median of {repeats} back-to-back pairs")
-    report(f"  bare imap_unordered: {base * 1e3:8.2f} ms")
-    report(f"  supervised         : {with_supervisor * 1e3:8.2f} ms")
-    report(f"  overhead           : {overhead:+.2%} (budget {OVERHEAD_BUDGET:.0%})")
-    return overhead
-
-
 def test_runtime_overhead(report):
     overhead = measure_overhead(report)
     assert overhead < OVERHEAD_BUDGET, (
@@ -167,15 +98,5 @@ def test_runtime_overhead(report):
     )
 
 
-def test_supervisor_overhead(report):
-    overhead = measure_supervisor_overhead(report)
-    assert overhead < OVERHEAD_BUDGET, (
-        f"fault-free supervision costs {overhead:.2%} (> {OVERHEAD_BUDGET:.0%}); "
-        "the send/wait loop has regressed"
-    )
-
-
 if __name__ == "__main__":
-    failed = measure_overhead() >= OVERHEAD_BUDGET
-    failed |= measure_supervisor_overhead() >= OVERHEAD_BUDGET
-    raise SystemExit(1 if failed else 0)
+    raise SystemExit(1 if measure_overhead() >= OVERHEAD_BUDGET else 0)

@@ -11,9 +11,9 @@ Highlights
 * :func:`repro.run_resilient` — the degradation cascade of
   :mod:`repro.runtime`: exact under budget, else rho-approximate, else a
   subsampled run — degrade, don't die (see docs/ROBUSTNESS.md).
-* :mod:`repro.parallel` — the supervised process pool behind the
-  ``workers=`` argument: core labeling fans out over it, with output
-  identical to the serial run (see docs/PARALLEL.md).
+* :mod:`repro.parallel` — the thread fan-out behind the ``workers=``
+  argument: core labeling counts its ranges on it, with output identical
+  to the serial run (see docs/PARALLEL.md).
 * :class:`repro.ClusteringEngine` — a reusable per-dataset service:
   structures (grids, indexes, core masks, Lemma 5 hierarchies) are cached
   across calls, and multi-eps parameter sweeps run incrementally with

@@ -77,9 +77,9 @@ def approx_dbscan(
     checkpoint:
         Optional ``.npz`` path for phase-level checkpoint/resume.
     workers:
-        Optional worker-process count (or a
+        Optional thread count (or a
         :class:`~repro.parallel.ParallelConfig`) fanning core labeling out
-        over a process pool; the labeling is identical to the serial run.
+        over a thread pool; the labeling is identical to the serial run.
     hooks:
         Warm phase products and monotone-sweep seeds
         (:class:`~repro.runtime.pipeline.PipelineHooks`) — the reuse seam

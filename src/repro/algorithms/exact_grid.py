@@ -60,7 +60,7 @@ def exact_grid_dbscan(
     ``checkpoint`` names a ``.npz`` file that each completed phase is saved
     to, from which an identical invocation resumes.  ``workers`` (an int
     or a :class:`~repro.parallel.ParallelConfig`) fans core labeling out
-    over a process pool; the labeling is identical to the serial run (see ``docs/PARALLEL.md``).  ``hooks``
+    over a thread pool; the labeling is identical to the serial run (see ``docs/PARALLEL.md``).  ``hooks``
     donates warm phase products and monotone-sweep seeds
     (:class:`~repro.runtime.pipeline.PipelineHooks`) — the reuse seam of
     :class:`repro.engine.ClusteringEngine`; the output is identical with

@@ -83,21 +83,19 @@ def dbscan(
         completed phase is persisted, and an identical invocation resumes
         from the last completed phase.
     workers:
-        Optional worker-process count (or a
+        Optional thread count (or a
         :class:`~repro.parallel.ParallelConfig`).  Supported by the
         grid-pipeline algorithms (``"grid"`` and ``"gunawan2d"``), whose
-        core labeling shards across a *supervised* multiprocessing pool
-        with output identical to the serial run; explicitly requesting more
+        core labeling counts its ranges on a per-call thread pool with
+        output identical to the serial run; explicitly requesting more
         than one worker for any other algorithm raises
         :class:`~repro.errors.ParameterError`.  Defaults to the
         ``REPRO_WORKERS`` environment variable (see
         :func:`repro.config.default_workers`); the environment default is
-        silently ignored by algorithms that cannot parallelise.  On a
-        crashed, failing or hung worker (soft timeout: pass a
-        :class:`~repro.parallel.ParallelConfig` to set ``shard_timeout``)
-        the supervisor tears the workers down and counts every unfinished
-        range in the parent, so the output stays identical.  The ranges
-        re-run that way are recorded in ``result.meta["supervisor"]``.
+        silently ignored by algorithms that cannot parallelise.  An error
+        raised in a range (an exhausted time budget included) propagates
+        as it does in the serial run, after every thread has stopped;
+        ``result.meta["workers"]`` is the thread count the count used.
     engine:
         Optional :class:`~repro.engine.ClusteringEngine` built over these
         same points.  The call is answered through the engine's structure

@@ -53,28 +53,11 @@ EXIT_ERROR = 2  # any other library error (parameters, checkpoints, ...)
 EXIT_CONFIG = 3  # invalid configuration (flags or REPRO_* environment)
 EXIT_DATA = 4  # unreadable or invalid input data
 EXIT_BUDGET = 5  # time or memory budget exhausted
-# 6 is retired: a worker fault never reaches the caller (the supervisor
-# finishes the fan-out in the parent), and the other codes keep their numbers.
+# 6 is retired (it meant a worker-pool fault); the other codes keep their numbers.
 EXIT_SERVICE = 7  # service refused or lost the request (overload, quarantine)
 
 
-def _parallel_workers(args):
-    """The ``workers=`` argument for the run: an int/None, or a full config.
-
-    Plain ``--workers N`` passes the integer through (the executor applies
-    env defaults).  ``--shard-timeout`` promotes it to a
-    :class:`~repro.parallel.ParallelConfig` carrying the timeout.
-    """
-    if getattr(args, "shard_timeout", None) is None:
-        return args.workers
-    from repro.parallel import ParallelConfig
-
-    workers = args.workers if args.workers is not None else config.default_workers()
-    return ParallelConfig(workers=workers, shard_timeout=args.shard_timeout)
-
-
 def _run_algorithm(args, points):
-    workers = _parallel_workers(args)
     engine = None
     if getattr(args, "engine_cache", False):
         if getattr(args, "resilience", False):
@@ -84,7 +67,7 @@ def _run_algorithm(args, points):
             )
         from repro.engine import ClusteringEngine
 
-        engine = ClusteringEngine(points, workers=workers)
+        engine = ClusteringEngine(points, workers=args.workers)
     if getattr(args, "resilience", False):
         from repro.runtime.resilient import ResiliencePolicy, run_resilient
 
@@ -93,7 +76,7 @@ def _run_algorithm(args, points):
             memory_budget_mb=args.memory_budget_mb,
             rho=args.rho,
             checkpoint=args.checkpoint,
-            workers=workers,
+            workers=args.workers,
         )
         return run_resilient(points, args.eps, args.min_pts, policy)
     if args.algorithm == "approx":
@@ -105,7 +88,7 @@ def _run_algorithm(args, points):
             time_budget=args.time_budget,
             memory_budget_mb=args.memory_budget_mb,
             checkpoint=args.checkpoint,
-            workers=workers,
+            workers=args.workers,
             engine=engine,
         )
     return dbscan(
@@ -116,7 +99,7 @@ def _run_algorithm(args, points):
         time_budget=args.time_budget,
         memory_budget_mb=args.memory_budget_mb,
         checkpoint=args.checkpoint,
-        workers=workers,
+        workers=args.workers,
         engine=engine,
     )
 
@@ -394,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help=".npz checkpoint path for phase-level resume "
                           "(grid/gunawan2d/approx)")
     clu.add_argument("--workers", type=int, default=None,
-                     help="worker processes for the grid-pipeline "
+                     help="threads for the core labeling of the grid-pipeline "
                           "algorithms (grid/gunawan2d/approx); default "
                           "$REPRO_WORKERS or 1")
     clu.add_argument("--on-bad-rows", dest="on_bad_rows",
@@ -402,12 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="policy for invalid input rows (non-numeric, "
                           "ragged or non-finite): fail fast, drop them, or "
                           "quarantine them to a sidecar file")
-    clu.add_argument("--shard-timeout", dest="shard_timeout",
-                     type=float, default=None,
-                     help="seconds before an in-flight range is declared "
-                          "hung; the workers are then torn down and the "
-                          "parent counts the rest (default: derived from "
-                          "the time budget)")
     clu.add_argument("--resilience", action="store_true",
                      help="run the degradation cascade instead of one "
                           "algorithm: exact under budget, else "
@@ -446,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--time-budget", dest="time_budget", type=float, default=None,
                      help="per-algorithm cut-off in seconds")
     cmp_.add_argument("--workers", type=int, default=None,
-                     help="worker processes for grid-pipeline algorithms")
+                     help="core-labeling threads for grid-pipeline algorithms")
     cmp_.set_defaults(func=_cmd_compare)
 
     lr = sub.add_parser("legal-rho", help="maximum legal rho at one eps")
@@ -496,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="seconds before a quarantined dataset gets a "
                           "half-open probe")
     srv.add_argument("--workers", type=int, default=None,
-                     help="worker processes per engine execution")
+                     help="core-labeling threads per engine execution")
     srv.add_argument("--store-dir", dest="store_dir", default=None,
                      help="persist the dataset catalog (snapshot + "
                           "append-only journal + payload files) under this "
@@ -559,9 +536,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     - ``5`` — a time or memory budget was exhausted
       (:class:`~repro.errors.TimeoutExceeded`,
       :class:`~repro.errors.MemoryBudgetExceeded`).
-    - ``6`` — not used: a worker fault (an error, a dead or hung worker,
-      a worker that cannot start) never reaches the caller, because the
-      supervisor finishes the fan-out in the parent.
+    - ``6`` — not used (it meant a worker-pool fault).
     - ``7`` — the clustering service refused or lost the request:
       load shedding (:class:`~repro.errors.ServiceOverloadError`), an
       open circuit breaker

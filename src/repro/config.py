@@ -16,7 +16,6 @@ benchmark cardinalities by ten, and so on.
 from __future__ import annotations
 
 import os
-from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -84,24 +83,8 @@ def _env_int(name: str, default: int, minimum: int) -> int:
     return value
 
 
-def _env_float(name: str, default: Optional[float], minimum: float) -> Optional[float]:
-    """Strictly parsed float environment default (``None`` when unset)."""
-    raw = os.environ.get(name)
-    if raw is None or raw.strip() == "":
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"invalid {name}={raw!r}: expected a number > {minimum:g}"
-        ) from None
-    if not value > minimum or value != value:  # NaN fails both comparisons
-        raise ConfigError(f"invalid {name}={raw!r}: must be > {minimum:g}")
-    return value
-
-
 def default_workers() -> int:
-    """Default worker-process count from the ``REPRO_WORKERS`` env variable.
+    """Default cores fan-out thread count from the ``REPRO_WORKERS`` env variable.
 
     ``1`` (the safe serial default) when unset; public entry points fall
     back to this whenever ``workers=None`` is passed, so a deployment can
@@ -116,22 +99,13 @@ def parallel_min_points() -> int:
     """Cores fan-out gate from ``REPRO_PARALLEL_MIN_POINTS``, in open queries.
 
     A core plan leaving fewer open counting queries (not input points) is
-    counted in the parent: pool start-up outweighs that much counting.
-    The default comes from the serial-vs-pooled table in
-    ``docs/PARALLEL.md``; CI sets 0 to force every plan with work through
-    the pool.  A set-but-invalid value raises
+    counted in the calling thread.  The default keeps every benchmark plan
+    serial; ``docs/PARALLEL.md`` ("Phase by phase") times the thread
+    fan-out against serial on both sides of it.  CI sets 0 to force every
+    plan with work through the fan-out.  A set-but-invalid value raises
     :class:`~repro.errors.ConfigError`.
     """
     return _env_int("REPRO_PARALLEL_MIN_POINTS", 150_000, 0)
-
-
-def shard_timeout() -> Optional[float]:
-    """Per-shard soft timeout in seconds from ``REPRO_SHARD_TIMEOUT``.
-
-    ``None`` when unset: the supervisor then derives the hang threshold
-    from the run's deadline (or a conservative built-in default).
-    """
-    return _env_float("REPRO_SHARD_TIMEOUT", None, 0.0)
 
 
 def chunk_budget() -> int:

@@ -29,8 +29,8 @@ shared machinery in :mod:`repro.core.corekernel`):
   totals and the upper-bound reject form a :class:`CorePlan`
   (:func:`plan_cores`); stage B (:func:`count_cores`) then counts any
   contiguous range of the plan's live cells.  The serial call counts
-  them all; :mod:`repro.parallel` builds the plan once in the parent
-  and hands ranges to its workers, so they redo none of the plan.
+  them all; :mod:`repro.parallel` builds the plan once and counts its
+  ranges on threads, so they redo none of the plan.
 
 The per-cell loop this replaced is kept as the differential oracle in
 ``tests/oracles/loops.py``; the mask is byte-identical to it.

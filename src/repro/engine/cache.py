@@ -10,9 +10,8 @@ over; this module makes each of them a cacheable value keyed by
 ``(dataset_fingerprint, structure_kind, params...)``
 
 so every structure is built **at most once per process** and found again by
-any later request — including ``workers>1`` requests, since the cache
-lives in the parent and every phase that reads a cached structure runs
-there too.
+any later request — including ``workers>1`` requests, whose core-range
+threads read the same cached grid.
 
 Eviction is LRU with two independent caps: an entry-count cap and a
 byte-budget cap.  When a :class:`~repro.runtime.MemoryBudget` is attached,

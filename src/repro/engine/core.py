@@ -10,8 +10,8 @@ StructureCache` keyed by ``(dataset_fingerprint, kind, params)``;
   previous step's monotone products forward (see
   :mod:`repro.engine.sweep` for the correctness argument);
 * parallel runs profit transparently — the cores fan-out of
-  :mod:`repro.parallel` forks workers that inherit the warm grid, and
-  every cached structure is read in the parent.
+  :mod:`repro.parallel` runs its threads over the warm grid, and every
+  cached structure is read in the calling thread.
 
 Every engine result is **byte-identical** to the corresponding one-shot
 :func:`repro.dbscan` / :func:`repro.approx_dbscan` call: the reuse seams

@@ -80,7 +80,7 @@ class TimeoutExceeded(ReproError, RuntimeError):
     def __reduce__(self):
         # Default Exception pickling would replay ``args`` (the formatted
         # message) into ``__init__`` and crash on the missing ``budget``;
-        # worker processes re-raise this error across the pool boundary.
+        # keep it so the error survives a round trip through pickle.
         return (TimeoutExceeded, (self.elapsed, self.budget))
 
 
@@ -103,8 +103,8 @@ class MemoryBudgetExceeded(ReproError, RuntimeError):
         self.phase = phase
 
     def __reduce__(self):
-        # See TimeoutExceeded.__reduce__: keep the error picklable across
-        # worker process boundaries despite the multi-argument constructor.
+        # See TimeoutExceeded.__reduce__: keep the error picklable despite
+        # the multi-argument constructor.
         return (MemoryBudgetExceeded, (self.observed_bytes, self.budget_bytes, self.phase))
 
 

@@ -233,9 +233,8 @@ class Grid:
         """Force the (cached) adjacency build *now*.
 
         The pipeline calls it during the grid phase so the cost is charged
-        where it belongs, and the cores fan-out calls it before forking
-        workers so every worker inherits the warm table instead of each
-        rebuilding it.
+        where it belongs; the cores fan-out builds it before starting its
+        threads, so no range races the lazy build.
         """
         self.adjacency()
 

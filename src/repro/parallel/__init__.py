@@ -1,21 +1,19 @@
-"""Multiprocessing execution layer for the shared grid pipeline.
+"""In-process execution layer for the shared grid pipeline.
 
 The paper's Theorem 2 decomposition has three shardable phases: core
 determination is per-cell, the core-cell graph is per-edge, and border
-assignment is per-cell again.  Only core labeling pays for a worker pool
+assignment is per-cell again.  Only core labeling gains from a fan-out
 (measured in ``docs/PARALLEL.md``, "Phase by phase"), so this package
-plans core labeling in the parent, fans the count of the plan's live-cell
-ranges out over supervised worker processes when enough queries are left
-open, and merges the core indices by index writes; the other phases run
-serially in the parent.  On a worker fault the parent tears the workers
-down and counts the unfinished ranges itself (:mod:`repro.parallel.supervisor`).  The output is *identical* to the serial pipeline
+plans core labeling in the calling thread, counts the plan's live-cell
+ranges on a per-call thread pool when enough queries are left open, and
+merges the core indices by index writes; the other phases run serially.
+The output is *identical* to the serial pipeline
 (``tests/test_parallel_equivalence.py`` is the differential oracle).
 
 Public entry points accept ``workers=`` (an int or a
 :class:`ParallelConfig`); ``repro-dbscan --workers N`` exposes it on the
 command line, and the ``REPRO_WORKERS`` environment variable sets the
-fleet-wide default.  Workers inherit the grid under ``fork`` and return
-their range results pickled (see ``docs/PARALLEL.md``, "Transport").
+fleet-wide default.
 """
 
 from repro.parallel.executor import (
@@ -32,12 +30,6 @@ from repro.parallel.executor import (
     track_copy_bytes,
     unpublish_grid,
 )
-from repro.parallel.supervisor import (
-    SupervisorStats,
-    collect_stats,
-    current_stats,
-    run_supervised,
-)
 
 __all__ = [
     "ParallelConfig",
@@ -52,8 +44,4 @@ __all__ = [
     "track_copy_bytes",
     "unpublish_grid",
     "leaked_segments",
-    "SupervisorStats",
-    "collect_stats",
-    "current_stats",
-    "run_supervised",
 ]

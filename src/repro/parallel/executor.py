@@ -1,39 +1,28 @@
-"""Parent-process orchestration of the parallel grid pipeline.
+"""Orchestration of the parallel grid pipeline: one in-process fan-out.
 
-One phase fans out: core labeling.  The parent builds its plan once
-(:func:`~repro.core.labeling.plan_cores`), then forks supervised
-worker processes that inherit it and run the serial
-:func:`~repro.core.labeling.count_cores` over ranges of its live cells;
-the parent writes each range's core indices into the plan's mask.  The
-core-cell connectivity, the border assignment and the cell-adjacency
-build run serially in the parent: measured on a 2-CPU host with 2
-workers, components and borders lost to serial on every input and the
-(then all-pairs) adjacency build on 4 of 5 grids, because shipping and
-merging their results costs more than the work itself
-(``docs/PARALLEL.md``, "Phase by phase").
+One phase fans out: core labeling.  The caller builds its plan once
+(:func:`~repro.core.labeling.plan_cores`), then runs the serial
+:func:`~repro.core.labeling.count_cores` over ranges of its live cells on
+a per-call thread pool, and writes each range's core indices into the
+plan's mask (:meth:`~repro.core.labeling.CorePlan.merge`).  Every range
+reads the same read-only grid and plan, as the paper's labeling process
+decides each sparse cell independently, and NumPy's gathers and matrix
+products release the GIL, so the ranges overlap on separate cores.  The
+core-cell connectivity, the border assignment and the cell-adjacency build
+run serially: measured on a 2-CPU host, they lost to serial on every
+input when they fanned out (``docs/PARALLEL.md``, "Phase by phase").
 
-The count runs in the parent instead when the resolved worker count is
-1, when the plan leaves fewer than :attr:`ParallelConfig.min_points`
-queries open, or when it has a single range of work.  Workers poll the
-remaining time budget and the memory limit cooperatively (see
-``repro.parallel.worker``).
-
-It runs under the one-rung supervisor
-(:mod:`repro.parallel.supervisor`): the parent owns its worker processes,
-and on any fault (a worker error, a dead worker, a hung range) it tears
-them down in bounded time and counts every unfinished range itself —
-while budget errors raised *inside* workers still re-raise promptly.
-
-**Transport.** Workers start with ``fork`` where the platform has it, so
-workers inherit the parent's warm :class:`~repro.grid.cells.Grid`
-copy-on-write, and the core plan with it; ``(lo, hi)`` task items and
-range results (core indices, counters) travel pickled.
+The count runs in the calling thread instead when the resolved worker
+count is 1, when the plan leaves fewer than :attr:`ParallelConfig.min_points`
+queries open, or when it has a single range of work.  Each range polls the
+run's deadline once per tile, exactly as the serial count does, and an
+error raised in a range (a :class:`~repro.errors.TimeoutExceeded`
+included) propagates to the caller once every thread has stopped.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
@@ -46,9 +35,6 @@ from repro.core.cellgraph import approx_components, exact_components
 from repro.core.labeling import count_cores, plan_cores
 from repro.errors import ParameterError
 from repro.grid.cells import Grid
-from repro.parallel import worker
-from repro.parallel.supervisor import run_supervised
-from repro.runtime import faultinject
 from repro.runtime.deadline import Deadline
 from repro.runtime.memory import MemoryBudget
 from repro.utils.log import get_logger
@@ -56,43 +42,32 @@ from repro.utils.log import get_logger
 _log = get_logger("parallel.executor")
 
 #: Ranges per worker for the cores fan-out: mild over-sharding lets the
-#: workers absorb what the planned-slot balance misses.
+#: threads absorb what the planned-slot balance misses.
 OVERSHARD = 4
 
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How the grid pipeline fans core labeling out over processes.
+    """How the grid pipeline fans core labeling out over threads.
 
     Parameters
     ----------
     workers:
-        Worker-process count.  ``1`` disables the fan-out entirely.
+        Thread count for the cores fan-out.  ``1`` disables it entirely.
     min_points:
         Fan-out gate: a core plan leaving fewer open counting queries
         (after the dense quick-accept, the carry and the upper-bound
-        reject) is counted in the parent; ``0`` fans out every plan with
-        work.  Defaults to ``REPRO_PARALLEL_MIN_POINTS`` (see
+        reject) is counted in the calling thread; ``0`` fans out every
+        plan with work.  Defaults to ``REPRO_PARALLEL_MIN_POINTS`` (see
         :func:`repro.config.parallel_min_points`).
-    shard_timeout:
-        Per-range soft timeout in seconds; a range in flight longer than
-        this is a fault: the workers are torn down and the parent counts
-        every unfinished range.  ``None`` (the ``REPRO_SHARD_TIMEOUT``
-        default) derives the threshold from the run's deadline, falling
-        back to a generous built-in liveness bound.
     """
 
     workers: int = 1
     min_points: int = field(default_factory=config.parallel_min_points)
-    shard_timeout: Optional[float] = field(default_factory=config.shard_timeout)
 
     def __post_init__(self) -> None:
         if int(self.workers) < 1:
             raise ParameterError(f"workers must be >= 1; got {self.workers}")
-        if self.shard_timeout is not None and not float(self.shard_timeout) > 0:
-            raise ParameterError(
-                f"shard_timeout must be positive (or None); got {self.shard_timeout}"
-            )
 
 
 WorkersLike = Union[None, int, ParallelConfig]
@@ -126,49 +101,21 @@ def effective_workers(
     return max(1, min(int(cfg.workers), n_ranges))
 
 
-def _base_payload(
-    grid: Grid,
-    phase: str,
-    deadline: Optional[Deadline],
-    memory: Optional[MemoryBudget],
-) -> Dict[str, object]:
-    time_remaining = None
-    if deadline is not None and deadline.budget is not None:
-        # Workers measure from their own start, so hand them what is left.
-        time_remaining = max(deadline.remaining(), 1e-3)
-    memory_limit_mb = None
-    if memory is not None and memory.limit_bytes is not None:
-        memory_limit_mb = memory.limit_bytes / 1e6
-    return {
-        "grid": grid,
-        "phase": phase,
-        "time_remaining": time_remaining,
-        "memory_limit_mb": memory_limit_mb,
-        # Snapshot of any active worker-fault injection (tests only; None
-        # in production).  Shipped in the payload so the spec reaches
-        # workers under both fork and spawn.
-        "fault_spec": faultinject.worker_fault_spec(),
-    }
+# ------------------------------------------------------------ task ledger
 
-
-# ------------------------------------------------------------ copy ledger
-
-#: Active copy-bytes ledger (None outside :func:`track_copy_bytes`).  The
-#: workers run under ``fork``, so the phase payload is inherited, not
-#: pickled — what actually crosses the process boundary per run are the
-#: task items going out and the results coming back, and that is what the
-#: ledger measures (via ``pickle.dumps``, the same encoder the pipes use).
+#: Active task ledger (None outside :func:`track_copy_bytes`).
 _COPY_LEDGER: Optional[Dict[str, int]] = None
 
 
 @contextmanager
 def track_copy_bytes():
-    """Measure pickled transport bytes for every fan-out in the block.
+    """Count the ranges every fan-out in the block hands to its threads.
 
-    Yields a dict updated in place: ``task_bytes`` / ``result_bytes`` /
-    ``tasks``.  The scaling bench and the benchmark's sweep workload report
-    it; not thread-safe (one measurement at a time, which is what a bench
-    does).
+    Yields a dict updated in place: ``tasks`` counts ranges, while
+    ``task_bytes`` / ``result_bytes`` stay 0 (the threads share the grid
+    and the plan, so nothing is copied).  The scaling bench and the
+    benchmark's sweep workload report it; not thread-safe (one measurement
+    at a time, which is what a bench does).
     """
     global _COPY_LEDGER
     ledger = {"task_bytes": 0, "result_bytes": 0, "tasks": 0}
@@ -180,50 +127,48 @@ def track_copy_bytes():
         _COPY_LEDGER = prev
 
 
-def _count_copies(items, consume):
-    """Wrap one fan-out's items/consume with ledger accounting."""
-    ledger = _COPY_LEDGER
-    if ledger is None:
-        return items, consume
-    items = list(items)
-    ledger["tasks"] += len(items)
-    ledger["task_bytes"] += sum(
-        len(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL)) for item in items
-    )
-
-    def counting_consume(result):
-        ledger["result_bytes"] += len(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        consume(result)
-
-    return items, counting_consume
-
-
-def _fan_out(
-    cfg: ParallelConfig,
-    n_workers: int,
-    payload: Dict[str, object],
-    kind: str,
-    items,
-    consume,
+def label_cores_on_threads(
+    grid: Grid,
+    min_pts: int,
+    cfg: Optional[ParallelConfig],
     *,
-    deadline: Optional[Deadline],
-    memory: Optional[MemoryBudget],
-) -> None:
-    """Distribute one phase's tasks over supervised workers and merge.
+    deadline: Optional[Deadline] = None,
+    memory: Optional[MemoryBudget] = None,
+    known_core: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, int]:
+    """:func:`~repro.core.labeling.label_cores`, its count spread over threads.
 
-    ``consume`` must be idempotent (the cores merge keys each result by
-    its range), so a range finished in the parent after a fault counts
-    once however far a worker got with it.
+    Returns the core mask and the number of threads that counted it (1
+    when :func:`effective_workers` gated the plan into the calling
+    thread).  The pool lives for this call only: ``map`` keeps the ranges
+    in order, the first error cancels the ranges not yet started and
+    re-raises here, and leaving the ``with`` block joins every thread.
     """
-    items, consume = _count_copies(items, consume)
-    run_supervised(
-        worker.serve, payload, n_workers, items, consume,
-        phase=str(payload.get("phase", kind)),
-        local_runner=worker.make_local_runner(payload),
-        shard_timeout=cfg.shard_timeout, deadline=deadline, memory=memory,
-    )
+    plan = plan_cores(grid, min_pts, deadline=deadline, known_core=known_core)
+    ranges = plan.ranges(cfg.workers * OVERSHARD) if cfg is not None else []
+    n_workers = effective_workers(cfg, len(plan.open_q), len(ranges))
+    if n_workers <= 1:
+        return plan.merge([count_cores(grid, plan, deadline=deadline)]), 1
+    # Imported here: serial runs, and ``import repro``, never need it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    if _COPY_LEDGER is not None:
+        _COPY_LEDGER["tasks"] += len(ranges)
+    grid.adjacency()  # built here, so no range thread races the lazy build
+    _log.debug("cores phase: %d ranges over %d threads", len(ranges), n_workers)
+
+    def count(cell_range: Tuple[int, int]) -> Tuple[np.ndarray, Dict[str, int]]:
+        return count_cores(grid, plan, *cell_range, deadline=deadline)
+
+    with ThreadPoolExecutor(n_workers, thread_name_prefix="repro-cores") as pool:
+        try:
+            results = list(pool.map(count, ranges))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+    if memory is not None:
+        memory.check("cores")
+    return plan.merge(results), n_workers
 
 
 def parallel_label_cores(
@@ -235,36 +180,10 @@ def parallel_label_cores(
     memory: Optional[MemoryBudget] = None,
     known_core: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """:func:`~repro.core.labeling.label_cores`, its count fanned out over workers.
-
-    The plan is built once, before any fork; the count fans out only when
-    :func:`effective_workers` passes it, else it runs in the parent.  Each
-    range's result is kept under its ``(lo, hi)`` key, so a duplicated
-    result counts once, and merged after the fan-out.
-    """
-    plan = plan_cores(grid, min_pts, deadline=deadline, known_core=known_core)
-    ranges = plan.ranges(cfg.workers * OVERSHARD) if cfg is not None else []
-    n_workers = effective_workers(cfg, len(plan.open_q), len(ranges))
-    if n_workers <= 1:
-        return plan.merge([count_cores(grid, plan, deadline=deadline)])
-    if deadline is not None:
-        deadline.check()
-    if memory is not None:
-        memory.check("cores")
-    payload = _base_payload(grid, "cores", deadline, memory)
-    payload["plan"] = plan
-    results: Dict[Tuple[int, int], object] = {}
-    _log.debug("cores phase: %d ranges over %d workers", len(ranges), n_workers)
-
-    def keep(result) -> None:
-        cell_range, idx, tally = result
-        results[cell_range] = (idx, tally)
-
-    _fan_out(
-        cfg, n_workers, payload, "cores", ranges, keep,
-        deadline=deadline, memory=memory,
-    )
-    return plan.merge(results.values())
+    """The core mask of :func:`label_cores_on_threads`."""
+    return label_cores_on_threads(
+        grid, min_pts, cfg, deadline=deadline, memory=memory, known_core=known_core
+    )[0]
 
 
 # -------------------------------------------------- serial pass-throughs
@@ -360,6 +279,6 @@ def leaked_segments() -> List[str]:
 def unpublish_grid(grid: Grid) -> None:
     """No-op, kept for callers written against the shared-memory transport.
 
-    Grids are no longer published to shared memory (workers inherit them
-    under ``fork``), so there is nothing to release.
+    Grids are no longer published to shared memory (the threads of the
+    cores fan-out share them), so there is nothing to release.
     """

@@ -21,11 +21,8 @@ checkpoint written by a parallel run is only resumed by an invocation
 requesting the same parallelism, so a resume never silently mixes shard
 layouts with serial state (phases are whole-output snapshots either way,
 but the fingerprint keeps provenance honest and reproducible).  The
-supervision knob (``shard_timeout``) deliberately does **not** join the
-fingerprint: it only changes when a hung range is finished in the parent,
-never the phase outputs — a supervised run's result is byte-identical to
-the serial one — so checkpoints written under different timeouts are
-interchangeable.
+fan-out gate (``min_points``) does **not** join it: it only decides
+whether the core ranges are counted on threads, never the phase outputs.
 """
 
 from __future__ import annotations

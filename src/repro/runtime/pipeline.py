@@ -14,13 +14,11 @@ control flow once, and is where the robustness guarantees attach:
   from the latest phase whose output is on disk (corrupt or mismatched
   checkpoints degrade to a fresh start with a WARNING);
 * when a :class:`~repro.parallel.ParallelConfig` is attached, core
-  labeling fans out over *supervised* worker processes
-  (:mod:`repro.parallel`); on a worker crash, error or hang the parent
-  tears them down and counts the unfinished ranges itself (see
-  :mod:`repro.parallel.supervisor`), checkpoints stay phase-granular, and
+  labeling counts its plan's ranges on a thread pool of the calling
+  process (:mod:`repro.parallel`); an error raised in a range propagates
+  as it does in the serial count, checkpoints stay phase-granular, and
   the worker count joins the checkpoint parameters so resumes never mix
-  shard layouts.  The ranges the parent re-ran for the whole run are
-  recorded under ``meta["supervisor"]``.
+  shard layouts.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ from repro.core.result import Clustering, build_clustering
 from repro.errors import ParameterError
 from repro.grid import counters
 from repro.grid.cells import Grid
-from repro.parallel.executor import ParallelConfig, parallel_label_cores
-from repro.parallel.supervisor import collect_stats
+from repro.parallel.executor import ParallelConfig, label_cores_on_threads
 from repro.runtime.checkpoint import CheckpointStore, fingerprint_points, phase_index
 from repro.runtime.deadline import Deadline
 from repro.runtime.memory import MemoryBudget, estimate_grid_bytes
@@ -69,7 +66,7 @@ class PipelineHooks:
     known_core:
         Monotone lower bound on the core mask (e.g. the mask of a smaller
         ``eps``); forwarded to
-        :func:`~repro.parallel.executor.parallel_label_cores`.  Ignored
+        :func:`~repro.parallel.executor.label_cores_on_threads`.  Ignored
         when ``core_mask`` is given.
     preunion:
         A ``(k, 2)`` array of grid cell ids, pairs already known to be in
@@ -117,12 +114,13 @@ def run_grid_pipeline(
     """Run the four-phase grid pipeline and assemble the result.
 
     ``meta`` must already contain the algorithm identity and parameters;
-    the pipeline adds ``grid_cells``, ``workers`` (the pool size the cores
-    phase ran on — 1 when it ran in the parent), ``phase_seconds`` (the
-    wall-clock spent per phase, result assembly included as ``result``) and (when a resume happened)
+    the pipeline adds ``grid_cells``, ``workers`` (the thread count the
+    cores phase used — 1 when its plan was gated, restored or adopted),
+    ``phase_seconds`` (the wall-clock spent per phase, result assembly
+    included as ``result``) and (when a resume happened)
     ``resumed_from_phase``.
 
-    ``parallel`` fans core labeling out over a worker pool (serial when
+    ``parallel`` fans core labeling out over a thread pool (serial when
     ``None``); the requested worker count is part of the checkpoint
     parameters, so a resume never silently mixes shard layouts produced
     under a different parallel configuration.
@@ -153,114 +151,106 @@ def run_grid_pipeline(
         if checkpoint is not None and not reached(phase):
             checkpoint.save(phase, fingerprint, ckpt_params, **kwargs)
 
-    # All four phases run under one ambient supervisor-stats ledger: the
-    # cores fan-out's parent-side re-runs and timeouts accumulate here
-    # (see repro.parallel.supervisor).
     phase_seconds: Dict[str, float] = {}
     counters_before = counters.snapshot()
-    with collect_stats() as sup_stats:
-        # Phase 1: impose the grid T (deterministic; rebuilt unless a warm
-        # grid is donated — it is the one phase cheaper to recompute than
-        # to serialise, but free to adopt from a structure cache).
-        mark = perf_counter()
-        if hooks.grid is not None:
-            grid = _adopt_grid(hooks.grid, pts, eps)
-            _log.debug("grid adopted from hooks: %d non-empty cells", len(grid))
-        else:
-            if memory is not None:
-                memory.charge_estimate(estimate_grid_bytes(len(pts), pts.shape[1]), "grid")
-            grid = Grid(pts, eps)
-            _log.debug("grid built: %d non-empty cells for %d points", len(grid), len(pts))
-        # Build the cell adjacency now, so its cost is charged to this phase
-        # and a cores fan-out forks workers that inherit it warm.
-        grid.warm_neighbors()
-        if deadline is not None:
-            deadline.check()
+    cores_workers = 1
+    # Phase 1: impose the grid T (deterministic; rebuilt unless a warm
+    # grid is donated — it is the one phase cheaper to recompute than
+    # to serialise, but free to adopt from a structure cache).
+    mark = perf_counter()
+    if hooks.grid is not None:
+        grid = _adopt_grid(hooks.grid, pts, eps)
+        _log.debug("grid adopted from hooks: %d non-empty cells", len(grid))
+    else:
         if memory is not None:
-            memory.check("grid")
-        persist("grid")
-        hooks.emit("grid", grid)
-        phase_seconds["grid"] = perf_counter() - mark
+            memory.charge_estimate(estimate_grid_bytes(len(pts), pts.shape[1]), "grid")
+        grid = Grid(pts, eps)
+        _log.debug("grid built: %d non-empty cells for %d points", len(grid), len(pts))
+    # Build the cell adjacency now, so its cost is charged to this phase.
+    grid.warm_neighbors()
+    if deadline is not None:
+        deadline.check()
+    if memory is not None:
+        memory.check("grid")
+    persist("grid")
+    hooks.emit("grid", grid)
+    phase_seconds["grid"] = perf_counter() - mark
 
-        # Phase 2: the labeling process -> core mask.
-        mark = perf_counter()
-        if reached("cores"):
-            core_mask = np.asarray(state["core_mask"], dtype=bool)
-            _log.debug("labeling restored from checkpoint: %d core points", int(core_mask.sum()))
-        elif hooks.core_mask is not None:
-            core_mask = np.asarray(hooks.core_mask, dtype=bool)
-            if core_mask.shape != (len(pts),):
-                raise ParameterError(
-                    f"hooks.core_mask has shape {core_mask.shape}; expected ({len(pts)},)"
-                )
-            _log.debug("labeling adopted from hooks: %d core points", int(core_mask.sum()))
-            persist("cores", core_mask=core_mask)
-        else:
-            core_mask = parallel_label_cores(
-                grid, min_pts, parallel,
-                deadline=deadline, memory=memory, known_core=hooks.known_core,
+    # Phase 2: the labeling process -> core mask.
+    mark = perf_counter()
+    if reached("cores"):
+        core_mask = np.asarray(state["core_mask"], dtype=bool)
+        _log.debug("labeling restored from checkpoint: %d core points", int(core_mask.sum()))
+    elif hooks.core_mask is not None:
+        core_mask = np.asarray(hooks.core_mask, dtype=bool)
+        if core_mask.shape != (len(pts),):
+            raise ParameterError(
+                f"hooks.core_mask has shape {core_mask.shape}; expected ({len(pts)},)"
             )
-            _log.debug("labeling done: %d core points", int(core_mask.sum()))
-            persist("cores", core_mask=core_mask)
-        if deadline is not None:
-            deadline.check()
-        if memory is not None:
-            memory.check("cores")
-        hooks.emit("cores", core_mask)
-        phase_seconds["cores"] = perf_counter() - mark
+        _log.debug("labeling adopted from hooks: %d core points", int(core_mask.sum()))
+        persist("cores", core_mask=core_mask)
+    else:
+        core_mask, cores_workers = label_cores_on_threads(
+            grid, min_pts, parallel,
+            deadline=deadline, memory=memory, known_core=hooks.known_core,
+        )
+        _log.debug("labeling done: %d core points", int(core_mask.sum()))
+        persist("cores", core_mask=core_mask)
+    if deadline is not None:
+        deadline.check()
+    if memory is not None:
+        memory.check("cores")
+    hooks.emit("cores", core_mask)
+    phase_seconds["cores"] = perf_counter() - mark
 
-        # Phase 3: connect the core-cell graph (Lemma 1 components).
-        mark = perf_counter()
-        if reached("components"):
-            core_labels = np.asarray(state["core_labels"], dtype=np.int64)
-            k = int(state["n_components"])
-            _log.debug("graph connectivity restored from checkpoint: %d components", k)
-        else:
-            core_labels, k = connect(grid, core_mask, deadline)
-            _log.debug("graph connectivity done: %d components", k)
-            persist("components", core_mask=core_mask, core_labels=core_labels, n_components=k)
-        if deadline is not None:
-            deadline.check()
-        if memory is not None:
-            memory.check("components")
-        hooks.emit("components", (core_labels, k))
-        phase_seconds["components"] = perf_counter() - mark
+    # Phase 3: connect the core-cell graph (Lemma 1 components).
+    mark = perf_counter()
+    if reached("components"):
+        core_labels = np.asarray(state["core_labels"], dtype=np.int64)
+        k = int(state["n_components"])
+        _log.debug("graph connectivity restored from checkpoint: %d components", k)
+    else:
+        core_labels, k = connect(grid, core_mask, deadline)
+        _log.debug("graph connectivity done: %d components", k)
+        persist("components", core_mask=core_mask, core_labels=core_labels, n_components=k)
+    if deadline is not None:
+        deadline.check()
+    if memory is not None:
+        memory.check("components")
+    hooks.emit("components", (core_labels, k))
+    phase_seconds["components"] = perf_counter() - mark
 
-        # Phase 4: assign border points.
-        mark = perf_counter()
-        if reached("borders"):
-            borders = dict(state["borders"])
-            _log.debug(
-                "border assignment restored from checkpoint: %d border points", len(borders)
-            )
-        else:
-            borders = assign_borders(grid, core_mask, core_labels, deadline=deadline)
-            _log.debug("border assignment done: %d border points", len(borders))
-            persist(
-                "borders",
-                core_mask=core_mask,
-                core_labels=core_labels,
-                n_components=k,
-                borders=borders,
-            )
-        if memory is not None:
-            memory.check("borders")
-        hooks.emit("borders", borders)
-        phase_seconds["borders"] = perf_counter() - mark
+    # Phase 4: assign border points.
+    mark = perf_counter()
+    if reached("borders"):
+        borders = dict(state["borders"])
+        _log.debug(
+            "border assignment restored from checkpoint: %d border points", len(borders)
+        )
+    else:
+        borders = assign_borders(grid, core_mask, core_labels, deadline=deadline)
+        _log.debug("border assignment done: %d border points", len(borders))
+        persist(
+            "borders",
+            core_mask=core_mask,
+            core_labels=core_labels,
+            n_components=k,
+            borders=borders,
+        )
+    if memory is not None:
+        memory.check("borders")
+    hooks.emit("borders", borders)
+    phase_seconds["borders"] = perf_counter() - mark
 
     meta = dict(meta)
     meta["grid_cells"] = len(grid)
     meta["phase_seconds"] = phase_seconds
-    # Kernel work this run triggered, pooled core ranges included (the
-    # cores fan-out publishes their tallies in the parent).
+    # Kernel work this run triggered, threaded core ranges included (the
+    # cores fan-out publishes their tallies in the calling thread).
     kernel_counters = counters.delta_since(counters_before)
     if kernel_counters:
         meta["kernel_counters"] = kernel_counters
-    if parallel is not None:
-        meta["supervisor"] = sup_stats.as_dict()
-    # The workers the cores phase actually used: 1 when its plan was
-    # counted in the parent (gated, restored or adopted), else the pool size.
-    meta["workers"] = max(1, sup_stats.pool_workers)
+    meta["workers"] = cores_workers
     if state is not None:
         meta["resumed_from_phase"] = str(state["phase"])
     # ``meta`` holds this very ``phase_seconds`` dict, so the assembly time

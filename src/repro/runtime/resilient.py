@@ -105,11 +105,11 @@ class ResiliencePolicy:
         Optional checkpoint path handed to the budgeted grid tiers, so an
         interrupted run resumes mid-pipeline.
     workers:
-        Optional worker-process count (or a
+        Optional thread count (or a
         :class:`~repro.parallel.ParallelConfig`) handed to the grid tiers
-        (``exact`` and ``approx``); deadlines and memory budgets are
-        polled cooperatively inside the workers, so the cascade degrades
-        just as promptly under a parallel run.
+        (``exact`` and ``approx``); each core range polls the deadline
+        as the serial count does, so the cascade degrades just as
+        promptly under a parallel run.
     """
 
     time_budget: Optional[float] = None
@@ -207,12 +207,6 @@ def run_resilient(
                 "workers": repr(policy.workers),
             },
         }
-        # Surface the winning tier's supervisor ledger (ranges re-run in the
-        # parent, timeouts) next to the attempt history, so one dict
-        # tells the whole recovery story of the run.
-        supervisor = result.meta.get("supervisor")
-        if supervisor is not None:
-            result.meta["resilience"]["supervisor"] = supervisor
         return result
     raise AssertionError("unreachable: the final tier either returned or re-raised")
 

@@ -63,7 +63,7 @@ class AdmissionPolicy:
         load-shedder enforces.
     max_concurrency:
         Engine executions running at once (executor threads).  Keep small:
-        each execution may itself fan out worker processes.
+        each execution may itself fan its core labeling out over threads.
     default_time_budget:
         Per-request deadline in seconds when the request carries none
         (``None`` = unbounded requests allowed).

@@ -10,7 +10,7 @@ the machine without oversubscribing it.
 The request lifecycle::
 
     admit -> coalesce -> (queue for an execution slot) -> choose tier
-          -> execute under supervisor + breaker -> respond
+          -> execute under breaker -> respond
 
 Every stage that can refuse work does so with a structured error
 (:class:`~repro.errors.ServiceOverloadError`,
@@ -443,10 +443,8 @@ class ClusteringService:
 
         A plain synchronous method on purpose: the fault-injection tests
         monkeypatch it to stage deterministic overload, and subclasses can
-        wrap it.  Parallel ``workers`` runs inherit the supervisor
-        (on a worker fault: bounded teardown, then the parent finishes the
-        unfinished ranges, also when a worker cannot start) through the
-        engine's pipeline, so an execution runs exactly once.
+        wrap it.  A parallel ``workers`` run counts its core ranges on
+        threads of this execution and runs exactly once.
         """
         engine = entry.engine
         deadline: Optional[Deadline] = job["deadline"]

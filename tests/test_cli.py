@@ -162,12 +162,11 @@ class TestExitCodes:
         assert code == EXIT_BUDGET == 5
         assert "budget" in capsys.readouterr().err
 
-    def test_supervisor_flags_accept_clean_run(self, dataset, monkeypatch):
+    def test_workers_flag_accepts_clean_run(self, dataset, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_MIN_POINTS", "0")
         code = main([
             "cluster", dataset, "--eps", "2000", "--min-pts", "5",
             "--algorithm", "grid", "--workers", "2",
-            "--shard-timeout", "60",
         ])
         assert code == 0
 

@@ -103,18 +103,6 @@ class TestStrictEnvParsing:
         with pytest.raises(ConfigError, match="REPRO_PARALLEL_MIN_POINTS"):
             config.parallel_min_points()
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-1.5"])
-    def test_shard_timeout_invalid(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", value)
-        with pytest.raises(ConfigError, match="REPRO_SHARD_TIMEOUT"):
-            config.shard_timeout()
-
-    def test_shard_timeout_default_and_valid(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_TIMEOUT", raising=False)
-        assert config.shard_timeout() is None
-        monkeypatch.setenv("REPRO_SHARD_TIMEOUT", "1.5")
-        assert config.shard_timeout() == 1.5
-
     def test_chunk_budget_default_and_valid(self, monkeypatch):
         monkeypatch.delenv("REPRO_CHUNK_BUDGET", raising=False)
         assert config.chunk_budget() == 4_000_000

@@ -13,6 +13,7 @@ brute-force oracle, border-point tie-breaking included.
 from __future__ import annotations
 
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -25,11 +26,10 @@ from repro.data.seed_spreader import seed_spreader
 from repro.data.shapes import rings, two_moons
 from repro.core.labeling import count_cores, label_cores, plan_cores
 from repro.engine import ClusteringEngine, StructureCache
-from repro.errors import ParameterError, TimeoutExceeded
+from repro.errors import MemoryBudgetExceeded, ParameterError, TimeoutExceeded
 from repro.grid.cells import Grid
 from repro.parallel import OVERSHARD, ParallelConfig, leaked_segments
 from repro.parallel import executor as executor_mod
-from repro.parallel import worker as worker_mod
 from repro.parallel.executor import (
     as_parallel_config,
     effective_workers,
@@ -38,7 +38,7 @@ from repro.parallel.executor import (
 from repro.runtime.deadline import Deadline
 from repro.runtime.faultinject import inject_faults
 
-#: Force the pool even on tiny inputs — the whole point is to exercise it.
+#: Force the fan-out even on tiny inputs — the whole point is to exercise it.
 def forced(workers: int) -> ParallelConfig:
     return ParallelConfig(workers=workers, min_points=0)
 
@@ -88,7 +88,7 @@ class TestExactDifferentialOracle:
         min_pts = 10
         serial = dbscan(pts, eps, min_pts, workers=1)
         par = dbscan(pts, eps, min_pts, workers=forced(workers))
-        # meta["workers"] is the pool the plan's ranges ran on: 1 when
+        # meta["workers"] is the threads the plan's ranges ran on: 1 when
         # the plan left nothing to count (every cell dense or rejected).
         plan = plan_cores(Grid(pts, eps), min_pts)
         n_ranges = len(plan.ranges(workers * OVERSHARD))
@@ -157,8 +157,10 @@ class TestConcurrentRuns:
 
     The service's shape: its executor threads each drive their own
     ``workers=2`` run at the same time, so any per-run state kept in a
-    module global (rather than in the run's own payload and pool) shows up
-    here as crashes or cross-talk between the runs.
+    module global (rather than in the run's own plan and pool) shows up
+    here as crashes or cross-talk between the runs.  Every run's range
+    threads are joined before it returns, so the thread count is back at
+    its baseline afterwards.
     """
 
     THREADS = 4
@@ -169,6 +171,7 @@ class TestConcurrentRuns:
         eps, min_pts = 200.0, 20
         serial = dbscan(points, eps, min_pts, workers=1)
         cfg = ParallelConfig(workers=2, min_points=0)
+        baseline = threading.active_count()
 
         def run(_):
             return dbscan(points, eps, min_pts, workers=cfg)
@@ -181,6 +184,7 @@ class TestConcurrentRuns:
                 results = list(pool.map(run, range(n_runs), timeout=600))
         finally:
             sys.setswitchinterval(switch)
+        assert threading.active_count() == baseline
         assert len(results) == n_runs
         for i, got in enumerate(results):
             name = f"concurrent run {i}"
@@ -222,7 +226,7 @@ class TestSerialFallback:
         assert as_parallel_config(1) is None
         assert as_parallel_config(ParallelConfig(workers=1)) is None
         assert as_parallel_config(3).workers == 3
-        cfg = ParallelConfig(workers=2, shard_timeout=7.0)
+        cfg = ParallelConfig(workers=2, min_points=7)
         assert as_parallel_config(cfg) is cfg
         with pytest.raises(ParameterError):
             as_parallel_config(0)
@@ -286,24 +290,14 @@ class TestShardHelpers:
 
 class TestWorkerGuards:
     def test_worker_deadline_trips(self):
+        # One range of the plan polls the deadline per tile, as the
+        # serial count does.
         pts = np.random.default_rng(0).normal(0, 2, size=(300, 2))
         grid = Grid(pts, 1.0)
         plan = plan_cores(grid, 5)
         assert len(plan.open_q) > 0
-        worker_mod.init_worker(
-            {
-                "grid": grid,
-                "phase": "cores",
-                "time_remaining": 1e-9,
-                "memory_limit_mb": None,
-                "plan": plan,
-            }
-        )
-        try:
-            with pytest.raises(TimeoutExceeded):
-                worker_mod.cores_task((0, len(plan.live_ids)))
-        finally:
-            worker_mod._CTX = None
+        with pytest.raises(TimeoutExceeded):
+            count_cores(grid, plan, 0, len(plan.live_ids), deadline=Deadline(1e-9))
 
     def test_pool_propagates_timeout(self):
         pts = np.random.default_rng(1).normal(0, 3, size=(500, 3))
@@ -314,23 +308,71 @@ class TestWorkerGuards:
                 pts, 1.0, 6, deadline=Deadline(1e-9), workers=forced(2)
             )
 
-    def test_uninitialised_worker_errors(self):
-        assert worker_mod._CTX is None
-        with pytest.raises(RuntimeError):
-            worker_mod.cores_task((0, 0))
+    def test_budget_verdict_propagates_through_run(self):
+        pts = np.random.default_rng(7).uniform(0.0, 100.0, size=(400, 2))
+        with pytest.raises(MemoryBudgetExceeded):
+            dbscan(pts, 5.0, 4, workers=forced(2), memory_budget_mb=1)
+
+
+class TestThreadSafety:
+    """The cores fan-out's threads share one grid and one plan.
+
+    Every range reads them only; the lazy adjacency build happens before
+    the first thread starts, and no thread outlives the call, whether it
+    returns or raises.
+    """
+
+    @staticmethod
+    def _points():
+        return np.random.default_rng(66).uniform(0.0, 400.0, size=(6000, 3))
+
+    def test_cold_grid_matches_serial(self):
+        pts = self._points()
+        baseline = threading.active_count()
+        grid = Grid(pts, 25.0)
+        assert grid._adjacency is None  # never warmed
+        mask, n_threads = executor_mod.label_cores_on_threads(grid, 10, forced(2))
+        assert n_threads == 2
+        assert np.array_equal(mask, label_cores(Grid(pts, 25.0), 10))
+        assert threading.active_count() == baseline
+
+    def test_timeout_in_a_range_propagates(self, monkeypatch):
+        pts = self._points()
+        grid = Grid(pts, 25.0)
+        grid.adjacency()
+        raised = []
+        real = executor_mod.count_cores
+
+        def spy(*args, **kwargs):
+            try:
+                return real(*args, **kwargs)
+            except TimeoutExceeded:
+                raised.append(threading.current_thread().name)
+                raise
+
+        monkeypatch.setattr(executor_mod, "count_cores", spy)
+        baseline = threading.active_count()
+        deadline = Deadline(60.0)
+        # Read 1 is the plan's own check; every later read, the first
+        # tile poll of a range included, sees the clock an hour ahead.
+        with inject_faults(clock_skew=3600.0, skew_after=1):
+            with pytest.raises(TimeoutExceeded):
+                parallel_label_cores(grid, 10, forced(2), deadline=deadline)
+        assert raised and all(name.startswith("repro-cores") for name in raised)
+        assert threading.active_count() == baseline
 
 
 class TestKernelCountersUnderWorkers:
     """``meta["kernel_counters"]`` of a ``workers>1`` run.
 
-    Connectivity and border assignment run in the parent, so their
+    Connectivity and border assignment run serially, so their
     ``edge_*`` / ``border_*`` counters must equal the serial run's and keep
-    the funnel identities.  The core plan runs in the parent too, and each
-    pooled range returns its count counters, which the parent publishes
-    once per range.
+    the funnel identities.  The core plan runs in the calling thread too,
+    and each threaded range returns its count counters, which the calling
+    thread publishes once per range.
     """
 
-    #: The counters the parent's core plan publishes.
+    #: The counters the core plan publishes.
     PLAN_KEYS = (
         "core_cells_total", "core_points_total", "core_dense_cells",
         "core_dense_points", "core_sparse_cells", "core_known_points",
@@ -375,22 +417,6 @@ class TestKernelCountersUnderWorkers:
         for key, value in tallies.items():
             assert pooled.get(key, 0) == value, key
 
-    def test_core_counters_count_each_range_once_under_faults(self):
-        # A killed worker ends the fan-out and the parent counts every
-        # unfinished range; every range's tallies must still be published
-        # exactly once, whether a worker or the parent counted it.
-        pts = np.random.default_rng(62).uniform(0.0, 400.0, size=(6000, 3))
-        cfg = ParallelConfig(workers=2, min_points=1, shard_timeout=5.0)
-        with inject_faults(kill_shards=[("cores", 0), ("cores", 3)]) as plan:
-            result = dbscan(pts, 25.0, 10, algorithm="grid", workers=cfg)
-            assert plan.worker_faults_fired("kill") >= 1
-        retries = result.meta["supervisor"]["retries"]
-        assert any(r["shard"] == 0 for r in retries)
-        assert any(r["reason"] == "worker-death" for r in retries)
-        pooled = self._core(result)
-        for key, value in self._range_tallies(pts, 25.0, 10, 2).items():
-            assert pooled.get(key, 0) == value, key
-
     def test_edge_and_border_counters_match_serial(self):
         pts = np.random.default_rng(60).uniform(0.0, 400.0, size=(6000, 3))
         serial = dbscan(pts, 25.0, 10, algorithm="grid", workers=1)
@@ -430,16 +456,18 @@ class TestPlanGate:
     """The cores fan-out runs only when its plan leaves enough to count.
 
     The gate is ``ParallelConfig.min_points`` against the plan's open
-    counting queries; under it the count runs in the parent and no pool
-    starts.  ``min_points=0`` fans out every plan that has work.
+    counting queries; under it the count runs in the calling thread and
+    no pool starts.  ``min_points=0`` fans out every plan that has work.
     """
 
     @pytest.fixture
     def no_pool(self, monkeypatch):
-        def refuse(*_args, **_kwargs):
-            raise AssertionError("a worker pool was started")
+        import concurrent.futures
 
-        monkeypatch.setattr(executor_mod, "_fan_out", refuse)
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
 
     @staticmethod
     def _same(serial, other, name):
@@ -459,7 +487,7 @@ class TestPlanGate:
         )
         assert gated.meta["workers"] == 1
         self._same(serial, gated, "gated")
-        # The parent ran the serial count: every counter matches.
+        # The calling thread ran the serial count: every counter matches.
         assert gated.meta["kernel_counters"] == serial.meta["kernel_counters"]
 
     def test_plan_at_min_points_fans_out(self):

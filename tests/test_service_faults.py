@@ -1,15 +1,12 @@
-"""Fault injection through the service path.
+"""Failures through the service path.
 
-PR 3 proved the supervisor recovers from killed / hung / poisoned workers
-when driven directly; these tests drive the same faults through the
+These tests stage hard failures, budget failures and overload behind the
 *service* front door and hold it to the service's contract: the request
-either answers byte-identically to the serial oracle (recovery worked
-underneath) or fails with a structured error — and coalesced waiters
-always share that fate, never hang.
+either answers byte-identically to the serial oracle or fails with a
+structured error — and coalesced waiters always share that fate, never
+hang.
 """
 
-import errno
-import multiprocessing
 import threading
 import time
 
@@ -22,8 +19,6 @@ from repro.errors import (
     ServiceError,
     ServiceOverloadError,
 )
-from repro.parallel import ParallelConfig, supervisor
-from repro.runtime.faultinject import inject_faults
 from repro.service import AdmissionPolicy, ServiceClient
 
 EPS = 5.0
@@ -48,91 +43,9 @@ def client(points):
         yield c
 
 
-def cfg(**overrides):
-    defaults = dict(workers=2, min_points=0, shard_timeout=5.0)
-    defaults.update(overrides)
-    return ParallelConfig(**defaults)
-
-
 def assert_identical(serial_result, recovered, name):
     assert np.array_equal(serial_result.labels, recovered.labels), name
     assert np.array_equal(serial_result.core_mask, recovered.core_mask), name
-
-
-class TestWorkerFaultsThroughService:
-    def test_killed_worker_recovers_and_answers_identically(
-        self, client, points, serial
-    ):
-        with inject_faults(kill_shards=[("cores", 0)]) as plan:
-            result = client.cluster(
-                "blobs", EPS, MIN_PTS, workers=cfg(), timeout=180
-            )
-            # (counted inside the block: the token dir dies with it)
-            assert plan.worker_faults_fired("kill") == 1
-        assert_identical(serial, result, "kill")
-        stats = client.stats()
-        assert stats["executed"] == 1 and stats["failed"] == 0
-        assert stats["quarantined"] == 0  # recovery is not a breaker event
-
-    def test_hung_worker_times_out_and_answers_identically(
-        self, client, serial
-    ):
-        with inject_faults(
-            hang_shards=[("cores", 0)], hang_seconds=30.0
-        ) as plan:
-            result = client.cluster(
-                "blobs", EPS, MIN_PTS,
-                workers=cfg(shard_timeout=1.0), timeout=180,
-            )
-            assert plan.worker_faults_fired("hang") == 1
-        assert_identical(serial, result, "hang")
-
-    def test_poisoned_shard_quarantined_and_answers_identically(
-        self, client, serial
-    ):
-        with inject_faults(poison_shards=[("cores", 1)]):
-            result = client.cluster(
-                "blobs", EPS, MIN_PTS, workers=cfg(), timeout=180
-            )
-        assert_identical(serial, result, "poison")
-        assert client.stats()["failed"] == 0
-
-    def test_worker_that_cannot_start_answers_on_first_execution(
-        self, points, serial, monkeypatch
-    ):
-        # Starting a worker fails (EAGAIN: out of process ids): the
-        # supervisor counts every range in the parent, so the one
-        # execution succeeds and the breaker never hears of it.
-        attempts = []
-
-        def start(self):
-            attempts.append(1)
-            raise OSError(errno.EAGAIN, "injected: cannot fork")
-
-        ctx = multiprocessing.get_context(supervisor._START_METHOD)
-        monkeypatch.setattr(ctx.Process, "start", start)
-        policy = AdmissionPolicy(breaker_threshold=1)
-        with ServiceClient(policy=policy) as client:
-            client.register("blobs", points)
-            executions = []
-            real = client.service._execute
-
-            def execute(entry, job):
-                executions.append(job["eps"])
-                return real(entry, job)
-
-            client.service._execute = execute
-            result = client.cluster(
-                "blobs", EPS, MIN_PTS, workers=ParallelConfig(2, min_points=0),
-                timeout=180,
-            )
-            assert_identical(serial, result, "worker-start")
-            assert attempts and len(executions) == 1
-            stats = client.stats()
-            assert stats["executed"] == 1 and stats["failed"] == 0
-            assert client.service.breaker.snapshot() == {}
-        reasons = {r["reason"] for r in result.meta["supervisor"]["retries"]}
-        assert reasons == {"worker-start"}
 
 
 class TestHardFailuresAndBreaker:
